@@ -21,6 +21,10 @@ from __future__ import annotations
 import random
 import time
 
+# the kernel's time on an idle 2-vCPU host; rescales set-up times to seconds
+# at that speed
+NOMINAL_S = 0.010
+
 # GF(4097)* tables and 65536 stored tuples, visited in a scattered order:
 # about 9 MB, which every worker's peak RSS includes
 _M = 4096
@@ -37,7 +41,7 @@ del _ROWS
 
 
 def kernel_seconds() -> float:
-    """Time one pass of the kernel (about 10 ms on an idle 2-vCPU host)."""
+    """Time one pass of the kernel (about NOMINAL_S on an idle 2-vCPU host)."""
     exp, log, points = _EXP, _LOG, _POINTS
     t0 = time.perf_counter()
     seen = set()

@@ -34,7 +34,9 @@ sum of each job's median).
   this is the figure that gates regressions.  The raw time is printed too,
   as ``wall_s``, and is a per-layer metric;
 * ``setup_s``: import, field construction and input generation, sampled by
-  extra set-up-only workers too;
+  extra set-up-only workers too.  Rescaled like ``wall_ref``: the raw time
+  times the kernel's nominal time (reference.NOMINAL_S) over its time
+  around the set-up, so seconds at the kernel's nominal speed;
 * ``peak_rss_mb``: the worker's ``ru_maxrss`` (which includes the kernel's
   ~8 MB of tables), or its children's for ``cli_session``.
 
