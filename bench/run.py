@@ -1,6 +1,6 @@
 """Benchmark of the arcflock package: four workloads, end-to-end and per-layer metrics.
 
-    python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1 [--spans PATH]
+    python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run it from anywhere; it measures the package in the ``src/`` next to this
 directory.  Workloads (each a closed loop, one job after another in one
@@ -28,17 +28,18 @@ sum of each job's median).
 ``--trace 0`` reports the end-to-end metrics:
 
 * ``wall_ref``: the job list's time (after set-up) in units of the
-  reference kernel (reference.py) timed between its jobs.  The speed of a
-  shared host drifts by tens of percent for minutes at a time; a job's time
-  divided by the kernel's time around it cancels most of that drift, so
-  this is the figure that gates regressions.  The raw time is printed too,
-  as ``wall_s``, and is a per-layer metric;
-* ``setup_s``: import, field construction and input generation, sampled by
-  extra set-up-only workers too.  Rescaled like ``wall_ref``: the raw time
+  reference kernel (reference.py), whose process samples the workers' CPU
+  through the whole run.  The speed of a shared host drifts by tens of
+  percent for minutes at a time; dividing each job's time by the kernel's
+  time around it cancels most of that drift, so this is the figure that
+  gates regressions.  The raw time is printed too, as ``wall_s``, and is a
+  per-layer metric;
+* ``setup_s``: import, field construction and input generation, the
+  median over the repetitions.  Rescaled like ``wall_ref``: the raw time
   times the kernel's nominal time (reference.NOMINAL_S) over its time
   around the set-up, so seconds at the kernel's nominal speed;
-* ``peak_rss_mb``: the worker's ``ru_maxrss`` (which includes the kernel's
-  ~8 MB of tables), or its children's for ``cli_session``.
+* ``peak_rss_mb``: the worker's ``ru_maxrss``, or its children's for
+  ``cli_session``.
 
 ``--trace 1`` runs rounds of three repetitions, untraced, with spans and
 with call counters (tracer.py), and reports the per-layer metrics named in
@@ -47,8 +48,8 @@ self times (``.s``) and cache figures from the span repetitions, call counts
 of the hot leaf functions from the counter repetitions, figures the
 benchmark measures itself (``cli.*``, ``search.valid_ratio``) from the
 untraced ones, and the tracing overhead (the span repetitions' ``wall_s``
-minus the untraced median).  ``--spans PATH`` writes the first span
-repetition's spans to PATH.
+minus the untraced one, each the sum of per-job medians).  The last span
+repetition's spans are left in ``.bench_work/NAME.spans.tsv``.
 
 Human-readable lines come first: provenance, ``ops_failed`` with its base
 ``ops_attempted``, and every metric with its unit.  The last line is the
@@ -70,11 +71,11 @@ import sys
 import time
 from pathlib import Path
 
+import reference
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 
-# set-up-only workers per untraced run, besides each repetition's own set-up
-SETUP_SAMPLES = 5
 # a run must end within 180 s; no worker may start a wait beyond this
 HARD_LIMIT_S = 170.0
 
@@ -96,11 +97,9 @@ def worker_env() -> dict[str, str]:
     return env
 
 
-def call_worker(env, started: float, workload: str, seed: int, mode: str, spans=None) -> dict:
+def call_worker(env, started: float, workload: str, seed: int, mode: str) -> dict:
     cmd = [sys.executable, str(BENCH_DIR / "worker.py"), "--workload", workload,
            "--seed", str(seed), "--mode", mode]
-    if spans:
-        cmd += ["--spans", str(Path(spans).resolve())]
     timeout = max(5.0, HARD_LIMIT_S - (time.monotonic() - started))
     try:
         proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True,
@@ -153,14 +152,12 @@ def layer_values(rep: dict) -> dict[str, float]:
     return flat
 
 
-def run_reps(env, started, deadline, workload, seed, modes, spans=None) -> list[list[dict]]:
+def run_reps(env, started, deadline, workload, seed, modes) -> list[list[dict]]:
     """Rounds of one worker per mode, until the next round would pass the deadline."""
     rounds = []
     while True:
         t0 = time.monotonic()
-        rounds.append([call_worker(env, started, workload, seed, mode,
-                                   spans if mode == "spans" and not rounds else None)
-                       for mode in modes])
+        rounds.append([call_worker(env, started, workload, seed, mode) for mode in modes])
         if time.monotonic() + (time.monotonic() - t0) > deadline:
             return rounds
 
@@ -169,20 +166,25 @@ def median(values) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def job_medians(reps: list[dict], key: str) -> float:
+def job_medians(times: list[list[float]]) -> float:
     """Sum over the job list of each job's median across repetitions.
 
     A burst of load on a shared host slows a few jobs of one repetition,
     not the same job in most repetitions.
     """
-    return sum(median(times) for times in zip(*[r[key] for r in reps]))
+    return sum(median(job) for job in zip(*times))
 
 
-def end_to_end(plain: list[dict], setups: list[float]) -> dict[str, float]:
+def end_to_end(plain: list[dict], kernels: reference.Samples) -> dict[str, float]:
+    """Times in kernel durations, each divided by the kernel's time around it."""
+    job_ref = [[s / kernels.around(t, t + s) for t, s in zip(r["job_start"], r["job_s"])]
+               for r in plain]
+    setup_ref = [r["setup_s"] / kernels.around(r["setup_start"], r["setup_start"] + r["setup_s"])
+                 for r in plain]
     return {
-        "wall_ref": job_medians(plain, "job_kernels"),
-        "wall_s": job_medians(plain, "job_s"),
-        "setup_s": median(setups + [r["setup_s"] for r in plain]),
+        "wall_ref": job_medians(job_ref),
+        "wall_s": job_medians([r["job_s"] for r in plain]),
+        "setup_s": median(setup_ref) * reference.NOMINAL_S,
         "peak_rss_mb": median([r["peak_rss_mb"] for r in plain]),
     }
 
@@ -191,9 +193,10 @@ def add_per_layer(values, listed, plain, traced, counted) -> None:
     """Per-layer metrics: tracer figures from the traced repetitions, the
     benchmark's own (``cli.*``, ``search.valid_ratio``) from the untraced ones."""
     flat = [{**layer_values(c), **layer_values(t)} for t, c in zip(traced, counted)]
-    traced_wall = median([r["wall_s"] for r in traced])
-    values["trace.wall_s"] = traced_wall
-    values["trace.overhead_s"] = traced_wall - median([r["wall_s"] for r in plain])
+    # measured like wall_s, in the same rounds, so that the host's drift
+    # falls on both alike
+    values["trace.wall_s"] = job_medians([r["job_s"] for r in traced])
+    values["trace.overhead_s"] = values["trace.wall_s"] - values["wall_s"]
     for name in (m["name"] for m in listed):
         if name in values:
             continue
@@ -213,7 +216,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--spans", help="write the first span repetition's spans here")
     args = parser.parse_args()
 
     if not (ROOT / "src" / "arcflock" / "__init__.py").is_file():
@@ -223,27 +225,23 @@ def main() -> int:
     env = worker_env()
     started = time.monotonic()
     deadline = started + args.seconds
-    counted: list[dict] = []
-    setups: list[float] = []
+    modes = ("run",) if args.trace == 0 else ("run", "spans", "counts")
+    sampler = reference.Sampler()
     try:
-        if args.trace == 0:
-            setups = [call_worker(env, started, args.workload, args.seed, "setup")["setup_s"]
-                      for _ in range(SETUP_SAMPLES)]
-            plain = [r[0] for r in run_reps(env, started, deadline, args.workload, args.seed,
-                                            ("run",))]
-            traced = []
-        else:
-            rounds = run_reps(env, started, deadline, args.workload, args.seed,
-                              ("run", "spans", "counts"), args.spans)
-            plain, traced, counted = ([r[i] for r in rounds] for i in range(3))
+        rounds = run_reps(env, started, deadline, args.workload, args.seed, modes)
     except WorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        kernels = sampler.stop()
+    plain = [r[0] for r in rounds]
+    traced = [r[1] for r in rounds if len(r) > 1]
+    counted = [r[2] for r in rounds if len(r) > 2]
 
     reps = plain + traced + counted
     attempted = sum(r["attempted"] for r in reps)
     failed = sum(r["failed"] for r in reps)
-    values = end_to_end(plain, setups)
+    values = end_to_end(plain, kernels)
     shown = list(values)
     absent: list[str] = []
     if args.trace == 0:
@@ -257,7 +255,8 @@ def main() -> int:
 
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
           f"repetitions {len(plain)} untraced, {len(traced)} with spans, "
-          f"{len(counted)} with counters")
+          f"{len(counted)} with counters; reference kernel {1000 * kernels.median():.3f} ms "
+          f"(median of {len(kernels.seconds)})")
     print("provenance " + json.dumps(provenance(args.seed), sort_keys=True))
     print(f"ops_failed {failed} of ops_attempted {attempted}")
     for rep in reps:

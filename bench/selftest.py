@@ -1,6 +1,6 @@
 """Self-tests of the benchmark's correctness gate, isolation and seed invariance.
 
-    python3 bench/selftest.py [--quick]
+    python3 bench/selftest.py
 
 Checks that:
 
@@ -14,7 +14,7 @@ Checks that:
 * workers run without ``ARCFLOCK_THREADS``;
 * the traced work counts (``verify_maximal_arc.incidences``,
   ``cone_points.points_scanned``, ``search_group.calls``) and the job counts
-  are identical under two seeds, for every workload (skipped with --quick).
+  are identical under two seeds, for every workload.
 
 Exits 0 when every check holds; prints one line per check.
 """
@@ -161,12 +161,10 @@ def test_tracer_copes_with_refactors() -> None:
 
 
 def main() -> int:
-    quick = "--quick" in sys.argv[1:]
     test_corruption_is_counted()
     test_trace_counts_agree_with_package()
     test_isolation()
-    if not quick:
-        test_seed_invariance()
+    test_seed_invariance()
     test_tracer_copes_with_refactors()  # last: it wraps this process's package
     print(f"{len(FAILURES)} failed")
     return 1 if FAILURES else 0

@@ -1,13 +1,15 @@
 """One repetition of a benchmark workload, in a fresh process.
 
-    python3 bench/worker.py --workload NAME --seed N [--mode run|setup|spans|counts]
-                            [--spans PATH]
+    python3 bench/worker.py --workload NAME --seed N [--mode run|spans|counts]
 
-``setup`` mode stops after the set-up.  ``spans`` and ``counts`` modes
-install the tracer of that kind (see tracer.py) before the set-up and add
-per-layer statistics to the result.  Prints one
-JSON object on stdout.  The runner starts every worker with PYTHONPATH set to
-the checkout's ``src/``; a copy of arcflock found anywhere else is refused.
+``spans`` and ``counts`` modes install the tracer of that kind (see
+tracer.py) before the set-up and add per-layer statistics to the result;
+``spans`` mode also writes its spans to ``.bench_work/NAME.spans.tsv``
+(for ``cli_session``, the CLI processes' spans are summed into their
+statistics and not written).
+Prints one JSON object on stdout.  The runner starts every worker with
+PYTHONPATH set to the checkout's ``src/``; a copy of arcflock found anywhere
+else is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import resource
 import sys
 import time
 
-import reference
 from tracer import Tracer, cache_stats
 from workloads import ROOT, WORKLOADS, Context
 
@@ -42,15 +43,12 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--mode", choices=("run", "setup", "spans", "counts"), default="run")
-    parser.add_argument("--spans", help="write the traced spans to this file")
+    parser.add_argument("--mode", choices=("run", "spans", "counts"), default="run")
     args = parser.parse_args()
 
-    # one CPU for this worker and its CLI children, so that the reference
-    # kernel measures the speed of the CPU the jobs ran on
+    # one CPU for this worker and its CLI children: the one the reference
+    # kernel samples (reference.py)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    reference.kernel_seconds()  # the first pass runs on cold caches
-    kernel_before = reference.kernel_seconds()
     t0 = time.perf_counter()
     import arcflock as af
 
@@ -58,39 +56,39 @@ def main() -> int:
     if not os.path.realpath(af.__file__).startswith(str(src) + os.sep):
         print(f"arcflock was imported from {af.__file__}, not from {src}", file=sys.stderr)
         return 3
-    tracer = Tracer() if args.mode in ("spans", "counts") else None
+    tracer = Tracer() if args.mode != "run" else None
     if tracer is not None:
         tracer.install(args.mode)
     setup, run = WORKLOADS[args.workload]
     inputs = setup(af, random.Random(args.seed))
     setup_s = time.perf_counter() - t0
-    # rescaled to the kernel's nominal speed, as wall_ref is (see reference.py)
-    kernel = (kernel_before + reference.kernel_seconds()) / 2
-    out: dict = {"setup_s": setup_s * reference.NOMINAL_S / kernel, "setup_raw_s": setup_s}
 
-    if args.mode != "setup":
-        ctx = Context(ROOT / ".bench_work" / f"{args.workload}-{os.getpid()}",
-                      trace_kind=args.mode if tracer is not None else None)
-        run(ctx, af, inputs)
-        # the CLI session's work happens in its child processes
-        who = resource.RUSAGE_CHILDREN if args.workload == "cli_session" else resource.RUSAGE_SELF
-        out.update(
-            wall_s=sum(ctx.job_s),
-            job_s=ctx.job_s,
-            job_kernels=ctx.job_kernels(),
-            peak_rss_mb=resource.getrusage(who).ru_maxrss / 1024,
-            attempted=ctx.attempted,
-            failed=ctx.failed,
-            failures=ctx.failures,
-            work=ctx.work,
-        )
-        if tracer is not None:
-            layers = tracer.layer_stats()
-            caches = cache_stats(tracer.caches)
-            spans = tracer.span_count() + merge_child_layers(layers, caches, ctx.child_layers)
-            out.update(layers=layers, caches=caches, absent=tracer.absent, spans=spans)
-            if args.spans:
-                tracer.write_spans(args.spans)
+    workdir = ROOT / ".bench_work"
+    ctx = Context(workdir / f"{args.workload}-{os.getpid()}",
+                  trace_kind=args.mode if tracer is not None else None)
+    run(ctx, af, inputs)
+    # the CLI session's work happens in its child processes
+    who = resource.RUSAGE_CHILDREN if args.workload == "cli_session" else resource.RUSAGE_SELF
+    out = {
+        "setup_start": t0,
+        "setup_s": setup_s,
+        "wall_s": sum(ctx.job_s),
+        "job_start": ctx.job_start,
+        "job_s": ctx.job_s,
+        "peak_rss_mb": resource.getrusage(who).ru_maxrss / 1024,
+        "attempted": ctx.attempted,
+        "failed": ctx.failed,
+        "failures": ctx.failures,
+        "work": ctx.work,
+    }
+    if tracer is not None:
+        layers = tracer.layer_stats()
+        caches = cache_stats(tracer.caches)
+        spans = tracer.span_count() + merge_child_layers(layers, caches, ctx.child_layers)
+        out.update(layers=layers, caches=caches, absent=tracer.absent, spans=spans)
+        if args.mode == "spans":
+            workdir.mkdir(exist_ok=True)
+            tracer.write_spans(str(workdir / f"{args.workload}.spans.tsv"))
     print(json.dumps(out))
     return 0
 

@@ -32,15 +32,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-import reference
-
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 DIGESTS = json.loads((BENCH_DIR / "digests.json").read_text(encoding="utf-8"))
-
-
-# seconds between two timings of the reference kernel
-REFERENCE_EVERY_S = 0.2
 
 
 class JobAborted(Exception):
@@ -48,20 +42,14 @@ class JobAborted(Exception):
 
 
 class Context:
-    """Times jobs, runs their checks and counts attempts and failures.
-
-    Between jobs, at most every REFERENCE_EVERY_S seconds, it also times the
-    reference kernel; ``ref_s[k]`` is the k-th kernel time and
-    ``job_ref[j]`` the index of the last kernel timed before job j.
-    """
+    """Times jobs, runs their checks and counts attempts and failures."""
 
     def __init__(self, workdir: Path, trace_kind: Optional[str] = None) -> None:
         self.workdir = workdir
         self.trace_kind = trace_kind
         self.job_s: list[float] = []
-        self.ref_s = [reference.kernel_seconds()]
-        self.job_ref: list[int] = []
-        self._ref_at = time.perf_counter()
+        # perf_counter() at each job's start, to match the reference kernel's samples
+        self.job_start: list[float] = []
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
@@ -72,11 +60,8 @@ class Context:
     def job(self, name: str, fn: Callable, *args, check: Callable[[Any], Optional[str]]):
         """Time ``fn(*args)``, then check its result; returns the result."""
         self.attempted += 1
-        if time.perf_counter() - self._ref_at >= REFERENCE_EVERY_S:
-            self.ref_s.append(reference.kernel_seconds())
-            self._ref_at = time.perf_counter()
-        self.job_ref.append(len(self.ref_s) - 1)
         t0 = time.perf_counter()
+        self.job_start.append(t0)
         try:
             result = fn(*args)
         except Exception as exc:  # a raising job is a failed job, not a crash
@@ -88,11 +73,6 @@ class Context:
         if problem:
             self.fail(name, problem)
         return result
-
-    def job_kernels(self) -> list[float]:
-        """Each job's time in kernel durations, from the kernels timed around it."""
-        refs = self.ref_s + [reference.kernel_seconds()]
-        return [2 * t / (refs[k] + refs[k + 1]) for t, k in zip(self.job_s, self.job_ref)]
 
     def fail(self, name: str, problem: str) -> None:
         self.failed += 1
