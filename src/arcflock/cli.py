@@ -195,13 +195,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _verdict_exit([ok])
 
 
-def _parse_point(text: str, size: int) -> pg.Coords:
-    values = _parse_elements(text)
-    if len(values) != size:
-        raise ValueError(f"expected {size} comma-separated coordinates, got {len(values)}")
-    return tuple(values)
-
-
 def _cmd_convert(args: argparse.Namespace) -> int:
     obj = _load_input(args.input)
     direction = args.direction
@@ -221,7 +214,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         return _verdict_exit([ok])
     if direction == "project":
         arc = ma.arc_from_json(_as_arc_json(obj))
-        p = _parse_point(args.p, 4) if args.p else fl.DEFAULT_PROJECTION_POINT
+        p = fl.DEFAULT_PROJECTION_POINT
+        if args.p:
+            p = pg.check_space_coords(arc.gf, _parse_elements(args.p))
         F = fl.project_arc(arc, p)
         sub, lines, ok = _flock_verify_payload(F)
         payload = {

@@ -43,7 +43,7 @@ def _polymod(a: int, m: int) -> int:
 
 def is_irreducible(poly: int, h: int) -> bool:
     """Whether poly encodes an irreducible polynomial of degree exactly h."""
-    if poly.bit_length() - 1 != h or not poly & 1:
+    if poly < 0 or poly.bit_length() - 1 != h or not poly & 1:
         return False
     if h == 1:
         return True
@@ -154,6 +154,10 @@ class GF:
     def nonzero_elements(self) -> range:
         return range(1, self.q)
 
+    def is_element(self, v: object) -> bool:
+        """Whether v is a field element: an int, not a bool, in [0, q)."""
+        return type(v) is int and 0 <= v < self.q
+
     # -- arithmetic -------------------------------------------------------------
 
     @staticmethod
@@ -217,7 +221,7 @@ class GF:
         if not isinstance(obj, dict) or set(obj) != {"h", "modulus"}:
             raise ValueError("field object must have exactly the keys 'h' and 'modulus'")
         h, modulus = obj["h"], obj["modulus"]
-        if not isinstance(h, int) or not isinstance(modulus, int):
+        if type(h) is not int or type(modulus) is not int:
             raise ValueError("field 'h' and 'modulus' must be integers")
         return make_field(h, modulus)
 

@@ -6,8 +6,13 @@ pairwise disjoint conics.  Planes are normalized 4-tuples; a plane avoiding
 the vertex normalizes to [1, f, t, g], and two such planes have disjoint
 sections exactly when their X2-coordinates differ and
 trace((f+f')(g+g')/(t+t')^2) = 1.  That trace test is exact for cone
-sections; a brute-force section-intersection oracle runs alongside it in
-every verification report.
+sections; a section-intersection oracle that shares nothing with it runs
+alongside it in every verification report.  The oracle lists each section
+as a point set from the cone's parametrisation: every cone point other than
+the vertex is (x0, s^2, s u, u^2) for (s:u) in PG(1,q) and x0 in GF(q), so
+a plane meets each of the q + 1 generators in one point, or, through the
+vertex, in the whole generator or in the vertex alone.  A section costs
+O(q), with no scan of PG(3,q).
 
 A Mathon arc with conics F_{alpha,beta,lam} corresponds to the additive
 partial flock with planes [1, alpha*lam, lam, beta*lam] plus the plane
@@ -65,10 +70,21 @@ def is_on_cone(gf: GF, point: pg.Coords) -> bool:
     return gf.mul(point[1], point[3]) == gf.square(point[2])
 
 
-@functools.lru_cache(maxsize=None)
+def _generators(gf: GF) -> list[tuple[int, int, int]]:
+    """(X1, X2, X3) of the q + 1 cone generators: (1, u, u^2) and (0, 0, 1).
+
+    Every cone point other than the vertex is (x0, X1, X2, X3) for one of
+    them and some x0 in GF(q).
+    """
+    return [(1, u, gf.square(u)) for u in range(gf.q)] + [(0, 0, 1)]
+
+
 def cone_points(gf: GF) -> frozenset[pg.Coords]:
     """All q^2 + q + 1 points of the cone, vertex included."""
-    return frozenset(p for p in pg.enumerate_points3(gf) if is_on_cone(gf, p))
+    pts = {VERTEX}
+    for gen in _generators(gf):
+        pts.update(pg.normalize(gf, (x0,) + gen) for x0 in range(gf.q))
+    return frozenset(pts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,8 +108,25 @@ def nuclear_intersection(gf: GF, plane: pg.Coords) -> pg.Coords:
 
 
 def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
-    """Brute-force oracle: all cone points on the given plane."""
-    return frozenset(e for e in cone_points(gf) if pg.incident(gf, e, plane))
+    """All cone points on the given plane [u0, u1, u2, u3], generator by generator.
+
+    On the generator (X1, X2, X3) the plane asks u0 x0 = v with
+    v = u1 X1 + u2 X2 + u3 X3.  With u0 != 0 that is one point per
+    generator, x0 = v/u0, so q + 1 points.  With u0 = 0 the plane holds the
+    vertex and, for every generator with v = 0, the whole generator line.
+    """
+    u0, u1, u2, u3 = plane
+    mul = gf.mul
+    pts = set()
+    if u0 == 0:
+        pts.add(VERTEX)
+    for gen in _generators(gf):
+        v = mul(u1, gen[0]) ^ mul(u2, gen[1]) ^ mul(u3, gen[2])
+        if u0:
+            pts.add(pg.normalize(gf, (gf.div(v, u0),) + gen))
+        elif v == 0:
+            pts.update(pg.normalize(gf, (x0,) + gen) for x0 in range(gf.q))
+    return frozenset(pts)
 
 
 def section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
@@ -133,7 +166,8 @@ class PartialFlock:
     def __post_init__(self) -> None:
         if not self.planes:
             raise ValueError("a partial flock needs at least one plane")
-        norm = [pg.normalize(self.gf, p) for p in self.planes]
+        gf = self.gf
+        norm = [pg.normalize(gf, pg.check_space_coords(gf, p)) for p in self.planes]
         if list(self.planes) != sorted(set(norm)):
             raise ValueError("planes must be normalized, distinct and sorted")
         for p in self.planes:
@@ -668,11 +702,11 @@ def flock_from_json(obj: dict) -> PartialFlock:
     if not isinstance(obj, dict) or "field" not in obj or "planes" not in obj:
         raise ValueError("flock object must have 'field' and 'planes' keys")
     gf = GF.from_json(obj["field"])
+    if not isinstance(obj["planes"], list):
+        raise ValueError("'planes' must be a list of planes")
     planes = []
     for entry in obj["planes"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 4:
-            raise ValueError("each plane needs exactly four coordinates")
-        planes.append(pg.normalize(gf, tuple(entry)))
+        planes.append(pg.normalize(gf, pg.check_space_coords(gf, entry)))
     F = PartialFlock(gf, tuple(sorted(set(planes))))
     derived = flock_to_json(F)
     for key in ("B", "f", "g", "additive", "linear"):

@@ -55,7 +55,7 @@ class Conic:
         q = self.gf.q
         for name in ("alpha", "beta", "lam"):
             v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < q:
+            if not self.gf.is_element(v):
                 raise ValueError(f"{name}={v!r} is not an element of GF({q})")
         if self.lam == 0:
             raise ValueError("lam must be nonzero")
@@ -68,14 +68,29 @@ class Conic:
 
 @functools.lru_cache(maxsize=None)
 def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:
-    """Zero set of a x^2 + x y + b y^2 + l z^2, degenerate cases included."""
+    """Zero set of a x^2 + x y + b y^2 + l z^2, degenerate cases included.
+
+    On z = 1 each x leaves b y^2 + x y + c = 0 with c = a x^2 + l, solved in
+    closed form: y = c/x when b = 0, y = sqrt(c/b) when x = 0, and otherwise
+    y = (x/b) u with u^2 + u = b c / x^2.
+    """
     mul = gf.mul
     pts = []
     for x in range(gf.q):
-        ax2 = mul(a, mul(x, x))
-        for y in range(gf.q):
-            if ax2 ^ mul(x, y) ^ mul(b, mul(y, y)) == l:
-                pts.append(pg.normalize(gf, (x, y, 1)))
+        c = mul(a, mul(x, x)) ^ l
+        if b == 0:
+            if x:
+                ys: Iterable[int] = (gf.div(c, x),)
+            else:
+                ys = range(gf.q) if c == 0 else ()
+        elif x == 0:
+            ys = (gf.sqrt(gf.div(c, b)),)
+        else:
+            s = gf.div(x, b)
+            roots = gf.solve_affine_quadratic(gf.div(mul(b, c), mul(x, x)))
+            ys = (mul(s, u) for u in roots) if roots else ()
+        for y in ys:
+            pts.append(pg.normalize(gf, (x, y, 1)))
     for y in range(gf.q):  # the line z = 0
         if a ^ y ^ mul(b, mul(y, y)) == 0:
             pts.append((1, y, 0))
@@ -258,8 +273,7 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     pts = set(points)
     per_line: Counter = Counter()
     for pt in pts:
-        for ln in pg.lines_through2(gf, pt):
-            per_line[ln] += 1
+        per_line.update(pg.lines_through2(gf, pt))
     hist = Counter(per_line.values())
     zero_lines = gf.q * gf.q + gf.q + 1 - len(per_line)
     if zero_lines:
@@ -321,6 +335,8 @@ def arc_from_json(obj: dict) -> MathonArc:
     if not isinstance(obj, dict) or "field" not in obj or "conics" not in obj:
         raise ValueError("arc object must have 'field' and 'conics' keys")
     gf = GF.from_json(obj["field"])
+    if not isinstance(obj["conics"], list):
+        raise ValueError("'conics' must be a list of conics")
     conics = []
     for entry in obj["conics"]:
         if not isinstance(entry, dict) or set(entry) != {"alpha", "beta", "lambda"}:

@@ -29,6 +29,18 @@ def normalize(gf: GF, coords: Sequence[int]) -> Coords:
     raise ValueError("the zero vector is not a projective point")
 
 
+def check_space_coords(gf: GF, coords: object) -> Coords:
+    """Validate outside input as the four coordinates of a PG(3,q) point or plane."""
+    if not isinstance(coords, (list, tuple)) or len(coords) != 4:
+        raise ValueError(
+            f"a PG(3,q) point or plane needs exactly four coordinates, got {coords!r}"
+        )
+    for c in coords:
+        if not gf.is_element(c):
+            raise ValueError(f"coordinate {c!r} is not an element of GF({gf.q})")
+    return tuple(coords)
+
+
 def incident(gf: GF, point: Coords, hyper: Coords) -> bool:
     """Whether a point lies on a line (PG(2,q)) or plane (PG(3,q))."""
     acc = 0
@@ -95,31 +107,35 @@ def nullspace(gf: GF, rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
     return basis
 
 
-def _span_points(gf: GF, basis: Sequence[Coords]) -> tuple[Coords, ...]:
-    """All projective points of a subspace given by a basis of dimension <= 2."""
-    if len(basis) == 1:
-        return (normalize(gf, basis[0]),)
-    if len(basis) == 2:
-        b1, b2 = basis
-        out = {normalize(gf, b1)}
-        for t in range(gf.q):
-            out.add(normalize(gf, tuple(x ^ gf.mul(t, y) for x, y in zip(b2, b1))))
-        return tuple(sorted(out))
-    raise ValueError(f"span enumeration supports dimension <= 2, got {len(basis)}")
-
-
-@functools.lru_cache(maxsize=None)
 def _orthogonal2(gf: GF, triple: Coords) -> tuple[Coords, ...]:
-    return _span_points(gf, nullspace(gf, [triple], 3))
+    """The q + 1 normalized triples [a, b, c] with a x + b y + c z = 0, ascending.
+
+    With z != 0 they are [0, 1, y/z] and [1, b, (x + b y)/z] for every b;
+    with z = 0 they are [0, 0, 1] plus [1, x/y, c] (y != 0) or [0, 1, c]
+    (y = 0) for every c.
+    """
+    x, y, z = triple
+    if z:
+        iz = gf.inv(z)
+        cx, cy = gf.mul(x, iz), gf.mul(y, iz)
+        mul = gf.mul
+        return ((0, 1, cy),) + tuple((1, b, cx ^ mul(b, cy)) for b in range(gf.q))
+    if y:
+        head = (1, gf.div(x, y))
+    elif x:
+        head = (0, 1)
+    else:
+        raise ValueError("the zero vector is not a projective point")
+    return ((0, 0, 1),) + tuple(head + (c,) for c in range(gf.q))
 
 
 def line_points2(gf: GF, line: Coords) -> tuple[Coords, ...]:
-    """The q + 1 points on a line of PG(2,q)."""
+    """The q + 1 points on a line of PG(2,q), ascending."""
     return _orthogonal2(gf, line)
 
 
 def lines_through2(gf: GF, point: Coords) -> tuple[Coords, ...]:
-    """The q + 1 lines through a point of PG(2,q)."""
+    """The q + 1 lines through a point of PG(2,q), ascending."""
     return _orthogonal2(gf, point)
 
 

@@ -319,6 +319,40 @@ def test_convert_rejects_bad_projection_point(capsys, arc_file):
     assert code == 2  # the vertex is not a projection point
 
 
+
+_FLOCK_FIELD = {"h": 3, "modulus": 11}
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ({"field": _FLOCK_FIELD, "planes": [[1, 999, 0, 0]]}, ["verify"]),
+        ({"field": _FLOCK_FIELD, "planes": [[1, "a", 0, 0]]}, ["verify"]),
+        ({"field": _FLOCK_FIELD, "planes": 5}, ["verify"]),
+        ({"field": {"h": True, "modulus": 3}, "planes": [[1, 0, 0, 0]]}, ["verify"]),
+        ({"field": {"h": 3, "modulus": -11}, "planes": [[1, 0, 0, 0]]}, ["verify"]),
+        (None, ["project", "--p", "1,0,9,0"]),
+    ],
+    ids=["plane-out-of-range", "plane-string", "planes-not-a-list", "bool-h",
+         "negative-modulus", "projection-point-out-of-range"],
+)
+def test_malformed_coordinates_exit_2_without_traceback(
+    tmp_path, arc_file, payload, argv
+):
+    path = arc_file
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcflock", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
 # -- search / rank -------------------------------------------------------------------
 
 

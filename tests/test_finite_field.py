@@ -259,6 +259,17 @@ def test_json_round_trip_and_errors():
         GF.from_json({"h": 5, "modulus": 37, "extra": 1})
     with pytest.raises(ValueError):
         GF.from_json({"h": 5, "modulus": 36})
+    for blob in ({"h": True, "modulus": 3}, {"h": 1, "modulus": True}):
+        with pytest.raises(ValueError, match="integers"):
+            GF.from_json(blob)
+    with pytest.raises(ValueError, match="irreducible"):
+        GF.from_json({"h": 3, "modulus": -11})  # used to loop forever
+
+
+def test_is_element():
+    gf = make_field(3)
+    assert all(gf.is_element(v) for v in gf.elements())
+    assert not any(gf.is_element(v) for v in (-1, 8, True, False, 1.0, "1", None))
 
 
 def test_make_field_caches():

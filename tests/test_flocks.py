@@ -70,6 +70,11 @@ def _vertex_avoiding_planes(gf):
     return [p for p in pg.enumerate_planes3(gf) if p[0] != 0]
 
 
+def _brute_cone(gf):
+    """Oracle: the cone by filtering every point of PG(3,q)."""
+    return frozenset(p for p in pg.enumerate_points3(gf) if is_on_cone(gf, p))
+
+
 # -- the cone and its sections -------------------------------------------------------
 
 
@@ -80,6 +85,7 @@ def test_cone_point_count(h):
     assert len(pts) == gf.q * gf.q + gf.q + 1  # [TRIVIAL: cone point count]
     assert VERTEX in pts
     assert all(is_on_cone(gf, p) for p in pts)
+    assert pts == _brute_cone(gf)
 
 
 @pytest.mark.parametrize("h", (2, 3))
@@ -115,6 +121,29 @@ def test_vertex_avoiding_sections_have_q_plus_1_points(h):
     gf = make_field(h)
     for plane in _vertex_avoiding_planes(gf):
         assert len(plane_section(gf, plane)) == gf.q + 1
+
+
+@pytest.mark.parametrize("h", (1, 2, 3))
+def test_plane_section_matches_brute_force_on_every_plane(h):
+    # planes through the vertex included: their sections are unions of generators
+    gf = make_field(h)
+    cone = _brute_cone(gf)
+    for plane in pg.enumerate_planes3(gf):
+        brute = frozenset(e for e in cone if pg.incident(gf, e, plane))
+        assert plane_section(gf, plane) == brute
+        if plane[0] != 0:
+            assert len(brute) == gf.q + 1
+
+
+def test_denniston_flock_and_its_projection_verify_at_h10():
+    # q = 1024: the PG(3,q) scan behind the sections would need ~10^9 points
+    gf = make_field(10)
+    alpha = next(a for a in gf.nonzero_elements() if gf.trace(a) == 1)
+    m = denniston_arc(gf, alpha, (1, 2, 3))
+    for F in (arc_to_flock(m), project_arc(m)):
+        report = verify_partial_flock(F)
+        assert report.section_sizes == (gf.q + 1,) * 4
+        assert report.verdict
 
 
 def test_section_trace_matches_oracle_exhaustively_q4():
@@ -168,6 +197,10 @@ def test_partial_flock_validation():
         PartialFlock(gf, ((2, 0, 0, 2),))  # not normalized
     with pytest.raises(ValueError, match="cone vertex"):
         PartialFlock(gf, ((0, 1, 0, 0),))
+    with pytest.raises(ValueError, match="not an element"):
+        PartialFlock(gf, ((1, 8, 0, 0),))
+    with pytest.raises(ValueError, match="four coordinates"):
+        PartialFlock(gf, ((1, 0, 0),))
 
 
 def test_make_flock_normalizes_and_sorts():
@@ -647,6 +680,10 @@ def test_flock_from_json_validation(battery_arcs):
         flock_from_json({"planes": []})
     with pytest.raises(ValueError, match="four coordinates"):
         flock_from_json(dict(good, planes=[[1, 0, 0]]))
+    with pytest.raises(ValueError, match="list of planes"):
+        flock_from_json(dict(good, planes=5))
+    with pytest.raises(ValueError, match="not an element"):
+        flock_from_json(dict(good, planes=[[1, 999, 0, 0]]))
     with pytest.raises(ValueError, match="declared 'B'"):
         flock_from_json(dict(good, B=[0, 1, 2, 4]))
     with pytest.raises(ValueError, match="declared 'linear'"):

@@ -42,6 +42,19 @@ def _all_conics(gf):
     ]
 
 
+def _inline_quadric_scan(gf, a, b, l):
+    """Oracle: the zero set of a x^2 + x y + b y^2 + l z^2 over all of PG(2,q)."""
+    return {
+        p
+        for p in pg.enumerate_points2(gf)
+        if gf.mul(a, gf.square(p[0]))
+        ^ gf.mul(p[0], p[1])
+        ^ gf.mul(b, gf.square(p[1]))
+        ^ gf.mul(l, gf.square(p[2]))
+        == 0
+    }
+
+
 # -- conic construction and point sets -----------------------------------------------
 
 
@@ -67,16 +80,7 @@ def test_conic_points_against_inline_equation_scan(h):
     sample = conics if len(conics) <= 60 else rng.sample(conics, 60)
     for c in sample:
         pts = conic_points(c)
-        brute = {
-            p
-            for p in pg.enumerate_points2(gf)
-            if gf.mul(c.alpha, gf.square(p[0]))
-            ^ gf.mul(p[0], p[1])
-            ^ gf.mul(c.beta, gf.square(p[1]))
-            ^ gf.mul(c.lam, gf.square(p[2]))
-            == 0
-        }
-        assert pts == brute
+        assert pts == _inline_quadric_scan(gf, c.alpha, c.beta, c.lam)
         assert len(pts) == gf.q + 1
         assert NUCLEUS not in pts
         assert all(p[2] != 0 for p in pts)  # z = 0 is external
@@ -86,17 +90,15 @@ def test_quadric_points_handles_degenerate_coefficients():
     # the same inline scan must agree even when the triple is not a valid conic
     gf = make_field(3)
     for a, b, l in ((0, 0, 1), (1, 6, 2), (0, 1, 5), (1, 0, 0)):
-        pts = quadric_points(gf, a, b, l)
-        brute = {
-            p
-            for p in pg.enumerate_points2(gf)
-            if gf.mul(a, gf.square(p[0]))
-            ^ gf.mul(p[0], p[1])
-            ^ gf.mul(b, gf.square(p[1]))
-            ^ gf.mul(l, gf.square(p[2]))
-            == 0
-        }
-        assert pts == brute
+        assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
+
+
+@pytest.mark.parametrize("h", (1, 2, 3))
+def test_quadric_points_against_inline_scan_for_every_triple(h):
+    # covers the b = 0, x = 0 and l = 0 branches of the closed-form solve
+    gf = make_field(h)
+    for a, b, l in itertools.product(gf.elements(), repeat=3):
+        assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
 
 
 # -- composition ---------------------------------------------------------------------
@@ -382,7 +384,19 @@ def test_arc_from_json_rejects_non_closed_set():
         arc_from_json(obj)
 
 
-def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():
+def test_verify_maximal_arc_denniston_degree4_h9():
+    # the line scan at q = 512: 1540 points, each with its pencil of 513 lines
+    gf = make_field(9)
+    q, d = gf.q, 4
+    alpha = next(a for a in gf.nonzero_elements() if gf.trace(a) == 1)
+    m = denniston_arc(gf, alpha, (1, 2, 3))
+    report = verify_maximal_arc(gf, arc_points(m), m.degree)
+    size = q * (d - 1) + d
+    # [TRIVIAL: a maximal arc has |K|(q+1)/d secants and q(q-d+1)/d external lines]
+    assert report.size == size
+    assert report.histogram == {0: q * (q - d + 1) // d, d: size * (q + 1) // d}
+    assert report.verdict
+
     gf = make_field(3)
     good = arc_to_json(denniston_arc(gf, 1, (1, 2, 3)))
     bad_degree = dict(good, degree=5)
@@ -393,3 +407,7 @@ def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():
     bad_conic = dict(good, conics=[{"alpha": 1, "beta": 1}])
     with pytest.raises(ValueError, match="alpha, beta and lambda"):
         arc_from_json(bad_conic)
+    with pytest.raises(ValueError, match="list of conics"):
+        arc_from_json(dict(good, conics=5))
+    with pytest.raises(ValueError, match="not an element"):
+        arc_from_json(dict(good, conics=[{"alpha": True, "beta": 1, "lambda": 1}]))

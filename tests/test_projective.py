@@ -69,6 +69,24 @@ def test_incidence_duality_and_line_points(h):
         assert all(pg.incident(gf, point, l) for l in through)
 
 
+@pytest.mark.parametrize("h", (1, 2, 3, 4))
+def test_pencils_match_brute_incidence_in_ascending_order(h):
+    # [DERIVED: brute-force incidence over the ascending enumeration]
+    gf = make_field(h)
+    triples = pg.enumerate_points2(gf)
+    for t in triples:
+        brute = tuple(u for u in triples if pg.incident(gf, t, u))
+        assert pg.lines_through2(gf, t) == brute
+        assert pg.line_points2(gf, t) == brute
+        assert list(brute) == sorted(brute)
+
+
+def test_pencil_of_the_zero_vector_is_rejected():
+    gf = make_field(3)
+    with pytest.raises(ValueError, match="zero vector"):
+        pg.lines_through2(gf, (0, 0, 0))
+
+
 @pytest.mark.parametrize("h", (2, 3, 4))
 def test_join_and_meet(h):
     gf = make_field(h)
@@ -161,6 +179,23 @@ def test_meet_planes_frozen_axis_example():
     gf = make_field(3)
     s1, s2 = pg.meet_planes(gf, (0, 1, 0, 0), (0, 0, 0, 1))
     assert {s1, s2} == {(1, 0, 0, 0), (0, 0, 1, 0)}
+
+
+def test_check_space_coords():
+    gf = make_field(3)
+    assert pg.check_space_coords(gf, [1, 0, 7, 0]) == (1, 0, 7, 0)
+    for bad in (
+        [1, 0, 8, 0],
+        [1, 0, -1, 0],
+        [1, "a", 0, 0],
+        [1, True, 0, 0],
+        [1, 0.0, 0, 0],
+    ):
+        with pytest.raises(ValueError, match="not an element"):
+            pg.check_space_coords(gf, bad)
+    for bad in ([1, 0, 0], (1, 0, 0, 0, 0), 5, "1,0,1,0"):
+        with pytest.raises(ValueError, match="four coordinates"):
+            pg.check_space_coords(gf, bad)
 
 
 @pytest.mark.parametrize("h", (2, 3))
