@@ -397,6 +397,8 @@ def test_verify_maximal_arc_denniston_degree4_h9():
     assert report.histogram == {0: q * (q - d + 1) // d, d: size * (q + 1) // d}
     assert report.verdict
 
+
+def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():
     gf = make_field(3)
     good = arc_to_json(denniston_arc(gf, 1, (1, 2, 3)))
     bad_degree = dict(good, degree=5)
