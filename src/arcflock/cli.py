@@ -14,15 +14,13 @@ Every subcommand prints JSON by default (sorted keys, compact separators,
 one trailing newline, so identical inputs give byte-identical output) or a
 short text summary with --format text.  The exit status is 0 exactly when
 every verification verdict in the output is true, 1 when some verdict
-fails, and 2 for malformed inputs or arguments.  ARCFLOCK_THREADS sets the
-worker count for the search subcommand; the output does not depend on it.
+fails, and 2 for malformed inputs or arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -149,11 +147,10 @@ def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
     gf = _field_from_args(args)
     H = tuple(sorted(set(_span_generators(gf, _parse_elements(args.H))) | {0}))
     spec = se.GroupSpec(gf, H, args.lambda_d)
-    system = se.build_trace_system(spec)
-    valid = se.solve_trace_system(system)
     if args.rho is not None:
         rho = args.rho
     else:
+        valid = se.solve_trace_system(se.build_trace_system(spec))
         if not valid:
             raise ValueError("no valid rho exists for this (H, lambda_d) pair")
         rho = max(valid) if args.seed_order == "desc" else min(valid)
@@ -256,17 +253,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
 # -- search / rank ------------------------------------------------------------------
 
 
-def _threads() -> int:
-    raw = os.environ.get("ARCFLOCK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"ARCFLOCK_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("ARCFLOCK_THREADS must be at least 1")
-    return value
-
-
 def _record_line(r: se.SearchRecord) -> str:
     return (
         f"H={{{','.join(map(str, r.H))}}} lambda_d={r.lambda_d}"
@@ -278,12 +264,7 @@ def _record_line(r: se.SearchRecord) -> str:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     gf = _field_from_args(args)
-    records = se.search_field(
-        gf,
-        args.d,
-        descending=args.seed_order == "desc",
-        max_workers=_threads(),
-    )
+    records = se.search_field(gf, args.d, descending=args.seed_order == "desc")
     verdicts = []
     example_report = None
     for r in records:

@@ -11,11 +11,14 @@ mu = 1 / rho is disjoint from every member of D exactly when
 where c_lam = lam * (lambda_d + 1) / (lambda_d + lam) and
 epsilon = 1 + trace(1) (so 0 in fields of odd degree, 1 in even degree).
 Since trace(c * mu) is GF(2)-linear in the bits of mu, the conditions form
-an affine-linear system over GF(2): its solutions are found both by
-scanning all mu and by Gaussian elimination, and the two routes are kept
-side by side.  A surviving rho must also leave C nondegenerate, i.e.
-trace(beta) = 1.  Every valid rho yields a degree-2d Mathon arc containing
-D, built by synthetic extension and re-verified against the point oracle.
+an affine-linear system over GF(2).  A surviving rho must also leave C
+nondegenerate, i.e. trace(beta) = 1, which is one more affine row:
+trace((lambda_d + 1) * mu) = epsilon.  One Gaussian elimination per system
+gives the rank and both solution counts in closed form; valid rho are
+listed from its particular solution and null basis only when an arc is
+wanted.  (The tests check all of this against an exhaustive mu scan.)
+Every valid rho yields a degree-2d Mathon arc containing D, built by
+synthetic extension and re-verified against the point oracle.
 
 The squared restatement trace(1 + (c_lam / rho)^2) = 1 of a single
 condition is provided as a redundant checker; it agrees with the primary
@@ -132,48 +135,35 @@ def _condition_row(gf: GF, c: int) -> int:
     return row
 
 
-def _gf2_eliminate(
-    rows: list[int], rhs: list[int]
-) -> tuple[list[tuple[int, int, int]], bool]:
-    """Reduced row echelon form of parity(row & x) = b over GF(2).
+def _gf2_add_row(reduced: list[tuple[int, int, int]], row: int, b: int) -> bool:
+    """Add the equation parity(row & x) = b to a reduced row echelon form, in place.
 
-    Returns the pivot rows as (pivot bit, row, rhs bit) — each stored row has
-    zeros at every other pivot bit — plus a consistency flag.
+    Entries are (pivot bit, row, rhs bit); each stored row has zeros at every
+    other pivot bit.  A row that reduces to zero adds no pivot; the return
+    value is False exactly when it reduces to 0 = 1, i.e. contradicts the
+    rows already present.
     """
-    reduced: list[tuple[int, int, int]] = []
-    consistent = True
-    for row, b in zip(rows, rhs):
-        for pb, pr, pbv in reduced:
-            if (row >> pb) & 1:
-                row ^= pr
-                b ^= pbv
-        if row == 0:
-            if b:
-                consistent = False
-            continue
-        pb = row.bit_length() - 1
-        updated = []
-        for qb, qr, qbv in reduced:
-            if (qr >> pb) & 1:
-                qr ^= row
-                qbv ^= b
-            updated.append((qb, qr, qbv))
-        reduced = updated
-        reduced.append((pb, row, b))
-    return reduced, consistent
+    for pb, pr, pbv in reduced:
+        if (row >> pb) & 1:
+            row ^= pr
+            b ^= pbv
+    if row == 0:
+        return not b
+    pb = row.bit_length() - 1
+    for i, (qb, qr, qbv) in enumerate(reduced):
+        if (qr >> pb) & 1:
+            reduced[i] = (qb, qr ^ row, qbv ^ b)
+    reduced.append((pb, row, b))
+    return True
 
 
 def _gf2_affine_solve(
-    rows: list[int], rhs: list[int], nbits: int
-) -> Optional[tuple[int, list[int]]]:
-    """Solve parity(row & x) = b over GF(2); returns (particular, null basis).
+    reduced: list[tuple[int, int, int]], nbits: int
+) -> tuple[int, list[int]]:
+    """Particular solution and null basis of a consistent reduced system.
 
-    None when inconsistent.  The null basis spans the homogeneous solution
-    space, so the full solution set is {particular ^ s : s in span(basis)}.
+    The full solution set is {particular ^ s : s in span(basis)}.
     """
-    reduced, consistent = _gf2_eliminate(rows, rhs)
-    if not consistent:
-        return None
     particular = 0
     for pb, _, bv in reduced:
         particular |= bv << pb
@@ -190,30 +180,31 @@ def _gf2_affine_solve(
     return particular, basis
 
 
-def mu_solutions_scan(system: TraceConditionSystem) -> frozenset[int]:
-    """All mu in GF(q), zero included, satisfying every condition — by full scan."""
+def _eliminate(
+    system: TraceConditionSystem,
+) -> tuple[list[tuple[int, int, int]], int, int, int]:
+    """One elimination: the conditions, then the row trace((lambda_d + 1) mu) = epsilon.
+
+    That last row is trace(beta) = 1 rewritten, since trace(beta) =
+    trace((lambda_d + 1) mu) + trace(1).  Returns the reduced rows of the
+    whole system, the rank of the conditions alone, and the number of mu
+    (zero included) solving the conditions alone and the whole system:
+    2^(h - rank) of each, or 0 when inconsistent.
+    """
     gf = system.gf
     eps = system.epsilon
-    return frozenset(
-        mu
-        for mu in gf.elements()
-        if all(gf.trace(gf.mul(cond.c, mu)) == eps for cond in system.conditions)
-    )
-
-
-def mu_solutions_linear(system: TraceConditionSystem) -> frozenset[int]:
-    """The same solution set computed by GF(2) Gaussian elimination."""
-    gf = system.gf
-    rows = [_condition_row(gf, cond.c) for cond in system.conditions]
-    rhs = [system.epsilon] * len(rows)
-    solved = _gf2_affine_solve(rows, rhs, gf.h)
-    if solved is None:
-        return frozenset()
-    particular, basis = solved
-    span = {0}
-    for v in basis:
-        span |= {s ^ v for s in span}
-    return frozenset(particular ^ s for s in span)
+    reduced: list[tuple[int, int, int]] = []
+    consistent = True
+    for cond in system.conditions:
+        consistent &= _gf2_add_row(reduced, _condition_row(gf, cond.c), eps)
+    rank = len(reduced)
+    num_mu = (1 << (gf.h - rank)) if consistent else 0
+    top_row = _condition_row(gf, system.group.lambda_d ^ 1)
+    if consistent and _gf2_add_row(reduced, top_row, eps):
+        num_valid_mu = 1 << (gf.h - len(reduced))
+    else:
+        num_valid_mu = 0
+    return reduced, rank, num_mu, num_valid_mu
 
 
 @dataclass(frozen=True)
@@ -234,14 +225,11 @@ class RankAnalysis:
 
 def rank_analysis(system: TraceConditionSystem) -> RankAnalysis:
     """GF(2)-rank of the conditions; solution count 2^(h-rank), or 0 if inconsistent."""
-    gf = system.gf
-    rows = [_condition_row(gf, cond.c) for cond in system.conditions]
-    rhs = [system.epsilon] * len(rows)
-    reduced, consistent = _gf2_eliminate(rows, rhs)
-    rank = len(reduced)
-    count = (1 << (gf.h - rank)) if consistent else 0
+    _, rank, num_mu, _ = _eliminate(system)
     return RankAnalysis(
-        rank=rank, solution_count=count, independent=rank == len(rows)
+        rank=rank,
+        solution_count=num_mu,
+        independent=rank == len(system.conditions),
     )
 
 
@@ -250,32 +238,22 @@ def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
     return gf.mul(lambda_d ^ 1, gf.inv(rho)) ^ 1
 
 
-def prefilter_rho(system: TraceConditionSystem) -> frozenset[int]:
-    """All nonzero rho whose mu = 1/rho satisfies the trace system."""
-    gf = system.gf
-    return frozenset(gf.inv(mu) for mu in mu_solutions_scan(system) if mu != 0)
-
-
 def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
     """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1.
 
-    The mu solutions are computed independently by exhaustive scan and by
-    linear algebra; a disagreement would mean a broken invariant and raises.
+    Lists the span of the null basis around the particular solution, so it
+    costs 2^(h - rank) field inversions; counting alone needs no listing.
     """
     gf = system.gf
-    by_scan = mu_solutions_scan(system)
-    by_linear = mu_solutions_linear(system)
-    if by_scan != by_linear:
-        raise RuntimeError("scan and linear-algebra mu solutions disagree")
-    ld = system.group.lambda_d
-    valid = set()
-    for mu in by_scan:
-        if mu == 0:
-            continue
-        rho = gf.inv(mu)
-        if gf.trace(beta_of(gf, ld, rho)) == 1:
-            valid.add(rho)
-    return frozenset(valid)
+    reduced, _, _, num_valid_mu = _eliminate(system)
+    if not num_valid_mu:
+        return frozenset()
+    particular, basis = _gf2_affine_solve(reduced, gf.h)
+    mus = {particular}
+    for v in basis:
+        mus |= {mu ^ v for mu in mus}
+    mus.discard(0)
+    return frozenset(gf.inv(mu) for mu in mus)
 
 
 # -- arc construction ------------------------------------------------------------
@@ -342,16 +320,17 @@ class SearchRecord:
 def search_group(spec: GroupSpec, example_rho: Optional[int] = None) -> SearchRecord:
     """Solve the trace system for one spec; optionally realize one arc.
 
-    When example_rho is given it must be a valid solution; the constructed
+    The counts come from one elimination, with mu = 0 taken off when it
+    solves the homogeneous (epsilon = 0) system, since it gives no rho.  When
+    example_rho is given it must be a valid solution; the constructed
     degree-2d arc is attached to the record.
     """
     system = build_trace_system(spec)
-    analysis = rank_analysis(system)
-    pre = prefilter_rho(system)
-    valid = solve_trace_system(system)
+    _, rank, num_mu, num_valid_mu = _eliminate(system)
+    mu_zero = 1 if system.epsilon == 0 else 0
     example = None
     if example_rho is not None:
-        if example_rho not in valid:
+        if example_rho not in solve_trace_system(system):
             raise ValueError(f"rho {example_rho} is not a valid solution")
         example = construct_extension_arc(spec, example_rho)
     return SearchRecord(
@@ -359,9 +338,9 @@ def search_group(spec: GroupSpec, example_rho: Optional[int] = None) -> SearchRe
         H=spec.H,
         lambda_d=spec.lambda_d,
         epsilon=system.epsilon,
-        rank=analysis.rank,
-        num_rho_prefilter=len(pre),
-        num_rho_valid=len(valid),
+        rank=rank,
+        num_rho_prefilter=num_mu - mu_zero,
+        num_rho_valid=num_valid_mu - mu_zero,
         example_arc=example,
     )
 
@@ -410,7 +389,6 @@ def search_field(
     order: int,
     descending: bool = False,
     with_example: bool = True,
-    max_workers: int = 1,
 ) -> list[SearchRecord]:
     """Run the solver over every (H, lambda_d) pair of one subgroup order.
 
@@ -418,17 +396,9 @@ def search_field(
     arc: the first one with a valid rho (smallest rho ascending, largest
     descending).  Examples need trace(1) = 1 — the base arc's normal form is
     degenerate in fields of even degree, so there every example stays None.
-    max_workers > 1 fans the per-pair solves over a thread pool; the output
-    order is unchanged.
     """
     specs = enumerate_group_specs(gf, order, descending)
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(search_group, specs))
-    else:
-        records = [search_group(spec) for spec in specs]
+    records = [search_group(spec) for spec in specs]
     if with_example and gf.trace(1) == 1:
         for spec, record in zip(specs, records):
             if record.num_rho_valid == 0:

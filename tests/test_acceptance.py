@@ -20,14 +20,16 @@ and the three long-running ones enforce wall-clock budgets:
       the external line of the two projected conics.
   06  Denniston arcs yield linear flocks; the GF(32) degree-8 extension
       arc yields an additive, non-linear flock.
-  07  Trace-system solver: exhaustive mu scan equals the GF(2) linear
-      solve over every (H, lambda_d) with |H| in {2, 4} for q in {16, 32},
-      with solution counts 2^(h-rank) or 0; < 30 s.
+  07  Trace-system solver: the exhaustive mu scan (the tests' oracle)
+      equals the GF(2) elimination over every (H, lambda_d) with |H| in
+      {2, 4} for q in {16, 32} — valid rho sets, prefilter and valid counts,
+      and solution counts 2^(h-rank) or 0; < 30 s.
   08  End-to-end doubling over GF(32): the first subgroup pair admitting a
       valid rho yields a verified degree-8, 232-point arc containing its
       degree-4 Denniston base, with concurrent Denniston lines.
   09  guaranteed_degree matches an independent doubling recurrence for
-      h = 1..16 and is realized at h = 5 by the arc of check 08.
+      h = 1..16 and is realized at h = 5 by the arc of check 08 and at h = 7
+      by the verified example arc of the |H| = 4 search.
   10  Parity split: epsilon = 1 for GF(16), 0 for GF(32); on >= 100
       sampled (system, rho) per field every single trace condition is
       confirmed or refuted by the point-intersection oracle, and the
@@ -37,7 +39,7 @@ and the three long-running ones enforce wall-clock budgets:
 import random
 import time
 
-from conftest import BATTERY_ALPHA, battery_specs
+from conftest import BATTERY_ALPHA, battery_specs, mu_solutions_scan, scan_trace_system
 
 from arcflock import projective as pg
 from arcflock.finite_field import make_field
@@ -77,9 +79,9 @@ from arcflock.search import (
     construct_extension_arc,
     enumerate_group_specs,
     guaranteed_degree,
-    mu_solutions_linear,
-    mu_solutions_scan,
     rank_analysis,
+    search_field,
+    search_group,
     solve_trace_system,
 )
 
@@ -312,7 +314,7 @@ def test_criterion_06_linearity_iff_denniston(battery_arcs, extension_arc_q32):
 
 
 def test_criterion_07_solver_equivalence():
-    """Scan == linear solve over all (H, lambda_d), |H| in {2,4}, q in {16,32}."""
+    """Scan == GF(2) elimination over all (H, lambda_d), |H| in {2,4}, q in {16,32}."""
     t0 = time.monotonic()
     failures = []
     systems = 0
@@ -323,9 +325,15 @@ def test_criterion_07_solver_equivalence():
                 tag = f"q={gf.q} H={spec.H} ld={spec.lambda_d}"
                 system = build_trace_system(spec)
                 scan = mu_solutions_scan(system)
-                linear = mu_solutions_linear(system)
-                if scan != linear:
-                    failures.append(f"{tag}: scan != linear solve")
+                _, prefilter, valid = scan_trace_system(system)
+                if solve_trace_system(system) != valid:
+                    failures.append(f"{tag}: valid rho by scan != by elimination")
+                record = search_group(spec)
+                if (record.num_rho_prefilter, record.num_rho_valid) != (
+                        len(prefilter), len(valid)):
+                    failures.append(f"{tag}: counts ({record.num_rho_prefilter}, "
+                                    f"{record.num_rho_valid}) != scan "
+                                    f"({len(prefilter)}, {len(valid)})")
                 analysis = rank_analysis(system)
                 if analysis.solution_count != len(scan):
                     failures.append(f"{tag}: solution_count {analysis.solution_count}"
@@ -338,7 +346,7 @@ def test_criterion_07_solver_equivalence():
     if elapsed >= 30.0:
         failures.append(f"took {elapsed:.1f}s (budget 30s)")
     ok = not failures
-    _report(7, ok, f"{systems} systems: mu scan == GF(2) solve, counts "
+    _report(7, ok, f"{systems} systems: mu scan == GF(2) elimination, counts "
                    f"2^(h-rank) or 0, {elapsed:.1f}s" if ok else "; ".join(failures))
     assert ok, failures
 
@@ -392,7 +400,7 @@ def test_criterion_08_end_to_end_doubling_gf32():
 
 
 def test_criterion_09_guaranteed_degree_formula():
-    """guaranteed_degree vs an independent doubling recurrence; realized at h=5."""
+    """guaranteed_degree vs an independent doubling recurrence; realized at h=5, 7."""
     failures = []
     for h in range(1, 17):
         g = 2  # independent oracle: double while another doubling still fits
@@ -407,9 +415,21 @@ def test_criterion_09_guaranteed_degree_formula():
         spec, min(solve_trace_system(build_trace_system(spec)))).degree
     if realized < guaranteed_degree(5):
         failures.append(f"h=5 realizes degree {realized} < {guaranteed_degree(5)}")
+    gf7 = make_field(7)
+    examples = [r.example_arc for r in search_field(gf7, 4) if r.example_arc]
+    if len(examples) != 1:
+        failures.append(f"h=7 search gives {len(examples)} example arcs, not 1")
+    else:
+        arc7 = examples[0]
+        if arc7.degree != guaranteed_degree(7):
+            failures.append(f"h=7 realizes degree {arc7.degree} != "
+                            f"{guaranteed_degree(7)}")
+        if not verify_maximal_arc(gf7, arc_points(arc7), arc7.degree).verdict:
+            failures.append("h=7 example arc fails the line scan")
     ok = not failures
     _report(9, ok, f"h=1..16 match the doubling recurrence; h=5 realizes degree "
-                   f"{realized} >= {guaranteed_degree(5)}" if ok else "; ".join(failures))
+                   f"{realized} >= {guaranteed_degree(5)}; h=7 realizes a verified "
+                   f"degree-{guaranteed_degree(7)} arc" if ok else "; ".join(failures))
     assert ok, failures
 
 

@@ -380,23 +380,11 @@ def test_search_q8_has_a_verified_example(capsys):
     assert examples[0]["example_arc"]["degree"] == 4
 
 
-def test_search_deterministic_output(capsys, monkeypatch):
+def test_search_deterministic_output(capsys):
     args = ("search", "--h", "4", "--d", "2")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-    monkeypatch.setenv("ARCFLOCK_THREADS", "4")
-    _, out4, _ = run_cli(capsys, *args)
-    assert out4 == out1  # byte-identical under threading
-
-
-def test_search_rejects_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("ARCFLOCK_THREADS", "zero")
-    code, out, err = run_cli(capsys, "search", "--h", "3", "--d", "2")
-    assert code == 2 and "ARCFLOCK_THREADS" in err
-    monkeypatch.setenv("ARCFLOCK_THREADS", "0")
-    code, out, err = run_cli(capsys, "search", "--h", "3", "--d", "2")
-    assert code == 2
 
 
 def test_search_seed_order_reverses_records(capsys):

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import mu_solutions_scan, scan_trace_system
 
 from arcflock.finite_field import make_field
 from arcflock.mathon_arcs import DisjointnessError, arc_points, verify_maximal_arc
@@ -17,9 +18,6 @@ from arcflock.search import (
     construct_extension_arc,
     enumerate_group_specs,
     guaranteed_degree,
-    mu_solutions_linear,
-    mu_solutions_scan,
-    prefilter_rho,
     rank_analysis,
     search_field,
     search_group,
@@ -106,13 +104,56 @@ def test_condition_rows_are_linear_functionals():
             assert gf.trace(gf.mul(c, mu)) == (row & mu).bit_count() & 1
 
 
+def _linear_mu_solutions(system) -> frozenset[int]:
+    """The mu solving the conditions, from the solver's elimination helpers."""
+    from arcflock.search import _condition_row, _gf2_add_row, _gf2_affine_solve
+
+    gf = system.gf
+    reduced = []
+    consistent = True
+    for cond in system.conditions:
+        consistent &= _gf2_add_row(reduced, _condition_row(gf, cond.c), system.epsilon)
+    if not consistent:
+        return frozenset()
+    particular, basis = _gf2_affine_solve(reduced, gf.h)
+    span = {particular}
+    for v in basis:
+        span |= {s ^ v for s in span}
+    return frozenset(span)
+
+
 @pytest.mark.parametrize("h", (4, 5))
 def test_scan_and_linear_solutions_agree(h):
     gf = make_field(h)
     for order in (2, 4):
         for spec in enumerate_group_specs(gf, order):
             system = build_trace_system(spec)
-            assert mu_solutions_scan(system) == mu_solutions_linear(system)
+            assert mu_solutions_scan(system) == _linear_mu_solutions(system)
+
+
+def _check_against_scan(spec):
+    system = build_trace_system(spec)
+    rank, prefilter, valid = scan_trace_system(system)
+    record = search_group(spec)
+    assert (record.rank, record.num_rho_prefilter, record.num_rho_valid) == (
+        rank,
+        len(prefilter),
+        len(valid),
+    ), spec
+    assert solve_trace_system(system) == valid, spec
+
+
+@pytest.mark.parametrize("h", (3, 4, 5, 6))
+def test_search_group_and_solutions_match_scan(h):
+    gf = make_field(h)
+    for order in (2, 4, 8):
+        if order < gf.q:
+            for spec in enumerate_group_specs(gf, order):
+                _check_against_scan(spec)
+
+
+def test_search_group_and_solutions_match_scan_h16():
+    _check_against_scan(GroupSpec(make_field(16), (0, 1, 2, 3), 4))
 
 
 @pytest.mark.parametrize("h", (4, 5))
@@ -148,7 +189,8 @@ def test_frozen_solution_q32():
     system = build_trace_system(spec)
     assert rank_analysis(system) == rank_analysis(system)  # deterministic
     assert rank_analysis(system).rank == 3
-    assert prefilter_rho(system) == {16, 27, 30}
+    assert scan_trace_system(system)[1] == {16, 27, 30}
+    assert search_group(spec).num_rho_prefilter == 3
     assert solve_trace_system(system) == {16}
     assert beta_of(gf, 4, 16) == 3
 
@@ -310,13 +352,6 @@ def test_search_field_example_and_order_q8():
     assert verify_maximal_arc(
         gf, arc_points(examples_desc[0].example_arc), 4
     ).verdict
-
-
-def test_search_field_threaded_matches_serial():
-    gf = make_field(4)
-    serial = search_field(gf, 4, with_example=False)
-    threaded = search_field(gf, 4, with_example=False, max_workers=4)
-    assert [r.to_json() for r in serial] == [r.to_json() for r in threaded]
 
 
 # -- guaranteed degree ---------------------------------------------------------------
