@@ -58,7 +58,10 @@ def _load_input(path: str) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
     return obj

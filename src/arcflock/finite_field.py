@@ -7,11 +7,11 @@ same way.  Unless a modulus is supplied explicitly, the lexicographically
 least irreducible polynomial of degree h (coefficient vector read as an
 integer) is chosen, which pins every numeric value this package produces.
 
-Multiplication and inversion run on log/exp tables over a generator of the
-multiplicative group.  The absolute trace a -> a + a^2 + ... + a^(2^(h-1))
-is evaluated through a precomputed GF(2)-linear mask, and the affine
-quadratic x^2 + x = c is solved from the echelonized image of the
-Artin-Schreier map x -> x^2 + x.
+Multiplication, inversion and square roots run on log/exp tables over a
+generator of the multiplicative group; the square root of a is
+a^(2^(h-1)), one table lookup.  The absolute trace
+a -> a + a^2 + ... + a^(2^(h-1)) is evaluated through a precomputed
+GF(2)-linear mask.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
 class GF:
     """GF(2^h); immutable, hashable, with elements represented as ints."""
 
-    __slots__ = ("h", "q", "modulus", "_exp", "_log", "_trace_mask", "_aq_pivots")
+    __slots__ = ("h", "q", "modulus", "_exp", "_log", "_trace_mask")
 
     def __init__(self, h: int, modulus: Optional[int] = None):
         if not isinstance(h, int) or not 1 <= h <= MAX_H:
@@ -98,7 +98,6 @@ class GF:
         self.modulus = modulus
         self._exp, self._log = _build_log_exp(self.q, modulus)
         self._trace_mask = self._build_trace_mask()
-        self._aq_pivots = self._build_artin_schreier_pivots()
 
     # -- construction helpers -------------------------------------------------
 
@@ -116,24 +115,6 @@ class GF:
             elif acc:
                 raise AssertionError("trace landed outside the prime field")
         return mask
-
-    def _build_artin_schreier_pivots(self) -> dict[int, tuple[int, int]]:
-        # echelon basis of the image of x -> x^2 + x, keeping preimages
-        pivots: dict[int, tuple[int, int]] = {}
-        for i in range(self.h):
-            e = 1 << i
-            v = self.mul(e, e) ^ e
-            p = e
-            while v:
-                lead = v.bit_length() - 1
-                if lead in pivots:
-                    pv, pp = pivots[lead]
-                    v ^= pv
-                    p ^= pp
-                else:
-                    pivots[lead] = (v, p)
-                    break
-        return pivots
 
     # -- identity -------------------------------------------------------------
 
@@ -181,25 +162,14 @@ class GF:
         return self.mul(a, a)
 
     def sqrt(self, a: int) -> int:
-        """The unique square root: squaring is a field automorphism here."""
-        for _ in range(self.h - 1):
-            a = self.mul(a, a)
-        return a
+        """The unique square root a^(2^(h-1)): squaring is a field automorphism here."""
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] << (self.h - 1)) % (self.q - 1)]
 
     def trace(self, a: int) -> int:
         """Absolute trace onto GF(2)."""
         return (a & self._trace_mask).bit_count() & 1
-
-    def solve_affine_quadratic(self, c: int) -> Optional[tuple[int, int]]:
-        """Both roots of x^2 + x = c, or None when trace(c) = 1."""
-        if self.trace(c):
-            return None
-        v, p = c, 0
-        while v:
-            pv, pp = self._aq_pivots[v.bit_length() - 1]
-            v ^= pv
-            p ^= pp
-        return (min(p, p ^ 1), max(p, p ^ 1))
 
     def additive_span(self, generators: Iterable[int]) -> set[int]:
         """The GF(2)-linear span of the given elements (always contains 0)."""

@@ -19,13 +19,13 @@ partial flock with planes [1, alpha*lam, lam, beta*lam] plus the plane
 X0 = 0.  Independently, the arc's plane PG(2,q) embeds into X0 = 0 via
 (x,y,z) -> (0,x,z,y), and projecting the cone from a point p = (1,0,y,0)
 of the nuclear line N = {(t,0,1,0)} u {vertex} is a bijection onto that
-embedded plane.  Each arc conic is then the shadow of one plane section;
-for the default p = (1,0,1,0) the section plane of F_{alpha,beta,lam} is
-[sqrt(lam), sqrt(alpha), sqrt(lam)+1, sqrt(beta)], and those planes plus
-the singular plane X0 + X2 = 0 form the raw projection flock.  A
-coefficient chain (delta, then phi built from inversion on N, then the
-squaring map kappa) rewrites the raw planes into the additive ones, plane
-for plane.
+embedded plane.  Each arc conic is then the shadow of one plane section:
+from p = (1,0,y,0) the section plane of F_{alpha,beta,lam} is
+[y sqrt(lam), sqrt(alpha), sqrt(lam)+1, sqrt(beta)].  For the default
+p = (1,0,1,0) those planes plus the singular plane X0 + X2 = 0 form the raw
+projection flock.  A coefficient chain (delta, then phi built from inversion
+on N, then the squaring map kappa) rewrites the raw planes into the additive
+ones, plane for plane.
 
 Planes avoiding p carry a standard form a X0 + b X1 + (a+1) X2 + c X3 = 0.
 Composing two standard planes by the weighted average mirroring Mathon's
@@ -37,7 +37,6 @@ line -- of the two projected conics' degree-4 closure.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -87,7 +86,6 @@ def cone_points(gf: GF) -> frozenset[pg.Coords]:
     return frozenset(pts)
 
 
-@functools.lru_cache(maxsize=None)
 def nuclear_line_points(gf: GF) -> tuple[pg.Coords, ...]:
     """The q + 1 points of the nuclear line N = {(t,0,1,0)} plus the vertex."""
     pts = {VERTEX, BASE_NUCLEUS}
@@ -392,22 +390,17 @@ def project_conic_to_plane(
 ) -> pg.Coords:
     """The plane cutting the cone section that projects onto a given conic.
 
-    For the default projection point the coefficients are closed-form:
-    [sqrt(lam), sqrt(alpha), sqrt(lam)+1, sqrt(beta)].  For any other point
-    of the nuclear line the plane is spanned by the preimages of three conic
-    points.
+    From p = (1,0,y,0) the cone point (x0, X1, X2, X3) lands on
+    (X1, X3, X2 + y x0), and with X1 X3 = X2^2 the conic's equation there
+    is the square of sqrt(lam) y x0 + sqrt(alpha) X1 + (sqrt(lam)+1) X2 +
+    sqrt(beta) X3.  So the plane is [y sqrt(lam), sqrt(alpha), sqrt(lam)+1,
+    sqrt(beta)].
     """
     gf = c.gf
     y = _projection_parameter(gf, p)
-    if y == 1:
-        sl = gf.sqrt(c.lam)
-        plane = (sl, gf.sqrt(c.alpha), sl ^ 1, gf.sqrt(c.beta))
-        return pg.normalize(gf, plane)
-    from .mathon_arcs import conic_points
-
-    pts = sorted(conic_points(c))[:3]
-    pre = [unproject_point(gf, p, pt) for pt in pts]
-    return pg.plane_through(gf, *pre)
+    sl = gf.sqrt(c.lam)
+    plane = (gf.mul(y, sl), gf.sqrt(c.alpha), sl ^ 1, gf.sqrt(c.beta))
+    return pg.normalize(gf, plane)
 
 
 def project_arc(

@@ -5,21 +5,23 @@ The building blocks are conics
     F_{alpha,beta,lam} = { (x,y,z) : alpha x^2 + x y + beta y^2 + lam z^2 = 0 }
 
 with trace(alpha beta) = 1 and lam != 0.  Every such conic has nucleus
-(0,0,1) and is disjoint from the line z = 0.  Two conics with distinct lam
+(0,0,1) and is disjoint from the line z = 0.  Its points are read off the
+nucleus pencil: each of the q + 1 lines through (0,0,1) meets it once, at a
+point given by square roots alone.  Two conics with distinct lam
 compose to a third one by a lam-weighted average of their coefficients; a
 set of conics closed under this composition, together with the common
 nucleus, is a maximal arc of degree |set| + 1 (Mathon's construction).
 Denniston arcs are the special case alpha constant, beta = 1, with the lam
 values ranging over an additive subgroup minus 0.
 
-Disjointness of conics is always decided here by comparing point sets; the
-trace shortcut trace((alpha (+) alpha')(beta (+) beta')) = 1 is exposed
-separately so callers and tests can compare the two.
+Disjointness of conics is always decided here by comparing point sets, which
+never consult the trace; the trace shortcut
+trace((alpha (+) alpha')(beta (+) beta')) = 1 is exposed separately so
+callers and tests can compare the two.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -66,36 +68,22 @@ class Conic:
             )
 
 
-@functools.lru_cache(maxsize=None)
 def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:
-    """Zero set of a x^2 + x y + b y^2 + l z^2, degenerate cases included.
+    """Zero set of a x^2 + x y + b y^2 + l z^2 for any a, b and l != 0.
 
-    On z = 1 each x leaves b y^2 + x y + c = 0 with c = a x^2 + l, solved in
-    closed form: y = c/x when b = 0, y = sqrt(c/b) when x = 0, and otherwise
-    y = (x/b) u with u^2 + u = b c / x^2.
+    The point (0,0,1) is off the quadric, and each of the q + 1 lines through
+    it meets the quadric exactly once, because squaring is a bijection: on
+    (1, s, z) the equation reads l z^2 = a + s + b s^2, so
+    z = (sqrt(a) + sqrt(s) + sqrt(b) s)/sqrt(l), and on (0, 1, z) it reads
+    z = sqrt(b)/sqrt(l).
     """
-    mul = gf.mul
-    pts = []
-    for x in range(gf.q):
-        c = mul(a, mul(x, x)) ^ l
-        if b == 0:
-            if x:
-                ys: Iterable[int] = (gf.div(c, x),)
-            else:
-                ys = range(gf.q) if c == 0 else ()
-        elif x == 0:
-            ys = (gf.sqrt(gf.div(c, b)),)
-        else:
-            s = gf.div(x, b)
-            roots = gf.solve_affine_quadratic(gf.div(mul(b, c), mul(x, x)))
-            ys = (mul(s, u) for u in roots) if roots else ()
-        for y in ys:
-            pts.append(pg.normalize(gf, (x, y, 1)))
-    for y in range(gf.q):  # the line z = 0
-        if a ^ y ^ mul(b, mul(y, y)) == 0:
-            pts.append((1, y, 0))
-    if b == 0:
-        pts.append((0, 1, 0))
+    if l == 0:
+        raise ValueError("l must be nonzero: with l = 0 the quadric holds (0,0,1)")
+    mul, sqrt = gf.mul, gf.sqrt
+    r = gf.inv(sqrt(l))
+    ra, rb = mul(sqrt(a), r), mul(sqrt(b), r)
+    pts = [(1, s, ra ^ mul(sqrt(s), r) ^ mul(rb, s)) for s in range(gf.q)]
+    pts.append((0, 1, rb))
     return frozenset(pts)
 
 
@@ -211,10 +199,12 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
             raise ClosureError("closure exceeded the maximum of q - 1 conics")
 
     closed = sorted(by_lam.values(), key=lambda c: c.lam)
-    for i, c1 in enumerate(closed):
-        for c2 in closed[i + 1 :]:
-            if not conics_disjoint(c1, c2):
-                raise DisjointnessError(f"{c1} and {c2} share a point")
+    owner: dict[pg.Coords, Conic] = {}
+    for c in closed:
+        for pt in conic_points(c):
+            other = owner.setdefault(pt, c)
+            if other is not c:
+                raise DisjointnessError(f"{other} and {c} share a point")
     return MathonArc(gf, tuple(closed))
 
 
@@ -304,8 +294,9 @@ def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
     subgroup = set(m.lam_values) | {0}
     if c.lam in subgroup:
         raise ValueError(f"lam={c.lam} already lies in the arc's lam subgroup")
+    pts = conic_points(c)
     for mc in m.conics:
-        if not conics_disjoint(mc, c):
+        if not pts.isdisjoint(conic_points(mc)):
             raise DisjointnessError(f"{c} meets {mc}")
     ext = close_set(list(m.conics) + [c])
     if ext.degree != 2 * m.degree or not set(ext.conics) >= set(m.conics):

@@ -9,7 +9,6 @@ normalized coordinate tuples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Sequence
 
@@ -49,7 +48,6 @@ def incident(gf: GF, point: Coords, hyper: Coords) -> bool:
     return acc == 0
 
 
-@functools.lru_cache(maxsize=None)
 def _projective_points(gf: GF, n: int) -> tuple[Coords, ...]:
     pts: list[Coords] = []
     for lead in range(n - 1, -1, -1):

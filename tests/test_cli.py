@@ -332,9 +332,10 @@ _FLOCK_FIELD = {"h": 3, "modulus": 11}
         ({"field": {"h": True, "modulus": 3}, "planes": [[1, 0, 0, 0]]}, ["verify"]),
         ({"field": {"h": 3, "modulus": -11}, "planes": [[1, 0, 0, 0]]}, ["verify"]),
         (None, ["project", "--p", "1,0,9,0"]),
+        ("[" * 100_000, ["verify"]),  # json.loads raises RecursionError
     ],
     ids=["plane-out-of-range", "plane-string", "planes-not-a-list", "bool-h",
-         "negative-modulus", "projection-point-out-of-range"],
+         "negative-modulus", "projection-point-out-of-range", "deeply-nested-json"],
 )
 def test_malformed_coordinates_exit_2_without_traceback(
     tmp_path, arc_file, payload, argv
@@ -342,7 +343,7 @@ def test_malformed_coordinates_exit_2_without_traceback(
     path = arc_file
     if payload is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     proc = subprocess.run(
         [sys.executable, "-m", "arcflock", argv[0], str(path), *argv[1:]],
         capture_output=True,

@@ -340,11 +340,11 @@ def test_project_conic_to_plane_frozen_and_consistent():
     assert project_conic_to_plane(Conic(gf, 1, 1, 1)) == (1, 1, 0, 1)
 
 
-@pytest.mark.parametrize("y", (1, 4))
-def test_conic_plane_section_is_the_unprojected_conic(y):
-    gf = make_field(3)
-    p = (1, 0, y, 0)
-    rng = random.Random(1500 + y)
+@pytest.mark.parametrize("h", (1, 2, 3, 4))
+def test_conic_plane_section_is_the_unprojected_conic(h):
+    # every projection point (1,0,y,0) of the nuclear line; every conic up to
+    # h = 3, a seeded sample of 100 conics at h = 4
+    gf = make_field(h)
     conics = [
         Conic(gf, a, b, l)
         for a in gf.elements()
@@ -352,10 +352,14 @@ def test_conic_plane_section_is_the_unprojected_conic(y):
         for l in gf.nonzero_elements()
         if gf.trace(gf.mul(a, b)) == 1
     ]
-    for c in rng.sample(conics, 40):
-        plane = project_conic_to_plane(c, p)
-        expected = {unproject_point(gf, p, pt) for pt in conic_points(c)}
-        assert plane_section(gf, plane) == expected
+    if h == 4:
+        conics = random.Random(1504).sample(conics, 100)
+    for y in gf.nonzero_elements():
+        p = (1, 0, y, 0)
+        for c in conics:
+            plane = project_conic_to_plane(c, p)
+            expected = {unproject_point(gf, p, pt) for pt in conic_points(c)}
+            assert plane_section(gf, plane) == expected
 
 
 def test_project_arc_frozen_raw_planes(battery_arcs):

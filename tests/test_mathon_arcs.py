@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from arcflock import mathon_arcs as ma
 from arcflock import projective as pg
 from arcflock.finite_field import make_field
 from arcflock.mathon_arcs import (
@@ -89,16 +90,21 @@ def test_conic_points_against_inline_equation_scan(h):
 def test_quadric_points_handles_degenerate_coefficients():
     # the same inline scan must agree even when the triple is not a valid conic
     gf = make_field(3)
-    for a, b, l in ((0, 0, 1), (1, 6, 2), (0, 1, 5), (1, 0, 0)):
+    for a, b, l in ((0, 0, 1), (1, 6, 2), (0, 1, 5)):
         assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
+    with pytest.raises(ValueError, match="l must be nonzero"):
+        quadric_points(gf, 1, 0, 0)
 
 
 @pytest.mark.parametrize("h", (1, 2, 3))
 def test_quadric_points_against_inline_scan_for_every_triple(h):
-    # covers the b = 0, x = 0 and l = 0 branches of the closed-form solve
+    # degenerate triples too: b = 0, a = 0 and trace(ab) = 0
     gf = make_field(h)
-    for a, b, l in itertools.product(gf.elements(), repeat=3):
-        assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
+    for a, b in itertools.product(gf.elements(), repeat=2):
+        for l in gf.nonzero_elements():
+            assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
+        with pytest.raises(ValueError, match="l must be nonzero"):
+            quadric_points(gf, a, b, 0)
 
 
 # -- composition ---------------------------------------------------------------------
@@ -202,6 +208,15 @@ def test_close_set_degenerate_composition():
     gf = make_field(3)
     with pytest.raises(ClosureError, match="not a conic"):
         close_set([Conic(gf, 1, 1, 1), Conic(gf, 1, 3, 2)])
+
+
+def test_close_set_names_both_conics_that_share_a_point(monkeypatch):
+    # a closed set of valid conics is disjoint, so the oracle is fed a shared point
+    gf = make_field(3)
+    real = ma.conic_points
+    monkeypatch.setattr(ma, "conic_points", lambda c: real(c) | {NUCLEUS})
+    with pytest.raises(DisjointnessError, match=r"lam=1\) and Conic\(.*lam=2\) share a point"):
+        close_set([Conic(gf, 1, 1, 1), Conic(gf, 1, 1, 2)])
 
 
 def test_close_set_duplicate_seed_conic_is_fine():
