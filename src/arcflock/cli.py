@@ -3,11 +3,16 @@
 Subcommands
 -----------
 construct denniston      degree-d Denniston arc from alpha and lam-subgroup generators
-construct mathon-extend  degree-2d arc through the trace-condition system
+construct mathon-extend  degree-2d arc through the trace-condition system: the valid
+                         rho are listed once; --rho must be one of them, else the
+                         least (or, with --seed-order desc, largest) is taken
 verify                   re-verify an arc or flock JSON file against the oracles
 convert                  arc-to-flock | flock-to-arc | project | chain
-project                  projection flock of an arc from a chosen nuclear point
-search                   solve the trace system for every (H, lambda_d) pair
+project                  convert --direction project: the projection flock of an arc
+                         from the nuclear point --p (default 1,0,1,0); --p is refused
+                         with any other direction
+search                   solve the trace system for every (H, lambda_d) pair and
+                         verify the one example arc that search_field attaches
 rank                     rank/solution-count analysis of the same systems
 
 Every subcommand prints JSON by default (sorted keys, compact separators,
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import flocks as fl
@@ -29,10 +35,6 @@ from . import mathon_arcs as ma
 from . import projective as pg
 from . import search as se
 from .finite_field import GF, make_field
-
-
-def _field_from_args(args: argparse.Namespace) -> GF:
-    return make_field(args.h, args.modulus)
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
@@ -67,22 +69,24 @@ def _load_input(path: str) -> dict:
     return obj
 
 
-def _as_arc_json(obj: dict) -> dict:
-    """Accept a bare arc object or any payload wrapping one under 'arc'."""
-    if "conics" in obj:
-        return obj
-    if isinstance(obj.get("arc"), dict):
-        return obj["arc"]
-    raise ValueError("no arc found in input: need 'conics' or an 'arc' wrapper")
+#: the key that marks a bare arc or flock object
+_MARKER = {"arc": "conics", "flock": "planes"}
+
+_NOT_FOUND = {
+    ("arc",): "no arc found in input: need 'conics' or an 'arc' wrapper",
+    ("flock",): "no flock found in input: need 'planes' or a 'flock' wrapper",
+    ("arc", "flock"): "input is neither an arc (conics) nor a flock (planes)",
+}
 
 
-def _as_flock_json(obj: dict) -> dict:
-    """Accept a bare flock object or any payload wrapping one under 'flock'."""
-    if "planes" in obj:
-        return obj
-    if isinstance(obj.get("flock"), dict):
-        return obj["flock"]
-    raise ValueError("no flock found in input: need 'planes' or a 'flock' wrapper")
+def _unwrap(obj: dict, *kinds: str) -> tuple[str, dict]:
+    """The first of kinds found in a payload: a bare object or one wrapped under its kind."""
+    for kind in kinds:
+        if _MARKER[kind] in obj:
+            return kind, obj
+        if isinstance(obj.get(kind), dict):
+            return kind, obj[kind]
+    raise ValueError(_NOT_FOUND[kinds])
 
 
 def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
@@ -97,8 +101,8 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _verdict_exit(verdicts: list[bool]) -> int:
-    return 0 if all(verdicts) else 1
+def _verdict_exit(ok: bool) -> int:
+    return 0 if ok else 1
 
 
 def _conic_lines(arc: ma.MathonArc) -> list[str]:
@@ -137,85 +141,76 @@ def _flock_verify_payload(F: fl.PartialFlock) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_construct_denniston(args: argparse.Namespace) -> int:
-    gf = _field_from_args(args)
+    gf = make_field(args.h, args.modulus)
     lam_set = _span_generators(gf, _parse_elements(args.A))
     arc = ma.denniston_arc(gf, args.alpha, tuple(x for x in lam_set if x != 0))
     report_json, lines, ok = _arc_verify_payload(arc)
     payload = {"arc": ma.arc_to_json(arc), "report": report_json}
     _emit(payload, lines, args)
-    return _verdict_exit([ok])
+    return _verdict_exit(ok)
 
 
 def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
-    gf = _field_from_args(args)
+    gf = make_field(args.h, args.modulus)
     H = tuple(sorted(set(_span_generators(gf, _parse_elements(args.H))) | {0}))
     spec = se.GroupSpec(gf, H, args.lambda_d)
+    valid = se.solve_trace_system(se.build_trace_system(spec))
     if args.rho is not None:
+        if args.rho not in valid:
+            raise ValueError(f"rho {args.rho} is not a valid solution")
         rho = args.rho
+    elif not valid:
+        raise ValueError("no valid rho exists for this (H, lambda_d) pair")
     else:
-        valid = se.solve_trace_system(se.build_trace_system(spec))
-        if not valid:
-            raise ValueError("no valid rho exists for this (H, lambda_d) pair")
         rho = max(valid) if args.seed_order == "desc" else min(valid)
-    record = se.search_group(spec, example_rho=rho)
-    arc = record.example_arc
-    assert arc is not None
+    arc = se.construct_extension_arc(spec, rho)
+    record = se.search_group(spec)
     report_json, lines, ok = _arc_verify_payload(arc)
-    record_json = record.to_json()
-    record_json["example_arc"] = None
     payload = {
         "arc": ma.arc_to_json(arc),
         "report": report_json,
         "rho": rho,
-        "search": record_json,
+        "search": record.to_json(),
     }
     lines.insert(0, f"trace system: rank={record.rank} valid_rho={record.num_rho_valid} rho={rho}")
     _emit(payload, lines, args)
-    return _verdict_exit([ok])
+    return _verdict_exit(ok)
 
 
 # -- verify / convert / project -----------------------------------------------------
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    obj = _load_input(args.input)
-    if "conics" in obj or isinstance(obj.get("arc"), dict):
-        arc = ma.arc_from_json(_as_arc_json(obj))
-        report_json, lines, ok = _arc_verify_payload(arc)
+    kind, obj = _unwrap(_load_input(args.input), "arc", "flock")
+    if kind == "arc":
+        report_json, lines, ok = _arc_verify_payload(ma.arc_from_json(obj))
         payload = {"kind": "arc", "report": report_json}
-        lines.insert(0, "kind: arc")
-    elif "planes" in obj or isinstance(obj.get("flock"), dict):
-        F = fl.flock_from_json(_as_flock_json(obj))
-        sub, lines, ok = _flock_verify_payload(F)
-        payload = {"kind": "flock", **sub}
-        lines.insert(0, "kind: flock")
     else:
-        raise ValueError("input is neither an arc (conics) nor a flock (planes)")
+        sub, lines, ok = _flock_verify_payload(fl.flock_from_json(obj))
+        payload = {"kind": "flock", **sub}
+    lines.insert(0, f"kind: {kind}")
     _emit(payload, lines, args)
-    return _verdict_exit([ok])
+    return _verdict_exit(ok)
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    obj = _load_input(args.input)
+    """convert --direction ..., and project (convert --direction project)."""
     direction = args.direction
-    if direction == "arc-to-flock":
-        arc = ma.arc_from_json(_as_arc_json(obj))
-        F = fl.arc_to_flock(arc)
-        sub, lines, ok = _flock_verify_payload(F)
-        payload = {"flock": fl.flock_to_json(F), **sub}
-        _emit(payload, lines, args)
-        return _verdict_exit([ok])
+    if args.p is not None and direction != "project":
+        raise ValueError("--p sets the projection point: use it with --direction project")
+    obj = _load_input(args.input)
     if direction == "flock-to-arc":
-        F = fl.flock_from_json(_as_flock_json(obj))
-        arc = fl.flock_to_arc(F)
+        arc = fl.flock_to_arc(fl.flock_from_json(_unwrap(obj, "flock")[1]))
         report_json, lines, ok = _arc_verify_payload(arc)
         payload = {"arc": ma.arc_to_json(arc), "report": report_json}
-        _emit(payload, lines, args)
-        return _verdict_exit([ok])
-    if direction == "project":
-        arc = ma.arc_from_json(_as_arc_json(obj))
+    elif direction == "arc-to-flock":
+        F = fl.arc_to_flock(ma.arc_from_json(_unwrap(obj, "arc")[1]))
+        sub, lines, ok = _flock_verify_payload(F)
+        payload = {"flock": fl.flock_to_json(F), **sub}
+    elif direction == "project":
+        arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
         p = fl.DEFAULT_PROJECTION_POINT
-        if args.p:
+        if args.p is not None:
             p = pg.check_space_coords(arc.gf, _parse_elements(args.p))
         F = fl.project_arc(arc, p)
         sub, lines, ok = _flock_verify_payload(F)
@@ -224,33 +219,25 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             "projection_point": list(pg.normalize(arc.gf, p)),
             **sub,
         }
-        _emit(payload, lines, args)
-        return _verdict_exit([ok])
-    if direction == "chain":
-        arc = ma.arc_from_json(_as_arc_json(obj))
+    else:  # chain
+        arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
         raw = fl.project_arc(arc)
         additive = fl.geometric_to_additive(raw)
         algebraic = fl.arc_to_flock(arc)
-        equal = additive == algebraic
+        ok = additive == algebraic
         payload = {
             "raw": fl.flock_to_json(raw),
             "additive": fl.flock_to_json(additive),
             "algebraic": fl.flock_to_json(algebraic),
-            "chain_equals_algebraic": equal,
+            "chain_equals_algebraic": ok,
         }
         lines = [
             f"raw planes: {[list(p) for p in raw.planes]}",
             f"additive planes: {[list(p) for p in additive.planes]}",
-            f"chain equals algebraic: {'PASS' if equal else 'FAIL'}",
+            f"chain equals algebraic: {'PASS' if ok else 'FAIL'}",
         ]
-        _emit(payload, lines, args)
-        return _verdict_exit([equal])
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _cmd_project(args: argparse.Namespace) -> int:
-    args.direction = "project"
-    return _cmd_convert(args)
+    _emit(payload, lines, args)
+    return _verdict_exit(ok)
 
 
 # -- search / rank ------------------------------------------------------------------
@@ -266,20 +253,13 @@ def _record_line(r: se.SearchRecord) -> str:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    gf = _field_from_args(args)
+    gf = make_field(args.h, args.modulus)
     records = se.search_field(gf, args.d, descending=args.seed_order == "desc")
-    verdicts = []
-    example_report = None
-    for r in records:
-        if r.example_arc is not None:
-            report = ma.verify_maximal_arc(
-                gf, ma.arc_points(r.example_arc), r.example_arc.degree
-            )
-            example_report = report.to_json()
-            verdicts.append(report.verdict)
-    hist: dict[str, int] = {}
-    for r in records:
-        hist[str(r.rank)] = hist.get(str(r.rank), 0) + 1
+    example = next((r.example_arc for r in records if r.example_arc), None)
+    example_report, ok = None, True
+    if example is not None:
+        example_report, _, ok = _arc_verify_payload(example)
+    hist = Counter(str(r.rank) for r in records)
     payload = {
         "q": gf.q,
         "d": args.d,
@@ -298,19 +278,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"summary: with_valid_rho={payload['summary']['with_valid_rho']}"
         f" rank_histogram={payload['summary']['rank_histogram']}"
     )
-    if example_report is not None:
-        lines.append(
-            f"example arc verdict: {'PASS' if verdicts and all(verdicts) else 'FAIL'}"
-        )
+    if example is not None:
+        lines.append(f"example arc verdict: {'PASS' if ok else 'FAIL'}")
     _emit(payload, lines, args)
-    return _verdict_exit(verdicts)
+    return _verdict_exit(ok)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    gf = _field_from_args(args)
+    gf = make_field(args.h, args.modulus)
     records = []
     lines = [f"rank analysis q={gf.q} |H|={args.d}"]
-    hist: dict[str, int] = {}
     for spec in se.enumerate_group_specs(gf, args.d, args.seed_order == "desc"):
         system = se.build_trace_system(spec)
         analysis = se.rank_analysis(system)
@@ -322,12 +299,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
                 **analysis.to_json(),
             }
         )
-        hist[str(analysis.rank)] = hist.get(str(analysis.rank), 0) + 1
         lines.append(
             f"H={{{','.join(map(str, spec.H))}}} lambda_d={spec.lambda_d}"
             f" rank={analysis.rank} solutions={analysis.solution_count}"
             f" independent={analysis.independent}"
         )
+    hist = Counter(str(r["rank"]) for r in records)
     payload = {
         "q": gf.q,
         "d": args.d,
@@ -415,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("input", help="path to an arc JSON file, or - for stdin")
     proj.add_argument("--p", default=None, help="projection point, e.g. 1,0,1,0")
     _add_common(proj)
-    proj.set_defaults(func=_cmd_project)
+    proj.set_defaults(func=_cmd_convert, direction="project")
 
     sea = subs.add_parser("search", help="trace-system search over all (H, lambda_d)")
     _add_field(sea)
@@ -439,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -254,8 +254,8 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
     Additive: the (t, f, g) triples of the normalized planes form a group
     under coordinatewise XOR with pairwise distinct t (so B = {t} is closed
     under addition and f, g are additive maps on it).  Linear: all planes
-    share a common line, found by intersecting the first two planes and
-    testing the two spanning points against the rest.
+    share a common line, i.e. the points on every plane form a nullspace of
+    dimension 2 (distinct planes meet in at most a line).
     """
     gf = F.gf
     triples = base_representation(F)
@@ -271,13 +271,10 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
     )
     if F.size == 1:
         return FlockClassification(additive=additive, linear=True, common_line=None)
-    line = tuple(pg.meet_planes(gf, F.planes[0], F.planes[1]))
-    linear = all(
-        pg.incident(gf, pt, plane) for pt in line for plane in F.planes[2:]
-    )
-    return FlockClassification(
-        additive=additive, linear=linear, common_line=line if linear else None
-    )
+    common = pg.nullspace(gf, F.planes, 4)
+    linear = len(common) >= 2
+    line = tuple(pg.normalize(gf, v) for v in common) if linear else None
+    return FlockClassification(additive=additive, linear=linear, common_line=line)
 
 
 # -- the algebraic arc <-> flock correspondence ------------------------------------
@@ -295,6 +292,11 @@ def arc_to_flock(m: MathonArc) -> PartialFlock:
     for c in m.conics:
         planes.add((1, gf.mul(c.alpha, c.lam), c.lam, gf.mul(c.beta, c.lam)))
     return PartialFlock(gf, tuple(sorted(planes)))
+
+
+def is_denniston_type(m: MathonArc) -> bool:
+    """Whether the arc's additive partial flock is linear (all planes share a line)."""
+    return classify_flock(arc_to_flock(m)).linear
 
 
 def additive_plane_conic(gf: GF, plane: pg.Coords) -> Conic:
@@ -626,10 +628,11 @@ def denniston_lines_concurrent(m: MathonArc) -> DennistonLineReport:
     )
     if len(lines) == 1:
         return DennistonLineReport(lines=lines, concurrent=True, common_point=None)
-    pt = pg.meet_lines2(gf, lines[0], lines[1])
-    concurrent = all(pg.incident(gf, pt, l) for l in lines[2:])
+    common = pg.nullspace(gf, lines, 3)
     return DennistonLineReport(
-        lines=lines, concurrent=concurrent, common_point=pt if concurrent else None
+        lines=lines,
+        concurrent=bool(common),
+        common_point=pg.normalize(gf, common[0]) if common else None,
     )
 
 

@@ -32,9 +32,6 @@ from .finite_field import GF
 #: common nucleus of every conic in the family
 NUCLEUS: pg.Coords = (0, 0, 1)
 
-#: the line z = 0, external to every conic of the family
-INFINITY_LINE: pg.Coords = (0, 0, 1)
-
 
 class ClosureError(ValueError):
     """A seed set cannot be completed to a closed set of conics."""
@@ -147,10 +144,6 @@ class MathonArc:
     @property
     def lam_values(self) -> tuple[int, ...]:
         return tuple(c.lam for c in self.conics)
-
-    @property
-    def nucleus(self) -> pg.Coords:
-        return NUCLEUS
 
 
 def close_set(seed: Iterable[Conic]) -> MathonArc:
@@ -302,13 +295,6 @@ def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
     if ext.degree != 2 * m.degree or not set(ext.conics) >= set(m.conics):
         raise ClosureError("extension did not double the degree")
     return ext
-
-
-def is_denniston_type(m: MathonArc) -> bool:
-    """Whether the arc's additive partial flock is linear (all planes share a line)."""
-    from .flocks import arc_to_flock, classify_flock  # deferred: flocks imports this module
-
-    return classify_flock(arc_to_flock(m)).linear
 
 
 def arc_to_json(m: MathonArc) -> dict:

@@ -18,7 +18,9 @@ gives the rank and both solution counts in closed form; valid rho are
 listed from its particular solution and null basis only when an arc is
 wanted.  (The tests check all of this against an exhaustive mu scan.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
-synthetic extension and re-verified against the point oracle.
+synthetic extension (construct_extension_arc) and re-verified against the
+point oracle.  search_group only counts; search_field attaches one such
+arc to the first record that has a valid rho.
 
 The squared restatement trace(1 + (c_lam / rho)^2) = 1 of a single
 condition is provided as a redundant checker; it agrees with the primary
@@ -317,22 +319,15 @@ class SearchRecord:
         }
 
 
-def search_group(spec: GroupSpec, example_rho: Optional[int] = None) -> SearchRecord:
-    """Solve the trace system for one spec; optionally realize one arc.
+def search_group(spec: GroupSpec) -> SearchRecord:
+    """Solve the trace system for one spec: rank and rho counts, no arc.
 
     The counts come from one elimination, with mu = 0 taken off when it
-    solves the homogeneous (epsilon = 0) system, since it gives no rho.  When
-    example_rho is given it must be a valid solution; the constructed
-    degree-2d arc is attached to the record.
+    solves the homogeneous (epsilon = 0) system, since it gives no rho.
     """
     system = build_trace_system(spec)
     _, rank, num_mu, num_valid_mu = _eliminate(system)
     mu_zero = 1 if system.epsilon == 0 else 0
-    example = None
-    if example_rho is not None:
-        if example_rho not in solve_trace_system(system):
-            raise ValueError(f"rho {example_rho} is not a valid solution")
-        example = construct_extension_arc(spec, example_rho)
     return SearchRecord(
         q=spec.gf.q,
         H=spec.H,
@@ -341,7 +336,6 @@ def search_group(spec: GroupSpec, example_rho: Optional[int] = None) -> SearchRe
         rank=rank,
         num_rho_prefilter=num_mu - mu_zero,
         num_rho_valid=num_valid_mu - mu_zero,
-        example_arc=example,
     )
 
 
@@ -384,12 +378,7 @@ def enumerate_group_specs(gf: GF, order: int, descending: bool = False) -> list[
     return list(reversed(specs)) if descending else specs
 
 
-def search_field(
-    gf: GF,
-    order: int,
-    descending: bool = False,
-    with_example: bool = True,
-) -> list[SearchRecord]:
+def search_field(gf: GF, order: int, descending: bool = False) -> list[SearchRecord]:
     """Run the solver over every (H, lambda_d) pair of one subgroup order.
 
     Records come back in scan order.  At most one record carries an example
@@ -399,7 +388,7 @@ def search_field(
     """
     specs = enumerate_group_specs(gf, order, descending)
     records = [search_group(spec) for spec in specs]
-    if with_example and gf.trace(1) == 1:
+    if gf.trace(1) == 1:
         for spec, record in zip(specs, records):
             if record.num_rho_valid == 0:
                 continue

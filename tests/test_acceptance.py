@@ -52,6 +52,7 @@ from arcflock.flocks import (
     denniston_lines_concurrent,
     flock_to_arc,
     geometric_to_additive,
+    is_denniston_type,
     plane_compose,
     project_arc,
     sections_disjoint,
@@ -67,7 +68,6 @@ from arcflock.mathon_arcs import (
     compose,
     composition_trace,
     denniston_arc,
-    is_denniston_type,
     quadric_points,
     verify_maximal_arc,
 )

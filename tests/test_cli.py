@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from arcflock import mathon_arcs as ma
 from arcflock.cli import main
 
 
@@ -319,6 +320,29 @@ def test_convert_rejects_bad_projection_point(capsys, arc_file):
     assert code == 2  # the vertex is not a projection point
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["project", "--p", ""], "cannot parse element list ''"),
+        (["convert", "--direction", "arc-to-flock", "--p", "1,0,1,0"], "--direction project"),
+        (["convert", "--direction", "flock-to-arc", "--p", "1,0,1,0"], "--direction project"),
+        (["convert", "--direction", "chain", "--p", "1,0,1,0"], "--direction project"),
+    ],
+    ids=["project-empty-p", "arc-to-flock-with-p", "flock-to-arc-with-p", "chain-with-p"],
+)
+def test_projection_point_is_honoured_or_refused(arc_file, argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcflock", argv[0], arc_file, *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
 
 _FLOCK_FIELD = {"h": 3, "modulus": 11}
 
@@ -379,6 +403,18 @@ def test_search_q8_has_a_verified_example(capsys):
     examples = [r for r in payload["records"] if r["example_arc"] is not None]
     assert len(examples) == 1
     assert examples[0]["example_arc"]["degree"] == 4
+
+
+def test_search_example_failing_the_line_scan_exits_1(capsys, monkeypatch):
+    # two conics of a degree-4 arc are no maximal arc: degree 3 does not divide 8
+    def two_conics(spec, rho):
+        gf = spec.gf
+        return ma.MathonArc(gf, (ma.Conic(gf, 1, 1, 1), ma.Conic(gf, 1, 1, 2)))
+
+    monkeypatch.setattr("arcflock.search.construct_extension_arc", two_conics)
+    code, out, err = run_cli(capsys, "search", "--h", "3", "--d", "2", "--format", "text")
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "example arc verdict: FAIL"
 
 
 def test_search_deterministic_output(capsys):

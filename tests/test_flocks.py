@@ -242,6 +242,32 @@ def test_generic_flock_is_additive_but_not_linear(generic_arc_q8):
     assert cls.common_line is None
 
 
+@pytest.mark.parametrize("h", [3, 4])
+def test_linearity_matches_meet_and_incidence(h):
+    """Reference: meet the first two planes, then test both points on the rest."""
+    gf = make_field(h)
+    rng = random.Random(h)
+    planes = _vertex_avoiding_planes(gf)
+    linear_seen = 0
+    for trial in range(200):
+        if trial % 2:  # planes of one pencil, so the set is linear
+            a, b = rng.sample(planes, 2)
+            pencil = {pg.normalize(gf, [x ^ gf.mul(s, y) for x, y in zip(a, b)])
+                      for s in range(gf.q)} | {pg.normalize(gf, b)}
+            pencil = sorted(u for u in pencil if u[0] != 0)
+            chosen = rng.sample(pencil, rng.randrange(2, min(6, len(pencil)) + 1))
+        else:
+            chosen = rng.sample(planes, rng.randrange(2, 6))
+        F = PartialFlock(gf, tuple(sorted(chosen)))
+        line = pg.meet_planes(gf, F.planes[0], F.planes[1])
+        linear = all(pg.incident(gf, pt, u) for pt in line for u in F.planes[2:])
+        cls = classify_flock(F)
+        assert cls.linear == linear
+        assert cls.common_line == (line if linear else None)
+        linear_seen += linear
+    assert 100 <= linear_seen < 200
+
+
 def test_extension_flock_q32_is_additive_but_not_linear(extension_arc_q32):
     F = arc_to_flock(extension_arc_q32)
     assert F.size == 8
@@ -578,6 +604,26 @@ def test_denniston_lines_of_the_q32_extension_are_concurrent(extension_arc_q32):
     assert len(report.lines) == 7
     assert report.concurrent
     assert report.common_point == (1, 0, 0)
+
+
+def test_line_concurrency_matches_meet_and_incidence(monkeypatch):
+    """Reference: meet the first two lines, then test that point on the rest."""
+    gf = make_field(3)
+    arc = denniston_arc(gf, 1, tuple(range(1, 8)))  # 7 conics, 21 pairs
+    rng = random.Random(7)
+    points = pg.enumerate_points2(gf)
+    concurrent_seen = 0
+    for trial in range(200):
+        pool = pg.lines_through2(gf, rng.choice(points)) if trial % 2 else pg.enumerate_lines2(gf)
+        drawn = iter(rng.choices(pool, k=21))
+        monkeypatch.setattr("arcflock.flocks.denniston_line", lambda c1, c2: next(drawn))
+        report = denniston_lines_concurrent(arc)
+        pt = pg.meet_lines2(gf, report.lines[0], report.lines[1])
+        concurrent = all(pg.incident(gf, pt, l) for l in report.lines[2:])
+        assert report.concurrent == concurrent
+        assert report.common_point == (pt if concurrent else None)
+        concurrent_seen += concurrent
+    assert 100 <= concurrent_seen < 200
 
 
 def test_denniston_lines_need_degree_four():

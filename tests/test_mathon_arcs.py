@@ -8,6 +8,7 @@ import pytest
 from arcflock import mathon_arcs as ma
 from arcflock import projective as pg
 from arcflock.finite_field import make_field
+from arcflock.flocks import is_denniston_type
 from arcflock.mathon_arcs import (
     NUCLEUS,
     ClosureError,
@@ -24,7 +25,6 @@ from arcflock.mathon_arcs import (
     conics_disjoint,
     denniston_arc,
     denniston_closure,
-    is_denniston_type,
     quadric_points,
     synthetic_extension,
     verify_maximal_arc,

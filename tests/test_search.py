@@ -240,18 +240,16 @@ def test_construct_extension_arc_rejects_bad_rho():
 def test_search_group_record_and_example():
     gf = make_field(5)
     spec = GroupSpec(gf, (0, 1, 2, 3), 4)
-    record = search_group(spec, example_rho=16)
+    record = search_group(spec)
     assert (record.q, record.H, record.lambda_d) == (32, (0, 1, 2, 3), 4)
     assert record.epsilon == 0
     assert record.rank == 3
     assert record.num_rho_prefilter == 3
     assert record.num_rho_valid == 1
-    assert record.example_arc is not None and record.example_arc.degree == 8
-    obj = record.to_json()
-    assert obj["example_arc"]["degree"] == 8
-    assert search_group(spec).example_arc is None
-    with pytest.raises(ValueError, match="not a valid solution"):
-        search_group(spec, example_rho=17)
+    assert record.example_arc is None
+    assert record.to_json()["example_arc"] is None
+    record.example_arc = construct_extension_arc(spec, 16)
+    assert record.to_json()["example_arc"]["degree"] == 8
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -328,7 +326,7 @@ def test_search_field_q16_no_examples_in_even_degree():
 
 def test_search_field_q32_order2():
     gf = make_field(5)
-    records = search_field(gf, 2, with_example=False)
+    records = search_field(gf, 2)
     assert len(records) == 30
     assert all(r.H == (0, 1) for r in records)
     assert all(r.rank == 1 and r.num_rho_prefilter == 15 for r in records)
