@@ -23,9 +23,10 @@ embedded plane.  Each arc conic is then the shadow of one plane section:
 from p = (1,0,y,0) the section plane of F_{alpha,beta,lam} is
 [y sqrt(lam), sqrt(alpha), sqrt(lam)+1, sqrt(beta)].  For the default
 p = (1,0,1,0) those planes plus the singular plane X0 + X2 = 0 form the raw
-projection flock.  A coefficient chain (delta, then phi built from inversion
-on N, then the squaring map kappa) rewrites the raw planes into the additive
-ones, plane for plane.
+projection flock.  The package computes only these planes; the pointwise
+projection is the tests' oracle for them.  A coefficient chain (delta, then
+phi built from inversion on N, then the squaring map kappa) rewrites the raw
+planes into the additive ones, plane for plane.
 
 Planes avoiding p carry a standard form a X0 + b X1 + (a+1) X2 + c X3 = 0.
 Composing two standard planes by the weighted average mirroring Mathon's
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import projective as pg
 from .finite_field import GF
@@ -61,12 +62,7 @@ EMBEDDING_PLANE: pg.Coords = (1, 0, 0, 0)
 SINGULAR_PLANE: pg.Coords = (1, 0, 1, 0)
 
 
-# -- the cone and the nuclear line ---------------------------------------------
-
-
-def is_on_cone(gf: GF, point: pg.Coords) -> bool:
-    """Whether a PG(3,q) point satisfies X1 X3 = X2^2."""
-    return gf.mul(point[1], point[3]) == gf.square(point[2])
+# -- the cone and its plane sections -------------------------------------------
 
 
 def _generators(gf: GF) -> list[tuple[int, int, int]]:
@@ -76,33 +72,6 @@ def _generators(gf: GF) -> list[tuple[int, int, int]]:
     them and some x0 in GF(q).
     """
     return [(1, u, gf.square(u)) for u in range(gf.q)] + [(0, 0, 1)]
-
-
-def cone_points(gf: GF) -> frozenset[pg.Coords]:
-    """All q^2 + q + 1 points of the cone, vertex included."""
-    pts = {VERTEX}
-    for gen in _generators(gf):
-        pts.update(pg.normalize(gf, (x0,) + gen) for x0 in range(gf.q))
-    return frozenset(pts)
-
-
-def nuclear_line_points(gf: GF) -> tuple[pg.Coords, ...]:
-    """The q + 1 points of the nuclear line N = {(t,0,1,0)} plus the vertex."""
-    pts = {VERTEX, BASE_NUCLEUS}
-    for t in gf.nonzero_elements():
-        pts.add(pg.normalize(gf, (t, 0, 1, 0)))
-    return tuple(sorted(pts))
-
-
-def nuclear_intersection(gf: GF, plane: pg.Coords) -> pg.Coords:
-    """The unique point where a plane not containing N meets the nuclear line."""
-    u0, u2 = plane[0], plane[2]
-    if u0 == 0 and u2 == 0:
-        raise ValueError("the plane contains the whole nuclear line")
-    if u0 == 0:
-        return VERTEX
-    # (t,0,1,0) with t*u0 + u2 = 0
-    return pg.normalize(gf, (gf.div(u2, u0), 0, 1, 0))
 
 
 def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
@@ -177,11 +146,6 @@ class PartialFlock:
         return len(self.planes)
 
 
-def make_flock(gf: GF, planes: Iterable[pg.Coords]) -> PartialFlock:
-    """Normalize, deduplicate and sort raw plane tuples into a PartialFlock."""
-    return PartialFlock(gf, tuple(sorted({pg.normalize(gf, p) for p in planes})))
-
-
 def base_representation(F: PartialFlock) -> tuple[tuple[int, int, int], ...]:
     """Per-plane triples (t, f, g) from the normalized form [1, f, t, g].
 
@@ -242,7 +206,6 @@ class FlockClassification:
 
     additive: bool
     linear: bool
-    common_line: Optional[tuple[pg.Coords, pg.Coords]]
 
     def to_json(self) -> dict:
         return {"additive": self.additive, "linear": self.linear}
@@ -257,7 +220,6 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
     share a common line, i.e. the points on every plane form a nullspace of
     dimension 2 (distinct planes meet in at most a line).
     """
-    gf = F.gf
     triples = base_representation(F)
     tset = {t for t, _, _ in triples}
     triple_set = set(triples)
@@ -269,12 +231,8 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
             for a, b in itertools.combinations(triple_set, 2)
         )
     )
-    if F.size == 1:
-        return FlockClassification(additive=additive, linear=True, common_line=None)
-    common = pg.nullspace(gf, F.planes, 4)
-    linear = len(common) >= 2
-    line = tuple(pg.normalize(gf, v) for v in common) if linear else None
-    return FlockClassification(additive=additive, linear=linear, common_line=line)
+    linear = F.size == 1 or len(pg.nullspace(F.gf, F.planes, 4)) >= 2
+    return FlockClassification(additive=additive, linear=linear)
 
 
 # -- the algebraic arc <-> flock correspondence ------------------------------------
@@ -342,45 +300,6 @@ def _projection_parameter(gf: GF, p: pg.Coords) -> int:
     return pn[2]
 
 
-def embed_point(point: pg.Coords) -> pg.Coords:
-    """PG(2,q) -> plane X0 = 0: (x, y, z) -> (0, x, z, y)."""
-    x, y, z = point
-    return (0, x, z, y)
-
-
-def unembed_point(point: pg.Coords) -> pg.Coords:
-    """Plane X0 = 0 -> PG(2,q): (0, a, b, c) -> (a, c, b)."""
-    if point[0] != 0:
-        raise ValueError(f"point {point} is not on the plane X0 = 0")
-    return (point[1], point[3], point[2])
-
-
-def project_point(gf: GF, p: pg.Coords, e: pg.Coords) -> pg.Coords:
-    """Project a PG(3,q) point from p = (1,0,y,0) into PG(2,q) coordinates.
-
-    The image is the intersection of the line through p and e with the
-    plane X0 = 0, read back through the embedding.  Restricted to the cone
-    this map is a bijection onto the full plane, sending the vertex to the
-    common nucleus (0,0,1).
-    """
-    y = _projection_parameter(gf, p)
-    img = (e[1], e[3], e[2] ^ gf.mul(y, e[0]))
-    return pg.normalize(gf, img)
-
-
-def unproject_point(gf: GF, p: pg.Coords, point: pg.Coords) -> pg.Coords:
-    """The unique cone point that projects from p onto a given PG(2,q) point."""
-    y = _projection_parameter(gf, p)
-    x, yy, z = pg.normalize(gf, point)
-    s2 = gf.mul(x, yy) ^ gf.square(z)
-    if s2 == 0:
-        # already on the cone after embedding
-        return pg.normalize(gf, embed_point((x, yy, z)))
-    mu = gf.div(y, gf.sqrt(s2))
-    e = (1, gf.mul(mu, x), y ^ gf.mul(mu, z), gf.mul(mu, yy))
-    return pg.normalize(gf, e)
-
-
 def projection_singular_plane(gf: GF, p: pg.Coords) -> pg.Coords:
     """The plane through p whose projection collapses onto the line z = 0."""
     y = _projection_parameter(gf, p)
@@ -426,12 +345,6 @@ def project_arc(
 def delta_plane(u: pg.Coords) -> pg.Coords:
     """Substitution X0 -> X0 + X2 on plane coefficients (an involution)."""
     return (u[0], u[1], u[2] ^ u[0], u[3])
-
-
-def iota_nuclear_point(gf: GF, point: pg.Coords) -> pg.Coords:
-    """Inversion (1,0,y,0) -> (1,0,1/y,0) on the nuclear line minus {x, n}."""
-    y = _projection_parameter(gf, point)
-    return (1, 0, gf.inv(y), 0)
 
 
 def phi_plane(gf: GF, u: pg.Coords) -> pg.Coords:
@@ -528,12 +441,6 @@ def standard_to_plane(gf: GF, abc: tuple[int, int, int]) -> pg.Coords:
     """The normalized plane of a standard form (a, b, c)."""
     a, b, c = abc
     return pg.normalize(gf, (a, b, a ^ 1, c))
-
-
-def standard_plane_conic(gf: GF, abc: tuple[int, int, int]) -> Conic:
-    """The conic that a standard-form plane's section projects onto (default p)."""
-    a, b, c = abc
-    return Conic(gf, gf.square(b), gf.square(c), gf.square(a))
 
 
 def plane_compose(gf: GF, V: pg.Coords, W: pg.Coords) -> pg.Coords:

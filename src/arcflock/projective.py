@@ -2,14 +2,13 @@
 
 Points, lines and planes are tuples of field elements in homogeneous
 coordinates, normalized so the first nonzero coordinate equals 1.  That
-canonical form makes equality, hashing and set membership exact.  All
-enumerations are deterministic: ascending lexicographic order on the
-normalized coordinate tuples.
+canonical form makes equality, hashing and set membership exact.  Joins,
+meets and common lines all come from one GF(q) nullspace, and the pencil of
+a point of PG(2,q) is written down in closed form, in ascending order.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .finite_field import GF
@@ -40,43 +39,6 @@ def check_space_coords(gf: GF, coords: object) -> Coords:
     return tuple(coords)
 
 
-def incident(gf: GF, point: Coords, hyper: Coords) -> bool:
-    """Whether a point lies on a line (PG(2,q)) or plane (PG(3,q))."""
-    acc = 0
-    for x, y in zip(point, hyper):
-        acc ^= gf.mul(x, y)
-    return acc == 0
-
-
-def _projective_points(gf: GF, n: int) -> tuple[Coords, ...]:
-    pts: list[Coords] = []
-    for lead in range(n - 1, -1, -1):
-        head = (0,) * lead + (1,)
-        for rest in itertools.product(range(gf.q), repeat=n - 1 - lead):
-            pts.append(head + rest)
-    return tuple(pts)
-
-
-def enumerate_points2(gf: GF) -> tuple[Coords, ...]:
-    """All q^2 + q + 1 points of PG(2,q), canonical order."""
-    return _projective_points(gf, 3)
-
-
-def enumerate_lines2(gf: GF) -> tuple[Coords, ...]:
-    """All q^2 + q + 1 lines of PG(2,q) in dual coordinates, canonical order."""
-    return _projective_points(gf, 3)
-
-
-def enumerate_points3(gf: GF) -> tuple[Coords, ...]:
-    """All q^3 + q^2 + q + 1 points of PG(3,q), canonical order."""
-    return _projective_points(gf, 4)
-
-
-def enumerate_planes3(gf: GF) -> tuple[Coords, ...]:
-    """All q^3 + q^2 + q + 1 planes of PG(3,q) in dual coordinates."""
-    return _projective_points(gf, 4)
-
-
 def nullspace(gf: GF, rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
     """Canonical basis of the right nullspace of a small matrix over GF(q)."""
     mat = [list(r) for r in rows]
@@ -105,14 +67,16 @@ def nullspace(gf: GF, rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
     return basis
 
 
-def _orthogonal2(gf: GF, triple: Coords) -> tuple[Coords, ...]:
-    """The q + 1 normalized triples [a, b, c] with a x + b y + c z = 0, ascending.
+def lines_through2(gf: GF, point: Coords) -> tuple[Coords, ...]:
+    """The q + 1 lines [a, b, c] through a point (x, y, z) of PG(2,q), ascending.
 
-    With z != 0 they are [0, 1, y/z] and [1, b, (x + b y)/z] for every b;
-    with z = 0 they are [0, 0, 1] plus [1, x/y, c] (y != 0) or [0, 1, c]
-    (y = 0) for every c.
+    They are the normalized triples with a x + b y + c z = 0.  With z != 0
+    they are [0, 1, y/z] and [1, b, (x + b y)/z] for every b; with z = 0
+    they are [0, 0, 1] plus [1, x/y, c] (y != 0) or [0, 1, c] (y = 0) for
+    every c.  By duality the same list is the q + 1 points on the line
+    [x, y, z].
     """
-    x, y, z = triple
+    x, y, z = point
     if z:
         iz = gf.inv(z)
         cx, cy = gf.mul(x, iz), gf.mul(y, iz)
@@ -125,45 +89,3 @@ def _orthogonal2(gf: GF, triple: Coords) -> tuple[Coords, ...]:
     else:
         raise ValueError("the zero vector is not a projective point")
     return ((0, 0, 1),) + tuple(head + (c,) for c in range(gf.q))
-
-
-def line_points2(gf: GF, line: Coords) -> tuple[Coords, ...]:
-    """The q + 1 points on a line of PG(2,q), ascending."""
-    return _orthogonal2(gf, line)
-
-
-def lines_through2(gf: GF, point: Coords) -> tuple[Coords, ...]:
-    """The q + 1 lines through a point of PG(2,q), ascending."""
-    return _orthogonal2(gf, point)
-
-
-def join_points2(gf: GF, p1: Coords, p2: Coords) -> Coords:
-    """The line of PG(2,q) through two distinct points."""
-    basis = nullspace(gf, [p1, p2], 3)
-    if len(basis) != 1:
-        raise ValueError("join requires two distinct points")
-    return normalize(gf, basis[0])
-
-
-def meet_lines2(gf: GF, l1: Coords, l2: Coords) -> Coords:
-    """The intersection point of two distinct lines of PG(2,q)."""
-    basis = nullspace(gf, [l1, l2], 3)
-    if len(basis) != 1:
-        raise ValueError("meet requires two distinct lines")
-    return normalize(gf, basis[0])
-
-
-def plane_through(gf: GF, p1: Coords, p2: Coords, p3: Coords) -> Coords:
-    """The plane of PG(3,q) spanned by three non-collinear points."""
-    basis = nullspace(gf, [p1, p2, p3], 4)
-    if len(basis) != 1:
-        raise ValueError("the three points are collinear or not distinct")
-    return normalize(gf, basis[0])
-
-
-def meet_planes(gf: GF, a: Coords, b: Coords) -> tuple[Coords, Coords]:
-    """Two distinct points spanning the line where two distinct planes meet."""
-    if normalize(gf, a) == normalize(gf, b):
-        raise ValueError("the planes coincide")
-    b1, b2 = nullspace(gf, [a, b], 4)
-    return normalize(gf, b1), normalize(gf, b2)

@@ -16,15 +16,12 @@ nondegenerate, i.e. trace(beta) = 1, which is one more affine row:
 trace((lambda_d + 1) * mu) = epsilon.  One Gaussian elimination per system
 gives the rank and both solution counts in closed form; valid rho are
 listed from its particular solution and null basis only when an arc is
-wanted.  (The tests check all of this against an exhaustive mu scan.)
+wanted.  (The tests check all of this against an exhaustive mu scan, and
+each condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
 synthetic extension (construct_extension_arc) and re-verified against the
 point oracle.  search_group only counts; search_field attaches one such
 arc to the first record that has a valid rho.
-
-The squared restatement trace(1 + (c_lam / rho)^2) = 1 of a single
-condition is provided as a redundant checker; it agrees with the primary
-form because squaring preserves the absolute trace.
 """
 
 from __future__ import annotations
@@ -118,11 +115,6 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
         epsilon=1 ^ gf.trace(1),
         conditions=tuple(conditions),
     )
-
-
-def condition_value_squared(gf: GF, c: int, rho: int) -> int:
-    """Redundant checker trace(1 + (c/rho)^2); equals 1 iff trace(c/rho) = 1 + trace(1)."""
-    return gf.trace(1 ^ gf.square(gf.div(c, rho)))
 
 
 # -- solving the system over GF(2) ---------------------------------------------

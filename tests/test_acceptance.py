@@ -39,7 +39,8 @@ and the three long-running ones enforce wall-clock budgets:
 import random
 import time
 
-from conftest import BATTERY_ALPHA, battery_specs, mu_solutions_scan, scan_trace_system
+import oracles
+from conftest import BATTERY_ALPHA, battery_specs
 
 from arcflock import projective as pg
 from arcflock.finite_field import make_field
@@ -57,9 +58,7 @@ from arcflock.flocks import (
     project_arc,
     sections_disjoint,
     singular_plane,
-    standard_plane_conic,
     standardize_plane,
-    unembed_point,
     verify_partial_flock,
 )
 from arcflock.mathon_arcs import (
@@ -75,7 +74,6 @@ from arcflock.search import (
     base_denniston_arc,
     beta_of,
     build_trace_system,
-    condition_value_squared,
     construct_extension_arc,
     enumerate_group_specs,
     guaranteed_degree,
@@ -137,7 +135,7 @@ def test_criterion_02_composition_disjointness_exhaustive():
     for h in (3, 4):
         gf = make_field(h)
         q = gf.q
-        index = {pt: i for i, pt in enumerate(pg.enumerate_points2(gf))}
+        index = {pt: i for i, pt in enumerate(oracles.points(gf, 3))}
         conics = []
         masks = {}
         for a in range(1, q):
@@ -266,18 +264,18 @@ def test_criterion_05_pencil_plane_identities():
                 continue
             accepted += 1
             composed = plane_compose(gf, V, W)
-            for pt in pg.meet_planes(gf, V, W):
-                if not pg.incident(gf, pt, composed):
+            for pt in oracles.perp(gf, [V, W], 4):
+                if not oracles.incident(gf, pt, composed):
                     failures.append(f"q={q}: composed plane misses the common "
                                     f"line of {V} and {W}")
             S = singular_plane(gf, V, W)
-            if not pg.incident(gf, (1, 0, 1, 0), S):
+            if not oracles.incident(gf, (1, 0, 1, 0), S):
                 failures.append(f"q={q}: singular plane of {V}, {W} misses (1,0,1,0)")
-            k1 = standard_plane_conic(gf, standardize_plane(gf, V))
-            k2 = standard_plane_conic(gf, standardize_plane(gf, W))
+            k1 = oracles.standard_plane_conic(gf, standardize_plane(gf, V))
+            k2 = oracles.standard_plane_conic(gf, standardize_plane(gf, W))
             dline = denniston_line(k1, k2)
-            for pt in pg.meet_planes(gf, S, EMBEDDING_PLANE):
-                if pt[0] != 0 or not pg.incident(gf, unembed_point(pt), dline):
+            for pt in oracles.perp(gf, [S, EMBEDDING_PLANE], 4):
+                if pt[0] != 0 or not oracles.incident(gf, oracles.unembed_point(pt), dline):
                     failures.append(f"q={q}: singular-plane trace of {V}, {W} "
                                     f"is not the external line {dline}")
             if failures:
@@ -324,8 +322,8 @@ def test_criterion_07_solver_equivalence():
             for spec in enumerate_group_specs(gf, order):
                 tag = f"q={gf.q} H={spec.H} ld={spec.lambda_d}"
                 system = build_trace_system(spec)
-                scan = mu_solutions_scan(system)
-                _, prefilter, valid = scan_trace_system(system)
+                scan = oracles.mu_solutions_scan(system)
+                _, prefilter, valid = oracles.scan_trace_system(system)
                 if solve_trace_system(system) != valid:
                     failures.append(f"{tag}: valid rho by scan != by elimination")
                 record = search_group(spec)
@@ -464,7 +462,7 @@ def test_criterion_10_parity_split_and_oracle():
                     failures.append(f"q={q} H={spec.H} ld={spec.lambda_d} "
                                     f"rho={rho} lam={cond.lam}: prediction "
                                     f"{predicted} vs oracle {disjoint}")
-                if (condition_value_squared(gf, cond.c, rho) == 1) != predicted:
+                if (oracles.condition_value_squared(gf, cond.c, rho) == 1) != predicted:
                     failures.append(f"q={q} rho={rho}: squared redundant check "
                                     f"deviates")
                 if predicted:

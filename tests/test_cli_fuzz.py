@@ -1,13 +1,13 @@
-"""Property test of the CLI input boundary: no input escapes ``main()`` as an exception.
+"""Property tests of the CLI boundary: no input escapes ``main()`` as an exception.
 
-Each generated stdin goes through ``main()`` for ``verify``, every
-``convert`` direction and ``project``.  The return code must be 0 or 1 (a
-verdict) or 2 (a refused input, reported on stderr as ``error: ...``);
-anything raised out of ``main()`` fails the test.  Inputs are arbitrary JSON,
-arbitrary text, and valid arcs and flocks over GF(4) and GF(8) (bare or
-wrapped, plus one flock that fails its verdict) with up to three values
-replaced or keys deleted, so that the deeper validation layers and both
-verdicts are reached too.
+A verdict exits 0 or 1 and a refused input exits 2 with ``error: ...`` on
+stderr; anything raised out of ``main()`` fails.  One test feeds stdin to
+``verify``, every ``convert`` direction and ``project``: arbitrary JSON and
+text, and valid arcs and flocks over GF(4) and GF(8) (bare or wrapped, one
+failing its verdict) with up to three values replaced or keys deleted.  The
+other sets one numeric option of a valid ``construct denniston``, ``construct
+mathon-extend``, ``search`` or ``rank`` call at h <= 4 to an arbitrary int,
+so that each bad value meets the check meant for it.
 """
 
 import copy
@@ -23,6 +23,25 @@ from arcflock import flocks as fl
 from arcflock import mathon_arcs as ma
 from arcflock.cli import main
 from arcflock.finite_field import make_field
+
+
+def _check(argv, stdin=""):
+    """A verdict exits 0 or 1; a refused input exits 2 with ``error: ...`` on stderr."""
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+_SETTINGS = settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def _valid_payloads() -> list:
@@ -94,18 +113,45 @@ _ARGV = st.sampled_from(
 )
 
 
-@settings(
-    derandomize=True,
-    max_examples=300,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@_SETTINGS
 @given(stdin=_STDIN, argv=_ARGV)
 def test_cli_boundary_never_raises(stdin, argv):
-    err = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(io.StringIO()), \
-            redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert (code == 2) == err.getvalue().startswith("error: ")
+    _check(argv, stdin)
+
+
+# valid invocations, option -> value (None: left out); each example sets one
+# option, these or --modulus, to a drawn value
+_BASES = [
+    (["construct", "denniston"], {"h": 3, "alpha": 1, "A": "1,2"}),
+    (["construct", "denniston"], {"h": 4, "alpha": 8, "A": "1"}),
+    (["construct", "mathon-extend"], {"h": 3, "H": "1", "lambda-d": 2, "rho": 5}),
+    (["construct", "mathon-extend"], {"h": 3, "H": "1", "lambda-d": 6, "rho": None}),
+    (["search"], {"h": 3, "d": 2}),
+    (["rank"], {"h": 4, "d": 4}),
+]
+# values inside GF(16) stay near the valid ones; unbounded ones hit the range checks
+_INT = st.integers(0, 15) | st.integers()
+_INTS = st.lists(_INT, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+_VALUES = {
+    "h": st.integers(0, 4),
+    "modulus": st.sampled_from([7, 11, 13, 19, 25, 31]) | _INT,  # irreducible ones first
+    "A": _INTS,
+    "H": _INTS,
+}
+
+
+@st.composite
+def _numeric_argv(draw):
+    command, base = draw(st.sampled_from(_BASES))
+    key = draw(st.sampled_from([*base, "modulus"]))
+    options = {**base, key: draw(_VALUES.get(key, _INT))}
+    argv = command + [f"--{k}={v}" for k, v in options.items() if v is not None]
+    if command[-1] != "denniston" and draw(st.booleans()):
+        argv.append("--seed-order=desc")
+    return argv
+
+
+@_SETTINGS
+@given(argv=_numeric_argv())
+def test_cli_numeric_arguments_never_raise(argv):
+    _check(argv)

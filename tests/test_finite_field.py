@@ -2,51 +2,12 @@
 
 import random
 
+import oracles
 import pytest
 
 from arcflock.finite_field import GF, MAX_H, least_irreducible, make_field
 
-# -- independent polynomial oracle (no table lookups, no library calls) -------------
-
-
-def _pmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def _pmod(a: int, m: int) -> int:
-    dm = m.bit_length()
-    while a.bit_length() >= dm:
-        a ^= m << (a.bit_length() - dm)
-    return a
-
-
-def _naive_irreducible(m: int, h: int) -> bool:
-    if m.bit_length() != h + 1:
-        return False
-    for d in range(1, h // 2 + 1):
-        for p in range(1 << d, 1 << (d + 1)):
-            if _pmod(m, p) == 0:
-                return False
-    return True
-
-
-def _naive_trace(modulus: int, h: int, a: int) -> int:
-    t = 0
-    x = a
-    for _ in range(h):
-        t ^= x
-        x = _pmod(_pmul(x, x), modulus)
-    assert t in (0, 1)
-    return t
-
-
-# [DERIVED: each value re-proven least irreducible by the naive oracle below]
+# [DERIVED: each value re-proven least irreducible by the naive oracle]
 FROZEN_MODULI = {
     1: 3,
     2: 7,
@@ -78,9 +39,9 @@ def test_frozen_moduli_are_least_by_naive_oracle():
     # only matters for h = 1 where x itself is irreducible but not a modulus.
     for h, frozen in FROZEN_MODULI.items():
         assert frozen & 1
-        assert _naive_irreducible(frozen, h), (h, frozen)
+        assert oracles.poly_irreducible(frozen, h), (h, frozen)
         for m in range((1 << h) + 1, frozen, 2):
-            assert not _naive_irreducible(m, h), (h, m)
+            assert not oracles.poly_irreducible(m, h), (h, m)
 
 
 @pytest.mark.parametrize("h", range(1, 9))
@@ -93,7 +54,7 @@ def test_mul_matches_polynomial_oracle(h):
         else [(rng.randrange(gf.q), rng.randrange(gf.q)) for _ in range(2000)]
     )
     for a, b in pairs:
-        assert gf.mul(a, b) == _pmod(_pmul(a, b), gf.modulus)
+        assert gf.mul(a, b) == oracles.poly_mod(oracles.poly_mul(a, b), gf.modulus)
 
 
 @pytest.mark.parametrize("h", range(1, 9))
@@ -147,7 +108,7 @@ def test_trace_against_naive_oracle(h):
     ones = 0
     for a in gf.elements():
         t = gf.trace(a)
-        assert t == _naive_trace(gf.modulus, h, a)
+        assert t == oracles.poly_trace(gf.modulus, h, a)
         assert gf.trace(gf.square(a)) == t
         ones += t
     assert ones == gf.q // 2  # the trace map is balanced
@@ -162,9 +123,9 @@ def test_battery_alpha_values_have_trace_one():
 
     for h, alpha in BATTERY_ALPHA.items():
         gf = make_field(h)
-        assert _naive_trace(gf.modulus, h, alpha) == 1
+        assert oracles.poly_trace(gf.modulus, h, alpha) == 1
         for smaller in range(alpha):
-            assert _naive_trace(gf.modulus, h, smaller) == 0
+            assert oracles.poly_trace(gf.modulus, h, smaller) == 0
 
 
 @pytest.mark.parametrize("h", range(1, 7))

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import oracles
 import pytest
 
 from arcflock import projective as pg
@@ -20,39 +21,28 @@ from arcflock.flocks import (
     arc_to_flock,
     base_representation,
     classify_flock,
-    cone_points,
     delta_plane,
     denniston_line,
     denniston_lines_concurrent,
-    embed_point,
     extend_flock,
     flock_from_json,
     flock_to_arc,
     flock_to_json,
     geometric_to_additive,
-    iota_nuclear_point,
-    is_on_cone,
     kappa_inv_plane,
     kappa_plane,
-    make_flock,
-    nuclear_intersection,
-    nuclear_line_points,
     phi_plane,
     plane_compose,
     plane_section,
     project_arc,
     project_conic_to_plane,
-    project_point,
     projection_singular_plane,
     raw_to_additive_plane,
     section_trace,
     sections_disjoint,
     singular_plane,
-    standard_plane_conic,
     standard_to_plane,
     standardize_plane,
-    unembed_point,
-    unproject_point,
     verify_partial_flock,
 )
 from arcflock.mathon_arcs import (
@@ -67,12 +57,7 @@ from arcflock.mathon_arcs import (
 
 
 def _vertex_avoiding_planes(gf):
-    return [p for p in pg.enumerate_planes3(gf) if p[0] != 0]
-
-
-def _brute_cone(gf):
-    """Oracle: the cone by filtering every point of PG(3,q)."""
-    return frozenset(p for p in pg.enumerate_points3(gf) if is_on_cone(gf, p))
+    return [p for p in oracles.points(gf, 4) if p[0] != 0]
 
 
 # -- the cone and its sections -------------------------------------------------------
@@ -81,24 +66,24 @@ def _brute_cone(gf):
 @pytest.mark.parametrize("h", (1, 2, 3, 4))
 def test_cone_point_count(h):
     gf = make_field(h)
-    pts = cone_points(gf)
+    pts = oracles.cone_points(gf)
     assert len(pts) == gf.q * gf.q + gf.q + 1  # [TRIVIAL: cone point count]
     assert VERTEX in pts
-    assert all(is_on_cone(gf, p) for p in pts)
-    assert pts == _brute_cone(gf)
+    assert all(oracles.is_on_cone(gf, p) for p in pts)
+    assert pts == oracles.brute_cone(gf)
 
 
 @pytest.mark.parametrize("h", (2, 3))
 def test_nuclear_line(h):
     gf = make_field(h)
-    pts = nuclear_line_points(gf)
+    pts = oracles.nuclear_line_points(gf)
     assert len(pts) == gf.q + 1
     assert VERTEX in pts and BASE_NUCLEUS in pts
     # the vertex is the only cone point on the nuclear line
-    assert [p for p in pts if is_on_cone(gf, p)] == [VERTEX]
+    assert [p for p in pts if oracles.is_on_cone(gf, p)] == [VERTEX]
     line_as_planes = ((0, 1, 0, 0), (0, 0, 0, 1))
     for p in pts:
-        assert all(pg.incident(gf, p, u) for u in line_as_planes)
+        assert all(oracles.incident(gf, p, u) for u in line_as_planes)
 
 
 @pytest.mark.parametrize("h", (2, 3))
@@ -106,14 +91,14 @@ def test_nuclear_intersection(h):
     gf = make_field(h)
     rng = random.Random(1300 + h)
     for _ in range(60):
-        plane = rng.choice(pg.enumerate_planes3(gf))
+        plane = rng.choice(oracles.points(gf, 4))
         if plane[0] == 0 and plane[2] == 0:
             with pytest.raises(ValueError, match="whole nuclear line"):
-                nuclear_intersection(gf, plane)
+                oracles.nuclear_intersection(gf, plane)
             continue
-        pt = nuclear_intersection(gf, plane)
-        assert pt in nuclear_line_points(gf)
-        assert pg.incident(gf, pt, plane)
+        pt = oracles.nuclear_intersection(gf, plane)
+        assert pt in oracles.nuclear_line_points(gf)
+        assert oracles.incident(gf, pt, plane)
 
 
 @pytest.mark.parametrize("h", (2, 3))
@@ -127,9 +112,9 @@ def test_vertex_avoiding_sections_have_q_plus_1_points(h):
 def test_plane_section_matches_brute_force_on_every_plane(h):
     # planes through the vertex included: their sections are unions of generators
     gf = make_field(h)
-    cone = _brute_cone(gf)
-    for plane in pg.enumerate_planes3(gf):
-        brute = frozenset(e for e in cone if pg.incident(gf, e, plane))
+    cone = oracles.brute_cone(gf)
+    for plane in oracles.points(gf, 4):
+        brute = frozenset(e for e in cone if oracles.incident(gf, e, plane))
         assert plane_section(gf, plane) == brute
         if plane[0] != 0:
             assert len(brute) == gf.q + 1
@@ -205,7 +190,7 @@ def test_partial_flock_validation():
 
 def test_make_flock_normalizes_and_sorts():
     gf = make_field(3)
-    F = make_flock(gf, [(2, 2, 2, 2), (1, 0, 0, 0), (1, 1, 1, 1)])
+    F = oracles.make_flock(gf, [(2, 2, 2, 2), (1, 0, 0, 0), (1, 1, 1, 1)])
     assert F.planes == ((1, 0, 0, 0), (1, 1, 1, 1))
     assert F.size == 2
 
@@ -230,8 +215,6 @@ def test_battery_flocks_verify_and_classify(battery_arcs):
         cls = classify_flock(F)
         assert cls.additive
         assert cls.linear  # Denniston arcs give linear flocks
-        if d > 1:
-            assert cls.common_line is not None
 
 
 def test_generic_flock_is_additive_but_not_linear(generic_arc_q8):
@@ -239,7 +222,6 @@ def test_generic_flock_is_additive_but_not_linear(generic_arc_q8):
     assert verify_partial_flock(F).verdict
     cls = classify_flock(F)
     assert cls.additive and not cls.linear
-    assert cls.common_line is None
 
 
 @pytest.mark.parametrize("h", [3, 4])
@@ -259,11 +241,9 @@ def test_linearity_matches_meet_and_incidence(h):
         else:
             chosen = rng.sample(planes, rng.randrange(2, 6))
         F = PartialFlock(gf, tuple(sorted(chosen)))
-        line = pg.meet_planes(gf, F.planes[0], F.planes[1])
-        linear = all(pg.incident(gf, pt, u) for pt in line for u in F.planes[2:])
-        cls = classify_flock(F)
-        assert cls.linear == linear
-        assert cls.common_line == (line if linear else None)
+        line = oracles.perp(gf, F.planes[:2], 4)
+        linear = all(oracles.incident(gf, pt, u) for pt in line for u in F.planes[2:])
+        assert classify_flock(F).linear == linear
         linear_seen += linear
     assert 100 <= linear_seen < 200
 
@@ -288,7 +268,7 @@ def test_flock_report_json_shape(battery_arcs):
 def test_bad_flock_report_fails():
     # two planes with equal X2-coefficient always share a cone point
     gf = make_field(3)
-    F = make_flock(gf, [(1, 0, 0, 0), (1, 1, 0, 1)])
+    F = oracles.make_flock(gf, [(1, 0, 0, 0), (1, 1, 0, 1)])
     report = verify_partial_flock(F)
     assert not report.verdict
     (_, tr, shared) = report.pairs[0]
@@ -323,30 +303,30 @@ def test_additive_plane_conic_errors():
 def test_projection_is_a_bijection_from_cone_to_plane(y):
     gf = make_field(3)
     p = (1, 0, y, 0)
-    images = {project_point(gf, p, e) for e in cone_points(gf)}
-    assert images == set(pg.enumerate_points2(gf))  # bijective onto PG(2,q)
-    assert project_point(gf, p, VERTEX) == (0, 0, 1)  # vertex -> common nucleus
-    for e in cone_points(gf):
-        back = unproject_point(gf, p, project_point(gf, p, e))
+    images = {oracles.project_point(gf, p, e) for e in oracles.cone_points(gf)}
+    assert images == set(oracles.points(gf, 3))  # bijective onto PG(2,q)
+    assert oracles.project_point(gf, p, VERTEX) == (0, 0, 1)  # vertex -> common nucleus
+    for e in oracles.cone_points(gf):
+        back = oracles.unproject_point(gf, p, oracles.project_point(gf, p, e))
         assert back == e
 
 
 def test_unproject_then_project_is_identity():
     gf = make_field(4)
     p = (1, 0, 7, 0)
-    for pt in pg.enumerate_points2(gf):
-        e = unproject_point(gf, p, pt)
-        assert is_on_cone(gf, e)
-        assert project_point(gf, p, e) == pt
+    for pt in oracles.points(gf, 3):
+        e = oracles.unproject_point(gf, p, pt)
+        assert oracles.is_on_cone(gf, e)
+        assert oracles.project_point(gf, p, e) == pt
 
 
 def test_projection_point_validation():
     gf = make_field(3)
     for bad in (VERTEX, BASE_NUCLEUS):
         with pytest.raises(ValueError, match="special point"):
-            project_point(gf, bad, (0, 1, 0, 0))
+            oracles.project_point(gf, bad, (0, 1, 0, 0))
     with pytest.raises(ValueError, match="not on the nuclear line"):
-        project_point(gf, (1, 1, 1, 0), (0, 1, 0, 0))
+        oracles.project_point(gf, (1, 1, 1, 0), (0, 1, 0, 0))
 
 
 def test_singular_plane_section_projects_onto_external_line():
@@ -357,7 +337,7 @@ def test_singular_plane_section_projects_onto_external_line():
         section = plane_section(gf, S)
         assert VERTEX not in section
         assert len(section) == gf.q + 1
-        assert all(project_point(gf, p, e)[2] == 0 for e in section)
+        assert all(oracles.project_point(gf, p, e)[2] == 0 for e in section)
     assert projection_singular_plane(gf, DEFAULT_PROJECTION_POINT) == SINGULAR_PLANE
 
 
@@ -371,20 +351,14 @@ def test_conic_plane_section_is_the_unprojected_conic(h):
     # every projection point (1,0,y,0) of the nuclear line; every conic up to
     # h = 3, a seeded sample of 100 conics at h = 4
     gf = make_field(h)
-    conics = [
-        Conic(gf, a, b, l)
-        for a in gf.elements()
-        for b in gf.elements()
-        for l in gf.nonzero_elements()
-        if gf.trace(gf.mul(a, b)) == 1
-    ]
+    conics = oracles.all_conics(gf)
     if h == 4:
         conics = random.Random(1504).sample(conics, 100)
     for y in gf.nonzero_elements():
         p = (1, 0, y, 0)
         for c in conics:
             plane = project_conic_to_plane(c, p)
-            expected = {unproject_point(gf, p, pt) for pt in conic_points(c)}
+            expected = {oracles.unproject_point(gf, p, pt) for pt in conic_points(c)}
             assert plane_section(gf, plane) == expected
 
 
@@ -407,7 +381,7 @@ def test_delta_is_an_involution():
     gf = make_field(3)
     rng = random.Random(1600)
     for _ in range(50):
-        u = rng.choice(pg.enumerate_planes3(gf))
+        u = rng.choice(oracles.points(gf, 4))
         assert delta_plane(delta_plane(u)) == u
 
 
@@ -423,9 +397,9 @@ def test_kappa_and_its_inverse():
 def test_iota_inverts_the_nuclear_parameter():
     gf = make_field(3)
     for y in gf.nonzero_elements():
-        pt = iota_nuclear_point(gf, (1, 0, y, 0))
+        pt = oracles.iota_nuclear_point(gf, (1, 0, y, 0))
         assert pt == (1, 0, gf.inv(y), 0)
-        assert iota_nuclear_point(gf, pt) == (1, 0, y, 0)
+        assert oracles.iota_nuclear_point(gf, pt) == (1, 0, y, 0)
 
 
 def test_phi_errors():
@@ -445,7 +419,7 @@ def test_chain_special_planes():
 def test_chain_rejects_other_planes_through_projection_point():
     gf = make_field(3)
     u = (1, 1, 1, 1)  # contains (1,0,1,0) but is not the singular plane
-    assert pg.incident(gf, DEFAULT_PROJECTION_POINT, u)
+    assert oracles.incident(gf, DEFAULT_PROJECTION_POINT, u)
     with pytest.raises(ValueError, match="not the singular plane"):
         raw_to_additive_plane(gf, u)
 
@@ -453,7 +427,7 @@ def test_chain_rejects_other_planes_through_projection_point():
 def test_chain_round_trips_on_generic_planes():
     gf = make_field(3)
     count = 0
-    for u in pg.enumerate_planes3(gf):
+    for u in oracles.points(gf, 4):
         if u[0] == 0 or u[0] == u[2]:
             continue  # vertex planes and planes through p have no raw form
         count += 1
@@ -478,7 +452,7 @@ def test_chain_equality_on_arcs(battery_arcs, generic_arc_q8):
 
 def test_standardize_plane_round_trip():
     gf = make_field(3)
-    for u in pg.enumerate_planes3(gf):
+    for u in oracles.points(gf, 4):
         if u[0] == u[2]:
             with pytest.raises(ValueError, match="no standard form"):
                 standardize_plane(gf, u)
@@ -493,29 +467,16 @@ def test_standardize_plane_round_trip():
 def test_standard_plane_conic_inverts_projection():
     gf = make_field(3)
     rng = random.Random(1800)
-    conics = [
-        Conic(gf, a, b, l)
-        for a in gf.elements()
-        for b in gf.elements()
-        for l in gf.nonzero_elements()
-        if gf.trace(gf.mul(a, b)) == 1
-    ]
-    for c in rng.sample(conics, 40):
+    for c in rng.sample(oracles.all_conics(gf), 40):
         plane = project_conic_to_plane(c)
-        assert standard_plane_conic(gf, standardize_plane(gf, plane)) == c
+        assert oracles.standard_plane_conic(gf, standardize_plane(gf, plane)) == c
 
 
 @pytest.mark.parametrize("h", (3, 4))
 def test_plane_compose_mirrors_conic_composition(h):
     gf = make_field(h)
     rng = random.Random(1900 + h)
-    conics = [
-        Conic(gf, a, b, l)
-        for a in gf.elements()
-        for b in gf.elements()
-        for l in gf.nonzero_elements()
-        if gf.trace(gf.mul(a, b)) == 1
-    ]
+    conics = oracles.all_conics(gf)
     checked = 0
     while checked < 60:
         c1, c2 = rng.sample(conics, 2)
@@ -529,8 +490,8 @@ def test_plane_compose_mirrors_conic_composition(h):
         composed = plane_compose(gf, V, W)
         assert composed == project_conic_to_plane(compose(c1, c2))
         # pencil membership: the composition contains the common line of V and W
-        for pt in pg.meet_planes(gf, V, W):
-            assert pg.incident(gf, pt, composed)
+        for pt in oracles.perp(gf, [V, W], 4):
+            assert oracles.incident(gf, pt, composed)
 
 
 def test_plane_compose_errors():
@@ -554,20 +515,20 @@ def test_singular_plane_carries_the_denniston_line():
     W = project_conic_to_plane(c2)
     S = singular_plane(gf, V, W)
     assert S == (1, 0, 1, 2)
-    assert pg.incident(gf, DEFAULT_PROJECTION_POINT, S)
+    assert oracles.incident(gf, DEFAULT_PROJECTION_POINT, S)
     # its trace in X0 = 0 unembeds onto the Denniston line of the two conics
     line = denniston_line(c1, c2)
     assert line == (0, 1, 5)
-    for spanning in pg.meet_planes(gf, S, EMBEDDING_PLANE):
-        assert pg.incident(gf, unembed_point(spanning), line)
+    for spanning in oracles.perp(gf, [S, EMBEDDING_PLANE], 4):
+        assert oracles.incident(gf, oracles.unembed_point(spanning), line)
 
 
 def test_embed_unembed_round_trip():
     gf = make_field(3)
-    for pt in pg.enumerate_points2(gf):
-        assert unembed_point(embed_point(pt)) == pt
+    for pt in oracles.points(gf, 3):
+        assert oracles.unembed_point(oracles.embed_point(pt)) == pt
     with pytest.raises(ValueError, match="X0 = 0"):
-        unembed_point((1, 0, 0, 0))
+        oracles.unembed_point((1, 0, 0, 0))
 
 
 # -- Denniston lines -----------------------------------------------------------------
@@ -581,7 +542,7 @@ def test_denniston_line_agrees_across_the_closure(generic_arc_q8):
     gf = generic_arc_q8.gf
     from arcflock.mathon_arcs import arc_points
 
-    assert all(not pg.incident(gf, pt, l12) for pt in arc_points(generic_arc_q8))
+    assert all(not oracles.incident(gf, pt, l12) for pt in arc_points(generic_arc_q8))
 
 
 def test_denniston_line_validation():
@@ -611,15 +572,15 @@ def test_line_concurrency_matches_meet_and_incidence(monkeypatch):
     gf = make_field(3)
     arc = denniston_arc(gf, 1, tuple(range(1, 8)))  # 7 conics, 21 pairs
     rng = random.Random(7)
-    points = pg.enumerate_points2(gf)
+    triples = oracles.points(gf, 3)  # the points, and the lines in dual coordinates
     concurrent_seen = 0
     for trial in range(200):
-        pool = pg.lines_through2(gf, rng.choice(points)) if trial % 2 else pg.enumerate_lines2(gf)
+        pool = pg.lines_through2(gf, rng.choice(triples)) if trial % 2 else triples
         drawn = iter(rng.choices(pool, k=21))
         monkeypatch.setattr("arcflock.flocks.denniston_line", lambda c1, c2: next(drawn))
         report = denniston_lines_concurrent(arc)
-        pt = pg.meet_lines2(gf, report.lines[0], report.lines[1])
-        concurrent = all(pg.incident(gf, pt, l) for l in report.lines[2:])
+        (pt,) = oracles.perp(gf, report.lines[:2], 3)
+        concurrent = all(oracles.incident(gf, pt, l) for l in report.lines[2:])
         assert report.concurrent == concurrent
         assert report.common_point == (pt if concurrent else None)
         concurrent_seen += concurrent
@@ -667,13 +628,7 @@ def test_generic_arc_q8_has_no_extension(generic_arc_q8):
     # disjoint from all three conics of this arc, so no doubling exists]
     gf = generic_arc_q8.gf
     subgroup = set(generic_arc_q8.lam_values) | {0}
-    candidates = [
-        Conic(gf, a, b, l)
-        for a in gf.elements()
-        for b in gf.elements()
-        for l in gf.nonzero_elements()
-        if gf.trace(gf.mul(a, b)) == 1 and l not in subgroup
-    ]
+    candidates = [c for c in oracles.all_conics(gf) if c.lam not in subgroup]
     assert candidates  # plenty of conics to try ...
     assert not any(
         all(

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from arcflock import mathon_arcs as ma
-from arcflock import projective as pg
 from arcflock.finite_field import make_field
 from arcflock.flocks import is_denniston_type
 from arcflock.mathon_arcs import (
@@ -30,30 +29,8 @@ from arcflock.mathon_arcs import (
     verify_maximal_arc,
 )
 
+import oracles
 from conftest import BATTERY_ALPHA, battery_specs
-
-
-def _all_conics(gf):
-    return [
-        Conic(gf, a, b, l)
-        for a in gf.elements()
-        for b in gf.elements()
-        for l in gf.nonzero_elements()
-        if gf.trace(gf.mul(a, b)) == 1
-    ]
-
-
-def _inline_quadric_scan(gf, a, b, l):
-    """Oracle: the zero set of a x^2 + x y + b y^2 + l z^2 over all of PG(2,q)."""
-    return {
-        p
-        for p in pg.enumerate_points2(gf)
-        if gf.mul(a, gf.square(p[0]))
-        ^ gf.mul(p[0], p[1])
-        ^ gf.mul(b, gf.square(p[1]))
-        ^ gf.mul(l, gf.square(p[2]))
-        == 0
-    }
 
 
 # -- conic construction and point sets -----------------------------------------------
@@ -77,11 +54,11 @@ def test_conic_validation():
 def test_conic_points_against_inline_equation_scan(h):
     gf = make_field(h)
     rng = random.Random(9000 + h)
-    conics = _all_conics(gf)
+    conics = oracles.all_conics(gf)
     sample = conics if len(conics) <= 60 else rng.sample(conics, 60)
     for c in sample:
         pts = conic_points(c)
-        assert pts == _inline_quadric_scan(gf, c.alpha, c.beta, c.lam)
+        assert pts == oracles.quadric_scan(gf, c.alpha, c.beta, c.lam)
         assert len(pts) == gf.q + 1
         assert NUCLEUS not in pts
         assert all(p[2] != 0 for p in pts)  # z = 0 is external
@@ -91,7 +68,7 @@ def test_quadric_points_handles_degenerate_coefficients():
     # the same inline scan must agree even when the triple is not a valid conic
     gf = make_field(3)
     for a, b, l in ((0, 0, 1), (1, 6, 2), (0, 1, 5)):
-        assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
+        assert quadric_points(gf, a, b, l) == oracles.quadric_scan(gf, a, b, l)
     with pytest.raises(ValueError, match="l must be nonzero"):
         quadric_points(gf, 1, 0, 0)
 
@@ -102,7 +79,7 @@ def test_quadric_points_against_inline_scan_for_every_triple(h):
     gf = make_field(h)
     for a, b in itertools.product(gf.elements(), repeat=2):
         for l in gf.nonzero_elements():
-            assert quadric_points(gf, a, b, l) == _inline_quadric_scan(gf, a, b, l)
+            assert quadric_points(gf, a, b, l) == oracles.quadric_scan(gf, a, b, l)
         with pytest.raises(ValueError, match="l must be nonzero"):
             quadric_points(gf, a, b, 0)
 
@@ -122,7 +99,7 @@ def test_compose_frozen_example():
 def test_compose_is_commutative_and_involutive(h):
     gf = make_field(h)
     rng = random.Random(1100 + h)
-    conics = _all_conics(gf)
+    conics = oracles.all_conics(gf)
     checked = 0
     while checked < 200:
         c1, c2 = rng.sample(conics, 2)
@@ -150,7 +127,7 @@ def test_composition_trace_one_implies_disjoint_exhaustive_q8():
     # composable pair of valid conics in GF(8).
     # [DERIVED: pair counts from this same exhaustive oracle scan, frozen]
     gf = make_field(3)
-    conics = _all_conics(gf)
+    conics = oracles.all_conics(gf)
     counts = {(1, True): 0, (1, False): 0, (0, True): 0, (0, False): 0}
     for c1, c2 in itertools.combinations(conics, 2):
         if c1.lam == c2.lam:

@@ -3,8 +3,8 @@
 import itertools
 import random
 
+import oracles
 import pytest
-from conftest import mu_solutions_scan, scan_trace_system
 
 from arcflock.finite_field import make_field
 from arcflock.mathon_arcs import DisjointnessError, arc_points, verify_maximal_arc
@@ -14,7 +14,6 @@ from arcflock.search import (
     base_denniston_arc,
     beta_of,
     build_trace_system,
-    condition_value_squared,
     construct_extension_arc,
     enumerate_group_specs,
     guaranteed_degree,
@@ -128,12 +127,12 @@ def test_scan_and_linear_solutions_agree(h):
     for order in (2, 4):
         for spec in enumerate_group_specs(gf, order):
             system = build_trace_system(spec)
-            assert mu_solutions_scan(system) == _linear_mu_solutions(system)
+            assert oracles.mu_solutions_scan(system) == _linear_mu_solutions(system)
 
 
 def _check_against_scan(spec):
     system = build_trace_system(spec)
-    rank, prefilter, valid = scan_trace_system(system)
+    rank, prefilter, valid = oracles.scan_trace_system(system)
     record = search_group(spec)
     assert (record.rank, record.num_rho_prefilter, record.num_rho_valid) == (
         rank,
@@ -163,7 +162,7 @@ def test_rank_analysis_counts_solutions(h):
         for spec in enumerate_group_specs(gf, order):
             system = build_trace_system(spec)
             analysis = rank_analysis(system)
-            scan = mu_solutions_scan(system)
+            scan = oracles.mu_solutions_scan(system)
             assert analysis.solution_count == len(scan)
             if scan:
                 assert len(scan) == 1 << (gf.h - analysis.rank)
@@ -177,7 +176,7 @@ def test_condition_value_squared_is_equivalent():
     for cond in system.conditions:
         for rho in gf.nonzero_elements():
             direct = gf.trace(gf.div(cond.c, rho)) == system.epsilon
-            assert (condition_value_squared(gf, cond.c, rho) == 1) == direct
+            assert (oracles.condition_value_squared(gf, cond.c, rho) == 1) == direct
 
 
 # -- solving and constructing --------------------------------------------------------
@@ -189,7 +188,7 @@ def test_frozen_solution_q32():
     system = build_trace_system(spec)
     assert rank_analysis(system) == rank_analysis(system)  # deterministic
     assert rank_analysis(system).rank == 3
-    assert scan_trace_system(system)[1] == {16, 27, 30}
+    assert oracles.scan_trace_system(system)[1] == {16, 27, 30}
     assert search_group(spec).num_rho_prefilter == 3
     assert solve_trace_system(system) == {16}
     assert beta_of(gf, 4, 16) == 3
