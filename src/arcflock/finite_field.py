@@ -9,7 +9,8 @@ integer) is chosen, which pins every numeric value this package produces.
 
 Multiplication, inversion and square roots run on log/exp tables over a
 generator of the multiplicative group; the square root of a is
-a^(2^(h-1)), one table lookup.  The absolute trace
+a^(2^(h-1)), one table lookup; a rotation of the exp table lists the
+multiples of one element, indexed by log.  The absolute trace
 a -> a + a^2 + ... + a^(2^(h-1)) is evaluated through a precomputed
 GF(2)-linear mask.
 """
@@ -166,6 +167,21 @@ class GF:
         if a == 0:
             return 0
         return self._exp[(self._log[a] << (self.h - 1)) % (self.q - 1)]
+
+    def log_index(self, a: int) -> int:
+        """Where mul(b, a) sits in scaled_powers(b): log a, and q - 1 for a = 0."""
+        return self._log[a] if a else self.q - 1
+
+    def scaled_powers(self, b: int) -> list[int]:
+        """b times each power of the generator, then 0: a row indexed by log_index.
+
+        Row b is the exp table rotated by log b, so all q rows cost q
+        list copies and no multiplications.
+        """
+        if b == 0:
+            return [0] * self.q
+        k = self._log[b]
+        return self._exp[k:] + self._exp[:k] + [0]
 
     def trace(self, a: int) -> int:
         """Absolute trace onto GF(2)."""

@@ -3,8 +3,7 @@
 Points, lines and planes are tuples of field elements in homogeneous
 coordinates, normalized so the first nonzero coordinate equals 1.  That
 canonical form makes equality, hashing and set membership exact.  Joins,
-meets and common lines all come from one GF(q) nullspace, and the pencil of
-a point of PG(2,q) is written down in closed form, in ascending order.
+meets and common lines all come from one GF(q) nullspace.
 """
 
 from __future__ import annotations
@@ -65,27 +64,3 @@ def nullspace(gf: GF, rows: Sequence[Sequence[int]], n: int) -> list[Coords]:
             v[pc] = mat[ri][fc]  # characteristic 2: negation is identity
         basis.append(tuple(v))
     return basis
-
-
-def lines_through2(gf: GF, point: Coords) -> tuple[Coords, ...]:
-    """The q + 1 lines [a, b, c] through a point (x, y, z) of PG(2,q), ascending.
-
-    They are the normalized triples with a x + b y + c z = 0.  With z != 0
-    they are [0, 1, y/z] and [1, b, (x + b y)/z] for every b; with z = 0
-    they are [0, 0, 1] plus [1, x/y, c] (y != 0) or [0, 1, c] (y = 0) for
-    every c.  By duality the same list is the q + 1 points on the line
-    [x, y, z].
-    """
-    x, y, z = point
-    if z:
-        iz = gf.inv(z)
-        cx, cy = gf.mul(x, iz), gf.mul(y, iz)
-        mul = gf.mul
-        return ((0, 1, cy),) + tuple((1, b, cx ^ mul(b, cy)) for b in range(gf.q))
-    if y:
-        head = (1, gf.div(x, y))
-    elif x:
-        head = (0, 1)
-    else:
-        raise ValueError("the zero vector is not a projective point")
-    return ((0, 0, 1),) + tuple(head + (c,) for c in range(gf.q))

@@ -69,11 +69,6 @@ class GroupSpec:
         """Order of H; also the degree of the base Denniston arc."""
         return len(self.H)
 
-    @property
-    def doubled(self) -> tuple[int, ...]:
-        """The order-2d group generated by H and lambda_d."""
-        return tuple(sorted(set(self.H) | {x ^ self.lambda_d for x in self.H}))
-
 
 @dataclass(frozen=True)
 class TraceCondition:

@@ -2,13 +2,15 @@
 
 Each is the textbook form of something the package computes by a shortcut:
 field arithmetic as polynomials over GF(2), every point of PG(2,q) and
-PG(3,q), incidence as a dot product, joins and meets as a nullspace, conic
+PG(3,q), incidence as a dot product, joins and meets as a nullspace, the
+pencil of a point and the line histogram of a point set line by line, conic
 and cone points by scanning, the pointwise projection from the nuclear line,
 and trace systems solved by evaluating every condition at every mu.
 """
 
 import dataclasses
 import itertools
+from collections import Counter
 from typing import Iterable, Sequence
 
 from arcflock import flocks as fl
@@ -90,6 +92,41 @@ def perp(gf: GF, rows: Sequence[pg.Coords], n: int) -> tuple[pg.Coords, ...]:
     two points spanning the line where two distinct planes meet.
     """
     return tuple(pg.normalize(gf, v) for v in pg.nullspace(gf, rows, n))
+
+
+def lines_through2(gf: GF, point: pg.Coords) -> tuple[pg.Coords, ...]:
+    """The q + 1 lines [a, b, c] through a point (x, y, z) of PG(2,q), ascending.
+
+    They are the normalized triples with a x + b y + c z = 0.  With z != 0
+    they are [0, 1, y/z] and [1, b, (x + b y)/z] for every b; with z = 0
+    they are [0, 0, 1] plus [1, x/y, c] (y != 0) or [0, 1, c] (y = 0) for
+    every c.  By duality the same list is the q + 1 points on the line
+    [x, y, z].
+    """
+    x, y, z = point
+    if z:
+        iz = gf.inv(z)
+        cx, cy = gf.mul(x, iz), gf.mul(y, iz)
+        return ((0, 1, cy),) + tuple((1, b, cx ^ gf.mul(b, cy)) for b in range(gf.q))
+    if y:
+        head = (1, gf.div(x, y))
+    elif x:
+        head = (0, 1)
+    else:
+        raise ValueError("the zero vector is not a projective point")
+    return ((0, 0, 1),) + tuple(head + (c,) for c in range(gf.q))
+
+
+def line_histogram(gf: GF, pts: Iterable[pg.Coords]) -> dict[int, int]:
+    """How many lines of PG(2,q) meet the set in k points, from a count per line met."""
+    per_line: Counter = Counter()
+    for pt in set(pts):
+        per_line.update(lines_through2(gf, pt))
+    hist = Counter(per_line.values())
+    zero_lines = gf.q * gf.q + gf.q + 1 - len(per_line)
+    if zero_lines:
+        hist[0] = zero_lines
+    return dict(sorted(hist.items()))
 
 
 def all_conics(gf: GF) -> list[Conic]:

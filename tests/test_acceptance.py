@@ -42,7 +42,6 @@ import time
 import oracles
 from conftest import BATTERY_ALPHA, battery_specs
 
-from arcflock import projective as pg
 from arcflock.finite_field import make_field
 from arcflock.flocks import (
     EMBEDDING_PLANE,
@@ -103,7 +102,7 @@ def test_criterion_01_denniston_sufficiency():
         # independent line scan: count arc points on every line of the plane
         per_line = {}
         for pt in pts:
-            for ln in pg.lines_through2(gf, pt):
+            for ln in oracles.lines_through2(gf, pt):
                 per_line[ln] = per_line.get(ln, 0) + 1
         meets = set(per_line.values())
         if len(per_line) < q * q + q + 1:

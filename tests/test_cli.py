@@ -78,6 +78,17 @@ def test_construct_denniston_rejects_bad_alpha(capsys):
     assert "trace" in err
 
 
+def test_arc_above_the_scan_ceiling_exits_2_within_seconds():
+    # the arc is built, then refused before its line scan of about 2^34 steps
+    argv = ["construct", "denniston", "--h", "16", "--alpha", "2048", "--A", "1,2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcflock", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: the arc line scan stops at h = {ma.MAX_SCAN_H}")
+
+
 def test_construct_mathon_extend_frozen_q32(capsys):
     code, payload = run_json(
         capsys,

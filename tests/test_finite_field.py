@@ -57,6 +57,17 @@ def test_mul_matches_polynomial_oracle(h):
         assert gf.mul(a, b) == oracles.poly_mod(oracles.poly_mul(a, b), gf.modulus)
 
 
+@pytest.mark.parametrize("h", (1, 2, 3, 4, 5, 6))
+def test_scaled_powers_rows_hold_every_product(h):
+    gf = make_field(h)
+    assert sorted(map(gf.log_index, gf.elements())) == list(range(gf.q))
+    for b in gf.elements():
+        row = gf.scaled_powers(b)
+        assert len(row) == gf.q
+        for y in gf.elements():
+            assert row[gf.log_index(y)] == oracles.poly_mod(oracles.poly_mul(b, y), gf.modulus)
+
+
 @pytest.mark.parametrize("h", range(1, 9))
 def test_field_axioms(h):
     gf = make_field(h)

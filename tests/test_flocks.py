@@ -575,7 +575,7 @@ def test_line_concurrency_matches_meet_and_incidence(monkeypatch):
     triples = oracles.points(gf, 3)  # the points, and the lines in dual coordinates
     concurrent_seen = 0
     for trial in range(200):
-        pool = pg.lines_through2(gf, rng.choice(triples)) if trial % 2 else triples
+        pool = oracles.lines_through2(gf, rng.choice(triples)) if trial % 2 else triples
         drawn = iter(rng.choices(pool, k=21))
         monkeypatch.setattr("arcflock.flocks.denniston_line", lambda c1, c2: next(drawn))
         report = denniston_lines_concurrent(arc)

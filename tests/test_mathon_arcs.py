@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -388,6 +389,80 @@ def test_verify_maximal_arc_denniston_degree4_h9():
     assert report.size == size
     assert report.histogram == {0: q * (q - d + 1) // d, d: size * (q + 1) // d}
     assert report.verdict
+
+
+def _random_point_sets(gf, rng):
+    """Seeded point sets in arbitrary, often non-normalized coordinates."""
+    q = gf.q
+
+    def point(at_infinity=False):
+        while True:
+            p = (rng.randrange(q), rng.randrange(q), 0 if at_infinity else rng.randrange(q))
+            if any(p):
+                return p
+
+    yield set()
+    yield {(1, 0, 0)}
+    yield {(rng.randrange(1, q), 0, 0)}
+    yield {point(at_infinity=True) for _ in range(3)}  # no affine point
+    for _ in range(12):
+        yield {point(at_infinity=rng.random() < 0.2) for _ in range(rng.randrange(1, 3 * q))}
+    # one projective point under several representatives: each tuple counts
+    x, y, z = rng.randrange(q), rng.randrange(q), rng.randrange(1, q)
+    yield {(gf.mul(s, x), gf.mul(s, y), gf.mul(s, z)) for s in range(1, q)}
+
+
+@pytest.mark.parametrize("h", (1, 2, 3, 4))
+def test_line_scan_matches_line_histogram_on_random_sets(h):
+    gf = make_field(h)
+    rng = random.Random(7100 + h)
+    for pts in _random_point_sets(gf, rng):
+        report = verify_maximal_arc(gf, pts, 2)
+        assert report.histogram == oracles.line_histogram(gf, pts), sorted(pts)
+        assert report.size == len(pts)
+        assert sum(report.histogram.values()) == gf.q * gf.q + gf.q + 1
+
+
+def test_line_scan_matches_line_histogram_on_the_battery(
+    battery_arcs, generic_arc_q8, extension_arc_q32
+):
+    arcs = [*battery_arcs.values(), generic_arc_q8, extension_arc_q32]
+    for arc in arcs:
+        pts = arc_points(arc)
+        report = verify_maximal_arc(arc.gf, pts, arc.degree)
+        assert report.histogram == oracles.line_histogram(arc.gf, pts)
+
+
+def test_line_scan_rejects_the_zero_vector():
+    gf = make_field(3)
+    with pytest.raises(ValueError, match="zero vector"):
+        verify_maximal_arc(gf, [(1, 0, 1), (0, 0, 0)], 2)
+
+
+def test_line_scan_memory_stays_linear_in_q():
+    # the scan keeps one parallel class of q lines at a time, never a count per line
+    gf = make_field(9)
+    alpha = next(a for a in gf.nonzero_elements() if gf.trace(a) == 1)
+    pts = arc_points(denniston_arc(gf, alpha, (1, 2, 3)))
+    tracemalloc.start()
+    try:
+        assert verify_maximal_arc(gf, pts, 4).verdict
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_line_scan_refuses_fields_above_its_ceiling():
+    def unread():
+        raise AssertionError("the points were read before the refusal")
+        yield
+
+    with pytest.raises(ValueError, match=f"stops at h = {ma.MAX_SCAN_H}"):
+        verify_maximal_arc(make_field(ma.MAX_SCAN_H + 1), unread(), 4)
+    gf = make_field(ma.MAX_SCAN_H)
+    report = verify_maximal_arc(gf, [(1, 0, 0)], 2)
+    assert report.histogram == {0: gf.q * gf.q, 1: gf.q + 1}
 
 
 def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():

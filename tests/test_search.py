@@ -58,7 +58,11 @@ def test_group_spec_properties():
     gf = make_field(5)
     spec = GroupSpec(gf, (0, 1, 2, 3), 4)
     assert spec.d == 4
-    assert spec.doubled == (0, 1, 2, 3, 4, 5, 6, 7)
+    # the extension arc's lam values are the squares of H + {0, lambda_d}, minus 0
+    doubled = set(spec.H) | {x ^ spec.lambda_d for x in spec.H}
+    assert doubled == set(range(8))
+    lams = construct_extension_arc(spec, 16).lam_values
+    assert set(lams) == {gf.square(x) for x in doubled} - {0}
 
 
 # -- building the system -------------------------------------------------------------
@@ -219,6 +223,19 @@ def test_construct_extension_arc_frozen_q32():
     ]
     assert len(arc_points(arc)) == 232
     assert verify_maximal_arc(gf, arc_points(arc), 8).verdict
+
+
+def test_degree16_doubling_at_h9():
+    # the paper's doubling at guaranteed_degree(9) = 16: |H| = 8 and lambda_d = 8
+    gf = make_field(9)
+    spec = GroupSpec(gf, tuple(range(8)), 8)
+    rho = min(solve_trace_system(build_trace_system(spec)))
+    arc = construct_extension_arc(spec, rho)
+    assert arc.degree == 16 == guaranteed_degree(9)
+    assert set(arc.conics) >= set(base_denniston_arc(spec).conics)
+    report = verify_maximal_arc(gf, arc_points(arc), arc.degree)
+    assert report.verdict
+    assert report.size == gf.q * 15 + 16
 
 
 def test_construct_extension_arc_rejects_bad_rho():
