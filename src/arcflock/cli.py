@@ -5,7 +5,7 @@ Subcommands
 construct denniston      degree-d Denniston arc from alpha and lam-subgroup generators
 construct mathon-extend  degree-2d arc through the trace-condition system: the valid
                          rho are listed once; --rho must be one of them, else the
-                         least (or, with --seed-order desc, largest) is taken
+                         least is taken
 verify                   re-verify an arc or flock JSON file against the oracles
 convert                  arc-to-flock | flock-to-arc | project | chain
 project                  convert --direction project: the projection flock of an arc
@@ -162,7 +162,7 @@ def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
     elif not valid:
         raise ValueError("no valid rho exists for this (H, lambda_d) pair")
     else:
-        rho = max(valid) if args.seed_order == "desc" else min(valid)
+        rho = min(valid)
     arc = se.construct_extension_arc(spec, rho)
     record = se.search_group(spec)
     report_json, lines, ok = _arc_verify_payload(arc)
@@ -254,7 +254,7 @@ def _record_line(r: se.SearchRecord) -> str:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     gf = make_field(args.h, args.modulus)
-    records = se.search_field(gf, args.d, descending=args.seed_order == "desc")
+    records = se.search_field(gf, args.d)
     example = next((r.example_arc for r in records if r.example_arc), None)
     example_report, ok = None, True
     if example is not None:
@@ -288,7 +288,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     gf = make_field(args.h, args.modulus)
     records = []
     lines = [f"rank analysis q={gf.q} |H|={args.d}"]
-    for spec in se.enumerate_group_specs(gf, args.d, args.seed_order == "desc"):
+    for spec in se.enumerate_group_specs(gf, args.d):
         system = se.build_trace_system(spec)
         analysis = se.rank_analysis(system)
         records.append(
@@ -366,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rho",
         type=lambda s: int(s, 0),
         default=None,
-        help="explicit solution rho (default: pick per --seed-order)",
+        help="explicit solution rho (default: the least valid one)",
     )
-    ext.add_argument("--seed-order", choices=("asc", "desc"), default="asc")
     _add_common(ext)
     ext.set_defaults(func=_cmd_construct_mathon_extend)
 
@@ -397,14 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     sea = subs.add_parser("search", help="trace-system search over all (H, lambda_d)")
     _add_field(sea)
     sea.add_argument("--d", type=int, required=True, help="order of the subgroup H")
-    sea.add_argument("--seed-order", choices=("asc", "desc"), default="asc")
     _add_common(sea)
     sea.set_defaults(func=_cmd_search)
 
     rnk = subs.add_parser("rank", help="rank analysis of the trace systems")
     _add_field(rnk)
     rnk.add_argument("--d", type=int, required=True, help="order of the subgroup H")
-    rnk.add_argument("--seed-order", choices=("asc", "desc"), default="asc")
     _add_common(rnk)
     rnk.set_defaults(func=_cmd_rank)
 

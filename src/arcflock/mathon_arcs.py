@@ -8,9 +8,12 @@ with trace(alpha beta) = 1 and lam != 0.  Every such conic has nucleus
 (0,0,1) and is disjoint from the line z = 0.  Its points are read off the
 nucleus pencil: each of the q + 1 lines through (0,0,1) meets it once, at a
 point given by square roots alone.  Two conics with distinct lam
-compose to a third one by a lam-weighted average of their coefficients; a
-set of conics closed under this composition, together with the common
-nucleus, is a maximal arc of degree |set| + 1 (Mathon's construction).
+compose to a third one by a lam-weighted average of their coefficients,
+which is plain XOR on the triples (lam, alpha lam, beta lam) (the flock
+plane [1, alpha lam, lam, beta lam] of flocks.arc_to_flock); a set of
+conics closed under this composition, i.e. whose triples span a GF(2)-space
+with one member per lam, together with the common nucleus, is a maximal arc
+of degree |set| + 1 (Mathon's construction).
 Denniston arcs are the special case alpha constant, beta = 1, with the lam
 values ranging over an additive subgroup minus 0.
 
@@ -154,49 +157,39 @@ class MathonArc:
 def close_set(seed: Iterable[Conic]) -> MathonArc:
     """Close a seed set of conics under composition into a Mathon arc.
 
-    Raises ClosureError when two conics collide on the same lam or a
-    composition degenerates, and DisjointnessError when the closed set
-    fails the point-set disjointness oracle.
+    Composition is coordinatewise XOR on the triples (lam, alpha lam,
+    beta lam), so the closure is the GF(2)-span of the seed triples.  It is
+    grown as a dict lam -> (alpha lam, beta lam) from {0: (0, 0)}: a seed
+    outside the span doubles it, and the span stays a function of lam
+    because the new lam lies outside the old lam subgroup.  Raises
+    ClosureError when a seed's lam is taken by another member of the span or
+    a member is degenerate, and DisjointnessError when the closed set fails
+    the point-set disjointness oracle.
     """
-    by_lam: dict[int, Conic] = {}
+    span: dict[int, tuple[int, int]] = {0: (0, 0)}
     gf: Optional[GF] = None
     for c in seed:
         if gf is None:
             gf = c.gf
         elif c.gf != gf:
             raise ValueError("seed conics live in different fields")
-        old = by_lam.get(c.lam)
-        if old is not None and old != c:
-            raise ClosureError(f"lam collision between {old} and {c}")
-        by_lam[c.lam] = c
+        A, B = gf.mul(c.alpha, c.lam), gf.mul(c.beta, c.lam)
+        old = span.get(c.lam)
+        if old is None:
+            span.update({l ^ c.lam: (a ^ A, b ^ B) for l, (a, b) in span.items()})
+        elif old != (A, B):
+            raise ClosureError(f"lam collision: {c} collides with the closure on lam={c.lam}")
     if gf is None:
         raise ValueError("seed must contain at least one conic")
 
-    changed = True
-    while changed:
-        changed = False
-        cs = sorted(by_lam.values(), key=lambda c: c.lam)
-        for i, c1 in enumerate(cs):
-            for c2 in cs[i + 1 :]:
-                a, b, l = _compose_params(c1, c2)
-                try:
-                    new = Conic(gf, a, b, l)
-                except ValueError as exc:
-                    raise ClosureError(
-                        f"composition of {c1} and {c2} is not a conic: {exc}"
-                    ) from exc
-                old = by_lam.get(l)
-                if old is None:
-                    by_lam[l] = new
-                    changed = True
-                elif old != new:
-                    raise ClosureError(
-                        f"composition of {c1} and {c2} collides with {old} on lam={l}"
-                    )
-        if len(by_lam) >= gf.q:
-            raise ClosureError("closure exceeded the maximum of q - 1 conics")
-
-    closed = sorted(by_lam.values(), key=lambda c: c.lam)
+    closed = []
+    for l in sorted(span)[1:]:  # every key but 0
+        a, b = span[l]
+        inv_l = gf.inv(l)
+        try:
+            closed.append(Conic(gf, gf.mul(a, inv_l), gf.mul(b, inv_l), l))
+        except ValueError as exc:
+            raise ClosureError(f"the closure's member on lam={l} is not a conic: {exc}") from exc
     owner: dict[pg.Coords, Conic] = {}
     for c in closed:
         for pt in conic_points(c):

@@ -21,7 +21,7 @@ each condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
 synthetic extension (construct_extension_arc) and re-verified against the
 point oracle.  search_group only counts; search_field attaches one such
-arc to the first record that has a valid rho.
+arc to the first record that has a valid rho, up to h = MAX_SCAN_H.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .finite_field import GF
-from .mathon_arcs import Conic, MathonArc, arc_to_json, denniston_arc, synthetic_extension
+from .mathon_arcs import (
+    MAX_SCAN_H,
+    Conic,
+    MathonArc,
+    arc_to_json,
+    denniston_arc,
+    synthetic_extension,
+)
 
 
 @dataclass(frozen=True)
@@ -350,38 +357,33 @@ def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ..
     return tuple(sorted(tuple(sorted(S)) for S in level))
 
 
-def enumerate_group_specs(gf: GF, order: int, descending: bool = False) -> list[GroupSpec]:
-    """Every (H, lambda_d) with |H| = order, in deterministic scan order.
-
-    Ascending order runs subgroups lexicographically and lambda_d upward;
-    descending reverses the whole list.
-    """
-    specs = [
+def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
+    """Every (H, lambda_d) with |H| = order: subgroups lexicographically, lambda_d upward."""
+    return [
         GroupSpec(gf, H, ld)
         for H in additive_subgroups_containing_one(gf, order)
         for ld in gf.elements()
         if ld not in H
     ]
-    return list(reversed(specs)) if descending else specs
 
 
-def search_field(gf: GF, order: int, descending: bool = False) -> list[SearchRecord]:
+def search_field(gf: GF, order: int) -> list[SearchRecord]:
     """Run the solver over every (H, lambda_d) pair of one subgroup order.
 
     Records come back in scan order.  At most one record carries an example
-    arc: the first one with a valid rho (smallest rho ascending, largest
-    descending).  Examples need trace(1) = 1 — the base arc's normal form is
-    degenerate in fields of even degree, so there every example stays None.
+    arc: the first one with a valid rho, built from its smallest rho.
+    Examples need trace(1) = 1 — the base arc's normal form is degenerate in
+    fields of even degree — and h <= MAX_SCAN_H, so that the line scan can
+    verify them; otherwise every example stays None.
     """
-    specs = enumerate_group_specs(gf, order, descending)
+    specs = enumerate_group_specs(gf, order)
     records = [search_group(spec) for spec in specs]
-    if gf.trace(1) == 1:
+    if gf.trace(1) == 1 and gf.h <= MAX_SCAN_H:
         for spec, record in zip(specs, records):
             if record.num_rho_valid == 0:
                 continue
             valid = solve_trace_system(build_trace_system(spec))
-            rho = max(valid) if descending else min(valid)
-            record.example_arc = construct_extension_arc(spec, rho)
+            record.example_arc = construct_extension_arc(spec, min(valid))
             break
     return records
 

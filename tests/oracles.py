@@ -4,7 +4,8 @@ Each is the textbook form of something the package computes by a shortcut:
 field arithmetic as polynomials over GF(2), every point of PG(2,q) and
 PG(3,q), incidence as a dot product, joins and meets as a nullspace, the
 pencil of a point and the line histogram of a point set line by line, conic
-and cone points by scanning, the pointwise projection from the nuclear line,
+and cone points by scanning, the closure of a conic set by composing pairs
+until nothing new appears, the pointwise projection from the nuclear line,
 and trace systems solved by evaluating every condition at every mu.
 """
 
@@ -14,6 +15,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from arcflock import flocks as fl
+from arcflock import mathon_arcs as ma
 from arcflock import projective as pg
 from arcflock import search as se
 from arcflock.finite_field import GF
@@ -151,6 +153,42 @@ def quadric_scan(gf: GF, a: int, b: int, l: int) -> set[pg.Coords]:
         ^ gf.mul(l, gf.square(p[2]))
         == 0
     }
+
+
+def close_by_composition(seed: Iterable[Conic]) -> ma.MathonArc:
+    """Close a seed set by definition: compose every pair until nothing new appears.
+
+    Raises ClosureError when two conics share a lam or a composition is
+    degenerate, and DisjointnessError when two closed conics share a point.
+    """
+    seed = list(seed)
+    if not seed or any(c.gf != seed[0].gf for c in seed):
+        raise ValueError("seed must be nonempty conics of one field")
+    by_lam: dict[int, Conic] = {}
+    for c in seed:
+        old = by_lam.setdefault(c.lam, c)
+        if old != c:
+            raise ma.ClosureError(f"lam collision between {old} and {c}")
+    changed = True
+    while changed:
+        changed = False
+        cs = sorted(by_lam.values(), key=lambda c: c.lam)
+        for c1, c2 in itertools.combinations(cs, 2):
+            try:
+                new = ma.compose(c1, c2)
+            except ValueError as exc:
+                raise ma.ClosureError(f"{c1} and {c2} compose to no conic: {exc}") from exc
+            old = by_lam.get(new.lam)
+            if old is None:
+                by_lam[new.lam] = new
+                changed = True
+            elif old != new:
+                raise ma.ClosureError(f"{c1} and {c2} compose to {new}, not {old}")
+    closed = sorted(by_lam.values(), key=lambda c: c.lam)
+    for c1, c2 in itertools.combinations(closed, 2):
+        if not ma.conics_disjoint(c1, c2):
+            raise ma.DisjointnessError(f"{c1} and {c2} share a point")
+    return ma.MathonArc(seed[0].gf, tuple(closed))
 
 
 # -- the cone, the nuclear line and the projection -----------------------------------

@@ -120,14 +120,14 @@ def test_construct_mathon_extend_frozen_q32(capsys):
     ]
 
 
-def test_construct_mathon_extend_seed_order(capsys):
+def test_construct_mathon_extend_default_rho(capsys):
     # H = {0,1}, lambda_d = 2 in GF(32) has valid rho {4,...,30}
     base = ("construct", "mathon-extend", "--h", "5", "--H", "1", "--lambda-d", "2")
-    code_a, asc = run_json(capsys, *base, "--seed-order", "asc")
-    code_d, desc = run_json(capsys, *base, "--seed-order", "desc")
-    assert code_a == code_d == 0
-    assert asc["rho"] == 4 and desc["rho"] == 30
-    assert asc["report"]["verdict"] and desc["report"]["verdict"]
+    code_a, least = run_json(capsys, *base)
+    code_b, largest = run_json(capsys, *base, "--rho", "30")
+    assert code_a == code_b == 0
+    assert least["rho"] == 4 and largest["rho"] == 30
+    assert least["report"]["verdict"] and largest["report"]["verdict"]
 
 
 def test_construct_mathon_extend_explicit_and_invalid_rho(capsys):
@@ -416,6 +416,15 @@ def test_search_q8_has_a_verified_example(capsys):
     assert examples[0]["example_arc"]["degree"] == 4
 
 
+def test_search_above_the_scan_ceiling_reports_the_survey(capsys):
+    # h = 13 > MAX_SCAN_H: the survey is complete, but no example arc is built
+    code, payload = run_json(capsys, "search", "--h", "13", "--d", "2")
+    assert code == 0
+    assert len(payload["records"]) == 8190
+    assert payload["example_report"] is None
+    assert all(r["example_arc"] is None for r in payload["records"])
+
+
 def test_search_example_failing_the_line_scan_exits_1(capsys, monkeypatch):
     # two conics of a degree-4 arc are no maximal arc: degree 3 does not divide 8
     def two_conics(spec, rho):
@@ -433,15 +442,6 @@ def test_search_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
-
-
-def test_search_seed_order_reverses_records(capsys):
-    _, asc = run_json(capsys, "search", "--h", "4", "--d", "2")
-    _, desc = run_json(capsys, "search", "--h", "4", "--d", "2", "--seed-order", "desc")
-    key = lambda r: (r["H"], r["lambda_d"])
-    assert [key(r) for r in desc["records"]] == [
-        key(r) for r in reversed(asc["records"])
-    ]
 
 
 def test_rank_q8(capsys):

@@ -145,10 +145,7 @@ def _numeric_argv(draw):
     command, base = draw(st.sampled_from(_BASES))
     key = draw(st.sampled_from([*base, "modulus"]))
     options = {**base, key: draw(_VALUES.get(key, _INT))}
-    argv = command + [f"--{k}={v}" for k, v in options.items() if v is not None]
-    if command[-1] != "denniston" and draw(st.booleans()):
-        argv.append("--seed-order=desc")
-    return argv
+    return command + [f"--{k}={v}" for k, v in options.items() if v is not None]
 
 
 @_SETTINGS

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -203,6 +204,36 @@ def test_close_set_duplicate_seed_conic_is_fine():
     arc = close_set([c, c])
     assert arc.conics == (c,)
     assert arc.degree == 2
+
+
+def _closure_outcome(close, seed):
+    """The closed arc, or the class of the error raised."""
+    try:
+        return close(seed)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_close_set_matches_pairwise_composition(h):
+    # seeds of 1-5 members of a random Denniston arc, half of them with one
+    # arbitrary conic swapped in: most of those fail to close
+    gf = make_field(h)
+    rng = random.Random(h)
+    conics = oracles.all_conics(gf)
+    alphas = [a for a in gf.elements() if gf.trace(a) == 1]
+    outcomes = Counter()
+    for _ in range(1000):
+        lams = gf.additive_span(rng.sample(range(1, gf.q), rng.randint(1, min(h, 3))))
+        arc = denniston_arc(gf, rng.choice(alphas), lams - {0})
+        seed = rng.choices(arc.conics, k=rng.randint(1, 5))
+        if rng.random() < 0.5:
+            seed[rng.randrange(len(seed))] = rng.choice(conics)
+        expected = _closure_outcome(oracles.close_by_composition, seed)
+        assert _closure_outcome(close_set, seed) == expected
+        outcomes[expected if isinstance(expected, type) else MathonArc] += 1
+    assert set(outcomes) == {MathonArc, ClosureError}
+    assert min(outcomes.values()) >= 250
 
 
 def test_mathon_arc_requires_sorted_distinct_lams():
