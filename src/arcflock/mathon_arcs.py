@@ -17,14 +17,16 @@ of degree |set| + 1 (Mathon's construction).
 Denniston arcs are the special case alpha constant, beta = 1, with the lam
 values ranging over an additive subgroup minus 0.
 
-Disjointness of conics is always decided here by comparing point sets, which
-never consult the trace; the trace shortcut
-trace((alpha (+) alpha')(beta (+) beta')) = 1 is exposed separately so
-callers and tests can compare the two.
+By Mathon's theorem two conics with distinct lam are disjoint exactly when
+their composition is nondegenerate, trace(alpha'' beta'') = 1, so the
+constructions decide disjointness by that trace test and list no points.
+Point sets feed only the oracles: arc_points (for the line scan
+verify_maximal_arc) and conics_disjoint, which never consult the trace.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import xor
@@ -163,8 +165,8 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
     outside the span doubles it, and the span stays a function of lam
     because the new lam lies outside the old lam subgroup.  Raises
     ClosureError when a seed's lam is taken by another member of the span or
-    a member is degenerate, and DisjointnessError when the closed set fails
-    the point-set disjointness oracle.
+    a member is degenerate; else, by Mathon's theorem, the members are
+    pairwise disjoint, as any two compose to a third, nondegenerate one.
     """
     span: dict[int, tuple[int, int]] = {0: (0, 0)}
     gf: Optional[GF] = None
@@ -190,12 +192,6 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
             closed.append(Conic(gf, gf.mul(a, inv_l), gf.mul(b, inv_l), l))
         except ValueError as exc:
             raise ClosureError(f"the closure's member on lam={l} is not a conic: {exc}") from exc
-    owner: dict[pg.Coords, Conic] = {}
-    for c in closed:
-        for pt in conic_points(c):
-            other = owner.setdefault(pt, c)
-            if other is not c:
-                raise DisjointnessError(f"{other} and {c} share a point")
     return MathonArc(gf, tuple(closed))
 
 
@@ -306,25 +302,26 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
 
 
 def denniston_closure(c1: Conic, c2: Conic) -> MathonArc:
-    """The unique degree-4 arc of Denniston type containing two disjoint conics."""
-    if not conics_disjoint(c1, c2):
+    """The unique degree-4 arc of Denniston type containing two disjoint conics.
+
+    Conics with equal lam meet; others are disjoint iff their composition is nondegenerate.
+    """
+    if c1.lam == c2.lam or composition_trace(c1, c2) != 1:
         raise DisjointnessError(f"{c1} and {c2} share a point")
-    arc = close_set([c1, c2])
-    if arc.degree != 4:
-        raise ClosureError(f"closure of two conics has degree {arc.degree}, expected 4")
-    return arc
+    return close_set([c1, c2])
 
 
 def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
-    """Extend a degree-d arc by one disjoint conic to the unique degree-2d arc."""
+    """Extend a degree-d arc by one disjoint conic to the unique degree-2d arc.
+
+    The conic's lam is new: it misses a base conic iff their composition is nondegenerate.
+    """
     if c.gf != m.gf:
         raise ValueError("conic and arc live in different fields")
-    subgroup = set(m.lam_values) | {0}
-    if c.lam in subgroup:
+    if c.lam in set(m.lam_values) | {0}:
         raise ValueError(f"lam={c.lam} already lies in the arc's lam subgroup")
-    pts = conic_points(c)
     for mc in m.conics:
-        if not pts.isdisjoint(conic_points(mc)):
+        if composition_trace(c, mc) != 1:
             raise DisjointnessError(f"{c} meets {mc}")
     ext = close_set(list(m.conics) + [c])
     if ext.degree != 2 * m.degree or not set(ext.conics) >= set(m.conics):
@@ -357,6 +354,6 @@ def arc_from_json(obj: dict) -> MathonArc:
     arc = close_set(conics)
     if len(arc.conics) != len(conics):
         raise ValueError("conic set is not closed under composition")
-    if "degree" in obj and obj["degree"] != arc.degree:
+    if "degree" in obj and json.dumps(obj["degree"]) != json.dumps(arc.degree):
         raise ValueError(f"declared degree {obj['degree']} != actual {arc.degree}")
     return arc

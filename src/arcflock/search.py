@@ -19,9 +19,9 @@ listed from its particular solution and null basis only when an arc is
 wanted.  (The tests check all of this against an exhaustive mu scan, and
 each condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
-synthetic extension (construct_extension_arc) and re-verified against the
-point oracle.  search_group only counts; search_field attaches one such
-arc to the first record that has a valid rho, up to h = MAX_SCAN_H.
+synthetic extension (construct_extension_arc), which tests each new conic
+pair by composition.  search_group only counts; search_field attaches one
+such arc to the first record that has a valid rho, up to h = MAX_SCAN_H.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def construct_extension_arc(spec: GroupSpec, rho: int) -> MathonArc:
 
     Degeneracy of the new conic (trace(beta) != 1) and any intersection with
     a base conic (rho outside the solution set) surface as errors from the
-    conic constructor and the point oracle; nothing here trusts the trace
-    system on its own.
+    conic constructor and from synthetic_extension, which composes the new
+    conic with each base conic; nothing here trusts the trace system.
     """
     gf = spec.gf
     if not 1 <= rho < gf.q:

@@ -693,3 +693,13 @@ def test_flock_from_json_validation(battery_arcs):
         flock_from_json(dict(good, B=[0, 1, 2, 4]))
     with pytest.raises(ValueError, match="declared 'linear'"):
         flock_from_json(dict(good, linear=False))
+    # derived fields match by JSON value and type: 1 is not true, 1.0 not 1
+    for key, value in [
+        ("additive", 1),
+        ("linear", 1),
+        ("B", [0, 1.0, 2, 3]),
+        ("f", [0, 1, 2, 3.0]),
+        ("g", [0.0, 1, 2, 3]),
+    ]:
+        with pytest.raises(ValueError, match=f"declared '{key}'"):
+            flock_from_json(dict(good, **{key: value}))

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from arcflock import mathon_arcs as ma
+from arcflock import search as se
 from arcflock.finite_field import make_field
-from arcflock.flocks import is_denniston_type
+from arcflock.flocks import arc_to_flock, flock_to_arc, is_denniston_type
 from arcflock.mathon_arcs import (
     NUCLEUS,
     ClosureError,
@@ -141,6 +142,24 @@ def test_composition_trace_one_implies_disjoint_exhaustive_q8():
     assert counts[(0, True)] == 0
 
 
+@pytest.mark.parametrize("h, pairs", [(2, 108), (3, 16464)])
+def test_composition_trace_decides_disjointness_exhaustively(h, pairs):
+    # Mathon's criterion, both ways, against the point-set oracle: conics with
+    # distinct lam are disjoint exactly when their composition has trace 1;
+    # distinct conics with equal lam always meet.
+    # [DERIVED: pairs = C(n, 2) - (q - 1) C(n / (q - 1), 2) for the
+    # n = (q - 1) q (q - 1) / 2 conics, counted by hand]
+    gf = make_field(h)
+    seen = 0
+    for c1, c2 in itertools.combinations(oracles.all_conics(gf), 2):
+        if c1.lam == c2.lam:
+            assert not conics_disjoint(c1, c2), (c1, c2)
+        else:
+            assert (composition_trace(c1, c2) == 1) == conics_disjoint(c1, c2), (c1, c2)
+            seen += 1
+    assert seen == pairs
+
+
 def test_trace_zero_pair_meets():
     gf = make_field(3)
     c1, c2 = Conic(gf, 1, 1, 1), Conic(gf, 1, 3, 2)
@@ -187,15 +206,6 @@ def test_close_set_degenerate_composition():
     gf = make_field(3)
     with pytest.raises(ClosureError, match="not a conic"):
         close_set([Conic(gf, 1, 1, 1), Conic(gf, 1, 3, 2)])
-
-
-def test_close_set_names_both_conics_that_share_a_point(monkeypatch):
-    # a closed set of valid conics is disjoint, so the oracle is fed a shared point
-    gf = make_field(3)
-    real = ma.conic_points
-    monkeypatch.setattr(ma, "conic_points", lambda c: real(c) | {NUCLEUS})
-    with pytest.raises(DisjointnessError, match=r"lam=1\) and Conic\(.*lam=2\) share a point"):
-        close_set([Conic(gf, 1, 1, 1), Conic(gf, 1, 1, 2)])
 
 
 def test_close_set_duplicate_seed_conic_is_fine():
@@ -365,6 +375,32 @@ def test_synthetic_extension_rejects_meeting_conic(battery_arcs):
         synthetic_extension(battery_arcs[(8, 4)], Conic(gf, 1, 3, 4))
 
 
+def test_constructions_list_no_points(monkeypatch, extension_arc_q32):
+    # disjointness is decided by composition; only the oracles list points
+    def no_points(*args):
+        raise AssertionError("a construction listed conic points")
+
+    monkeypatch.setattr(ma, "quadric_points", no_points)
+    gf = make_field(5)
+    d4 = denniston_arc(gf, 1, (1, 2, 3))
+    assert close_set(d4.conics[:2]) == d4
+    assert arc_from_json(arc_to_json(d4)) == d4
+    assert flock_to_arc(arc_to_flock(d4)) == d4
+    assert synthetic_extension(d4, Conic(gf, 1, 1, 4)) == denniston_arc(gf, 1, range(1, 8))
+    assert denniston_closure(*d4.conics[:2]) == d4
+    spec = se.GroupSpec(gf, (0, 1, 2, 3), 4)
+    assert se.construct_extension_arc(spec, 16) == extension_arc_q32
+    meets = Conic(gf, 1, 5, 4)  # misses the base conics on lam = 1, 2, meets lam = 3
+    with pytest.raises(DisjointnessError, match=r"meets Conic\(.*lam=3\)$"):
+        synthetic_extension(d4, meets)
+    with pytest.raises(DisjointnessError, match="share a point"):
+        denniston_closure(d4.conics[2], meets)
+    with pytest.raises(AssertionError, match="listed conic points"):
+        arc_points(d4)
+    with pytest.raises(AssertionError, match="listed conic points"):
+        conics_disjoint(*d4.conics[:2])
+
+
 def test_generic_arc_is_not_denniston_type(generic_arc_q8, battery_arcs):
     assert not is_denniston_type(generic_arc_q8)
     assert is_denniston_type(battery_arcs[(8, 4)])
@@ -499,9 +535,9 @@ def test_line_scan_refuses_fields_above_its_ceiling():
 def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():
     gf = make_field(3)
     good = arc_to_json(denniston_arc(gf, 1, (1, 2, 3)))
-    bad_degree = dict(good, degree=5)
-    with pytest.raises(ValueError, match="degree"):
-        arc_from_json(bad_degree)
+    for degree in (5, 4.0, "4", [4]):
+        with pytest.raises(ValueError, match="declared degree"):
+            arc_from_json(dict(good, degree=degree))
     with pytest.raises(ValueError, match="'field' and 'conics'"):
         arc_from_json({"conics": []})
     bad_conic = dict(good, conics=[{"alpha": 1, "beta": 1}])
