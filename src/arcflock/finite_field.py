@@ -13,6 +13,13 @@ a^(2^(h-1)), one table lookup; a rotation of the exp table lists the
 multiples of one element, indexed by log.  The absolute trace
 a -> a + a^2 + ... + a^(2^(h-1)) is evaluated through a precomputed
 GF(2)-linear mask.
+
+The trace form (a, b) -> trace(a b) is nondegenerate, so the polynomial
+basis 1, x, ..., x^(h-1) has a trace-dual basis d_0, ..., d_(h-1) with
+trace(x^j d_i) = [i = j]; it is the inverse of the Gram matrix
+trace(x^(i+j)) over GF(2), computed once per field.  An element mu then has
+trace coordinates v_j = trace(x^j mu), and trace(c mu) = parity(c & v) for
+every c: the bits of c are the coefficients of a linear form in v.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
 class GF:
     """GF(2^h); immutable, hashable, with elements represented as ints."""
 
-    __slots__ = ("h", "q", "modulus", "_exp", "_log", "_trace_mask")
+    __slots__ = ("h", "q", "modulus", "_exp", "_log", "_trace_mask", "_dual_basis")
 
     def __init__(self, h: int, modulus: Optional[int] = None):
         if not isinstance(h, int) or not 1 <= h <= MAX_H:
@@ -99,6 +106,7 @@ class GF:
         self.modulus = modulus
         self._exp, self._log = _build_log_exp(self.q, modulus)
         self._trace_mask = self._build_trace_mask()
+        self._dual_basis = self._build_dual_basis()
 
     # -- construction helpers -------------------------------------------------
 
@@ -116,6 +124,25 @@ class GF:
             elif acc:
                 raise AssertionError("trace landed outside the prime field")
         return mask
+
+    def _build_dual_basis(self) -> tuple[int, ...]:
+        # Gauss-Jordan on the Gram rows trace(x^(i+j)), each carrying a unit row
+        # above bit h; the carried rows end up as the inverse matrix, whose row i
+        # holds the polynomial coefficients of d_i
+        h = self.h
+        rows = [
+            sum(self.trace(self.mul(1 << i, 1 << j)) << j for j in range(h)) | 1 << (h + i)
+            for i in range(h)
+        ]
+        for col in range(h):
+            pivot = next((r for r in range(col, h) if rows[r] >> col & 1), None)
+            if pivot is None:
+                raise AssertionError("the trace form is degenerate")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            for r in range(h):
+                if r != col and rows[r] >> col & 1:
+                    rows[r] ^= rows[col]
+        return tuple(row >> h for row in rows)
 
     # -- identity -------------------------------------------------------------
 
@@ -186,6 +213,15 @@ class GF:
     def trace(self, a: int) -> int:
         """Absolute trace onto GF(2)."""
         return (a & self._trace_mask).bit_count() & 1
+
+    def from_trace_coordinates(self, v: int) -> int:
+        """The mu with trace(x^j * mu) = bit j of v: the XOR of the d_i over v's bits."""
+        mu = 0
+        for d in self._dual_basis:
+            if v & 1:
+                mu ^= d
+            v >>= 1
+        return mu
 
     def additive_span(self, generators: Iterable[int]) -> set[int]:
         """The GF(2)-linear span of the given elements (always contains 0)."""

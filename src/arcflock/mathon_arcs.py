@@ -42,6 +42,11 @@ NUCLEUS: pg.Coords = (0, 0, 1)
 #: 12 s at h = 12, and every further step of h quadruples the time
 MAX_SCAN_H = 12
 
+#: largest |points| * (q + 1), the point-line steps of one verify_maximal_arc
+#: scan: a degree-16 arc at h = 11 (about 6.3e7) and a degree-4 arc at h = 12
+#: (about 5.0e7) run; a degree-32 arc at h = 11 (about 1.3e8) is refused
+MAX_SCAN_STEPS = 1 << 26
+
 
 class ClosureError(ValueError):
     """A seed set cannot be completed to a closed set of conics."""
@@ -261,7 +266,8 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     point (x, y, 0) lies on [0, 0, 1] and on every line of the class b = x/y
     (y != 0) or of the class [0, 1, c] (y = 0).  The product b y is read off
     one row of gf.scaled_powers per slope, so the inner loop runs in C.  The
-    work is about |points| q steps, so h is capped at MAX_SCAN_H.
+    work is |points| (q + 1) steps, so h is capped at MAX_SCAN_H before the
+    points are read, and the steps at MAX_SCAN_STEPS before they are scanned.
     """
     if gf.h > MAX_SCAN_H:
         raise ValueError(
@@ -270,6 +276,11 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
         )
     pts = set(points)
     q, mul, inv = gf.q, gf.mul, gf.inv
+    if len(pts) * (q + 1) > MAX_SCAN_STEPS:
+        raise ValueError(
+            f"the arc line scan stops at {MAX_SCAN_STEPS} steps, got"
+            f" |points| * (q + 1) = {len(pts)} * {q + 1}"
+        )
     xs: list[int] = []
     ys: list[int] = []
     vertical = 0

@@ -10,24 +10,29 @@ mu = 1 / rho is disjoint from every member of D exactly when
 
 where c_lam = lam * (lambda_d + 1) / (lambda_d + lam) and
 epsilon = 1 + trace(1) (so 0 in fields of odd degree, 1 in even degree).
-Since trace(c * mu) is GF(2)-linear in the bits of mu, the conditions form
-an affine-linear system over GF(2).  A surviving rho must also leave C
-nondegenerate, i.e. trace(beta) = 1, which is one more affine row:
-trace((lambda_d + 1) * mu) = epsilon.  One Gaussian elimination per system
-gives the rank and both solution counts in closed form; valid rho are
-listed from its particular solution and null basis only when an arc is
-wanted.  (The tests check all of this against an exhaustive mu scan, and
-each condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
+The system is solved in trace coordinates: mu is written as the bit vector
+v with v_j = trace(x^j * mu), and then trace(c * mu) = parity(c & v), so the
+row of each condition over GF(2) is c_lam itself (see finite_field).  A
+surviving rho must also leave C nondegenerate, i.e. trace(beta) = 1, which
+is one more affine row: trace((lambda_d + 1) * mu) = epsilon, whose row is
+lambda_d + 1.  One Gaussian elimination per system gives the rank and both
+solution counts in closed form; valid rho are listed, only when an arc is
+wanted, by mapping its particular solution and null basis back to mu
+through the trace-dual basis.  (The tests check all of this against an
+exhaustive mu scan, and each condition against its squared form
+trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
 synthetic extension (construct_extension_arc), which tests each new conic
 pair by composition.  search_group only counts; search_field attaches one
 such arc to the first record that has a valid rho, up to h = MAX_SCAN_H.
+Surveys larger than MAX_SURVEY_SPECS pairs are refused before any subgroup
+is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .finite_field import GF
 from .mathon_arcs import (
@@ -38,6 +43,12 @@ from .mathon_arcs import (
     denniston_arc,
     synthetic_extension,
 )
+
+#: largest (H, lambda_d) survey that enumerate_group_specs builds.  A pair
+#: costs about 1 KB of specs, records and output, so a survey at the bound
+#: stays near 1 GB: rank --h 8 --d 8 (661 416 pairs) runs, while
+#: rank --h 9 --d 8 (5 440 680) and rank --h 16 --d 4 (about 2.1e9) are refused.
+MAX_SURVEY_SPECS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,9 +88,11 @@ class GroupSpec:
         return len(self.H)
 
 
-@dataclass(frozen=True)
-class TraceCondition:
-    """One disjointness condition trace(c * mu) = epsilon, tagged by its lam."""
+class TraceCondition(NamedTuple):
+    """One disjointness condition trace(c * mu) = epsilon, tagged by its lam.
+
+    In trace coordinates v of mu it reads parity(c & v) = epsilon.
+    """
 
     lam: int
     c: int
@@ -120,15 +133,6 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
 
 
 # -- solving the system over GF(2) ---------------------------------------------
-
-
-def _condition_row(gf: GF, c: int) -> int:
-    """Bitmask row of the linear functional mu -> trace(c * mu) on bit basis."""
-    row = 0
-    for i in range(gf.h):
-        if gf.trace(gf.mul(c, 1 << i)):
-            row |= 1 << i
-    return row
 
 
 def _gf2_add_row(reduced: list[tuple[int, int, int]], row: int, b: int) -> bool:
@@ -182,22 +186,22 @@ def _eliminate(
     """One elimination: the conditions, then the row trace((lambda_d + 1) mu) = epsilon.
 
     That last row is trace(beta) = 1 rewritten, since trace(beta) =
-    trace((lambda_d + 1) mu) + trace(1).  Returns the reduced rows of the
-    whole system, the rank of the conditions alone, and the number of mu
-    (zero included) solving the conditions alone and the whole system:
-    2^(h - rank) of each, or 0 when inconsistent.
+    trace((lambda_d + 1) mu) + trace(1).  The unknowns are the trace
+    coordinates of mu, so each row is the condition's multiplier itself.
+    Returns the reduced rows of the whole system, the rank of the conditions
+    alone, and the number of mu (zero included) solving the conditions alone
+    and the whole system: 2^(h - rank) of each, or 0 when inconsistent.
     """
-    gf = system.gf
+    h = system.gf.h
     eps = system.epsilon
     reduced: list[tuple[int, int, int]] = []
     consistent = True
     for cond in system.conditions:
-        consistent &= _gf2_add_row(reduced, _condition_row(gf, cond.c), eps)
+        consistent &= _gf2_add_row(reduced, cond.c, eps)
     rank = len(reduced)
-    num_mu = (1 << (gf.h - rank)) if consistent else 0
-    top_row = _condition_row(gf, system.group.lambda_d ^ 1)
-    if consistent and _gf2_add_row(reduced, top_row, eps):
-        num_valid_mu = 1 << (gf.h - len(reduced))
+    num_mu = (1 << (h - rank)) if consistent else 0
+    if consistent and _gf2_add_row(reduced, system.group.lambda_d ^ 1, eps):
+        num_valid_mu = 1 << (h - len(reduced))
     else:
         num_valid_mu = 0
     return reduced, rank, num_mu, num_valid_mu
@@ -237,17 +241,20 @@ def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
 def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
     """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1.
 
-    Lists the span of the null basis around the particular solution, so it
-    costs 2^(h - rank) field inversions; counting alone needs no listing.
+    The particular solution and the null basis are trace coordinates; each
+    is mapped back to a field element once, and since that map is linear the
+    span is listed in mu directly.  That costs 2^(h - rank) field
+    inversions; counting alone needs no listing.
     """
     gf = system.gf
     reduced, _, _, num_valid_mu = _eliminate(system)
     if not num_valid_mu:
         return frozenset()
     particular, basis = _gf2_affine_solve(reduced, gf.h)
-    mus = {particular}
+    mus = {gf.from_trace_coordinates(particular)}
     for v in basis:
-        mus |= {mu ^ v for mu in mus}
+        step = gf.from_trace_coordinates(v)
+        mus |= {mu ^ step for mu in mus}
     mus.discard(0)
     return frozenset(gf.inv(mu) for mu in mus)
 
@@ -333,16 +340,35 @@ def search_group(spec: GroupSpec) -> SearchRecord:
     )
 
 
+def _order_log2(gf: GF, order: int) -> int:
+    """k for a subgroup order 2^k; the order must be a power of two in 2..q."""
+    if order < 2 or order & (order - 1):
+        raise ValueError("order must be a power of two, at least 2")
+    if order > gf.q:
+        raise ValueError("order exceeds the field size")
+    return order.bit_length() - 1
+
+
+def _survey_size(gf: GF, order: int) -> int:
+    """Number of (H, lambda_d) pairs with |H| = order = 2^k: [h-1, k-1]_2 (q - order).
+
+    The subgroups of order 2^k containing 1 correspond to the (k-1)-dimensional
+    subspaces of GF(2)^h / <1>, counted by the Gaussian binomial [h-1, k-1]_2.
+    """
+    n, k = gf.h - 1, _order_log2(gf, order) - 1
+    subgroups = 1
+    for i in range(k):
+        subgroups = subgroups * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)
+    return subgroups * (gf.q - order)
+
+
 def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ...], ...]:
     """All additive subgroups of GF(q) of the given order that contain 1.
 
     Returned as sorted element tuples in lexicographic order, so every
     enumeration built on top is deterministic.
     """
-    if order < 2 or order & (order - 1):
-        raise ValueError("order must be a power of two, at least 2")
-    if order > gf.q:
-        raise ValueError("order exceeds the field size")
+    _order_log2(gf, order)
     level: set[frozenset[int]] = {frozenset({0, 1})}
     size = 2
     while size < order:
@@ -358,7 +384,17 @@ def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ..
 
 
 def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
-    """Every (H, lambda_d) with |H| = order: subgroups lexicographically, lambda_d upward."""
+    """Every (H, lambda_d) with |H| = order: subgroups lexicographically, lambda_d upward.
+
+    The number of pairs is checked in closed form first, so a survey larger
+    than MAX_SURVEY_SPECS is refused before any subgroup is enumerated.
+    """
+    pairs = _survey_size(gf, order)
+    if pairs > MAX_SURVEY_SPECS:
+        raise ValueError(
+            f"a survey of |H| = {order} at h = {gf.h} has {pairs} (H, lambda_d) pairs;"
+            f" surveys stop at {MAX_SURVEY_SPECS}"
+        )
     return [
         GroupSpec(gf, H, ld)
         for H in additive_subgroups_containing_one(gf, order)

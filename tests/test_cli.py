@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -87,6 +88,21 @@ def test_arc_above_the_scan_ceiling_exits_2_within_seconds():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: the arc line scan stops at h = {ma.MAX_SCAN_H}")
+
+
+def test_high_degree_arc_above_the_step_ceiling_exits_2_within_seconds():
+    # a degree-32 arc at h = 11 has 63 520 points: 63 520 * 2049 steps > MAX_SCAN_STEPS
+    argv = ["construct", "denniston", "--h", "11", "--alpha", "1", "--A", "1,2,4,8,16"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcflock", *argv], capture_output=True, text=True, timeout=30
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: the arc line scan stops at {ma.MAX_SCAN_STEPS} steps")
+    assert "63520 * 2049" in proc.stderr
+    assert elapsed < 2
 
 
 def test_construct_mathon_extend_frozen_q32(capsys):
@@ -454,6 +470,14 @@ def test_rank_q8(capsys):
         assert r["H"] == [0, 1]
         assert r["solution_count"] in (0, 1 << (3 - r["rank"]))
     assert sum(payload["rank_histogram"].values()) == 6
+
+
+def test_oversized_rank_survey_exits_2(capsys):
+    # about 2.1e9 (H, lambda_d) pairs: refused before any subgroup is enumerated
+    code, out, err = run_cli(capsys, "rank", "--h", "16", "--d", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a survey of |H| = 4 at h = 16 has 2147287044 (H, lambda_d)")
 
 
 def test_rank_text_format(capsys):

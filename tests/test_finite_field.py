@@ -128,6 +128,33 @@ def test_trace_against_naive_oracle(h):
             assert gf.trace(a ^ b) == gf.trace(a) ^ gf.trace(b)
 
 
+def _oracle_trace_of_product(gf, a, b):
+    return oracles.poly_trace(gf.modulus, gf.h, oracles.poly_mod(oracles.poly_mul(a, b), gf.modulus))
+
+
+@pytest.mark.parametrize("h", range(1, MAX_H + 1))
+def test_dual_basis_against_naive_trace(h):
+    # d_i = from_trace_coordinates(2^i) satisfies trace(2^j * d_i) = [i = j]
+    gf = make_field(h)
+    dual = [gf.from_trace_coordinates(1 << i) for i in range(h)]
+    for i, d in enumerate(dual):
+        assert gf.is_element(d)
+        assert [_oracle_trace_of_product(gf, 1 << j, d) for j in range(h)] == [
+            int(i == j) for j in range(h)
+        ]
+
+
+@pytest.mark.parametrize("h", range(1, 7))
+def test_trace_coordinates_turn_trace_forms_into_parities(h):
+    # exhaustive: trace(c * mu(v)) = parity(c & v) for every c and every v
+    gf = make_field(h)
+    mus = [gf.from_trace_coordinates(v) for v in gf.elements()]
+    assert sorted(mus) == list(gf.elements())  # v -> mu is a bijection
+    for c in gf.elements():
+        for v, mu in enumerate(mus):
+            assert _oracle_trace_of_product(gf, c, mu) == (c & v).bit_count() & 1
+
+
 def test_battery_alpha_values_have_trace_one():
     # [DERIVED: smallest trace-1 element per field, by the naive oracle]
     from conftest import BATTERY_ALPHA

@@ -532,6 +532,23 @@ def test_line_scan_refuses_fields_above_its_ceiling():
     assert report.histogram == {0: gf.q * gf.q, 1: gf.q + 1}
 
 
+def test_line_scan_refuses_too_many_steps_before_scanning(monkeypatch):
+    # the arcs the doubling needs fit: degree 16 at h = 11, degree 4 at h = 12
+    assert (2048 * 15 + 16) * 2049 <= ma.MAX_SCAN_STEPS
+    assert (4096 * 3 + 4) * 4097 <= ma.MAX_SCAN_STEPS
+    gf = make_field(11)
+    A = sorted(gf.additive_span((1, 2, 4, 8, 16)) - {0})
+    pts = arc_points(denniston_arc(gf, 1, A))
+    assert len(pts) == 2048 * 31 + 32
+
+    def no_scan(self, b):
+        raise AssertionError("the scan started before the refusal")
+
+    monkeypatch.setattr(type(gf), "scaled_powers", no_scan)
+    with pytest.raises(ValueError, match=f"stops at {ma.MAX_SCAN_STEPS} steps.* 63520 \\* 2049"):
+        verify_maximal_arc(gf, pts, 32)
+
+
 def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():
     gf = make_field(3)
     good = arc_to_json(denniston_arc(gf, 1, (1, 2, 3)))

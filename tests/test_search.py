@@ -98,31 +98,33 @@ def test_condition_count_is_d_minus_one():
 
 
 def test_condition_rows_are_linear_functionals():
-    from arcflock.search import _condition_row
-
+    # in trace coordinates v of mu, the row of trace(c * mu) = epsilon is c itself
     gf = make_field(4)
-    for c in gf.nonzero_elements():
-        row = _condition_row(gf, c)
-        for mu in gf.elements():
-            assert gf.trace(gf.mul(c, mu)) == (row & mu).bit_count() & 1
+    for spec in enumerate_group_specs(gf, 4):
+        system = build_trace_system(spec)
+        rows = [cond.c for cond in system.conditions] + [spec.lambda_d ^ 1]
+        for v in gf.elements():
+            mu = gf.from_trace_coordinates(v)
+            for row in rows:
+                assert gf.trace(gf.mul(row, mu)) == (row & v).bit_count() & 1
 
 
 def _linear_mu_solutions(system) -> frozenset[int]:
     """The mu solving the conditions, from the solver's elimination helpers."""
-    from arcflock.search import _condition_row, _gf2_add_row, _gf2_affine_solve
+    from arcflock.search import _gf2_add_row, _gf2_affine_solve
 
     gf = system.gf
     reduced = []
     consistent = True
     for cond in system.conditions:
-        consistent &= _gf2_add_row(reduced, _condition_row(gf, cond.c), system.epsilon)
+        consistent &= _gf2_add_row(reduced, cond.c, system.epsilon)
     if not consistent:
         return frozenset()
     particular, basis = _gf2_affine_solve(reduced, gf.h)
     span = {particular}
     for v in basis:
         span |= {s ^ v for s in span}
-    return frozenset(span)
+    return frozenset(gf.from_trace_coordinates(v) for v in span)
 
 
 @pytest.mark.parametrize("h", (4, 5))
@@ -157,6 +159,18 @@ def test_search_group_and_solutions_match_scan(h):
 
 def test_search_group_and_solutions_match_scan_h16():
     _check_against_scan(GroupSpec(make_field(16), (0, 1, 2, 3), 4))
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_search_group_and_solutions_match_scan_h16_order8(seed):
+    # even h, so epsilon = 1: seven conditions plus the trace(beta) row in 16 unknowns
+    gf = make_field(16)
+    rng = random.Random(seed)
+    H = {0, 1}
+    while len(H) < 8:
+        H = gf.additive_span(H | {rng.randrange(2, gf.q)})
+    lambda_d = rng.choice([x for x in gf.elements() if x not in H])
+    _check_against_scan(GroupSpec(gf, tuple(sorted(H)), lambda_d))
 
 
 @pytest.mark.parametrize("h", (4, 5))
@@ -312,6 +326,37 @@ def test_subgroup_enumeration_validation():
         additive_subgroups_containing_one(gf, 3)
     with pytest.raises(ValueError, match="exceeds the field size"):
         additive_subgroups_containing_one(gf, 16)
+
+
+def test_enumerate_group_specs_refuses_oversized_surveys_early(monkeypatch):
+    def never(gf, order):
+        raise AssertionError("subgroups were enumerated before the refusal")
+
+    monkeypatch.setattr("arcflock.search.additive_subgroups_containing_one", never)
+    # [15 choose 1]_2 * (2^16 - 4) = 32767 * 65532 pairs
+    with pytest.raises(ValueError, match="2147287044 .* pairs; surveys stop at 1048576"):
+        enumerate_group_specs(make_field(16), 4)
+    with pytest.raises(ValueError, match="power of two"):
+        enumerate_group_specs(make_field(16), 6)
+    with pytest.raises(ValueError, match="exceeds the field size"):
+        enumerate_group_specs(make_field(3), 16)
+
+
+def test_survey_size_matches_the_enumeration():
+    from arcflock.search import MAX_SURVEY_SPECS, _survey_size
+
+    for h in range(1, 7):
+        gf = make_field(h)
+        for order in (2, 4, 8, 16, 32, 64):
+            if order <= gf.q:
+                expected = _gauss2(h - 1, order.bit_length() - 2) * (gf.q - order)
+                assert _survey_size(gf, order) == expected
+                assert len(enumerate_group_specs(gf, order)) == expected
+    # search --h 9 --d 4, the largest survey in the tests, CI, README and benchmark,
+    # fits, and so does rank --h 8 --d 8
+    assert _survey_size(make_field(9), 4) == 129540 <= MAX_SURVEY_SPECS
+    assert _survey_size(make_field(8), 8) == 661416 <= MAX_SURVEY_SPECS
+    assert _survey_size(make_field(9), 8) == 5440680 > MAX_SURVEY_SPECS
 
 
 def test_enumerate_group_specs_counts_and_order():
