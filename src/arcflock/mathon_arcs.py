@@ -13,7 +13,9 @@ which is plain XOR on the triples (lam, alpha lam, beta lam) (the flock
 plane [1, alpha lam, lam, beta lam] of flocks.arc_to_flock); a set of
 conics closed under this composition, i.e. whose triples span a GF(2)-space
 with one member per lam, together with the common nucleus, is a maximal arc
-of degree |set| + 1 (Mathon's construction).
+of degree |set| + 1 (Mathon's construction).  triple_span grows that space,
+for close_set and for flocks.classify_flock: the closed conic set and the
+additive partial flock are one space of triples (Hamilton-Thas).
 Denniston arcs are the special case alpha constant, beta = 1, with the lam
 values ranging over an additive subgroup minus 0.
 
@@ -30,7 +32,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import xor
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import projective as pg
 from .finite_field import GF
@@ -161,33 +163,38 @@ class MathonArc:
         return tuple(c.lam for c in self.conics)
 
 
+def triple_span(seed: Iterable[tuple[object, int, int, int]]) -> dict[int, tuple[int, int]]:
+    """The GF(2)-span of seed triples as a dict lam -> (A, B), grown from {0: (0, 0)}.
+
+    Seed items are (member, lam, A, B).  A lam the span holds with another
+    (A, B) raises ClosureError naming the member, so there are at most q keys.
+    """
+    span: dict[int, tuple[int, int]] = {0: (0, 0)}
+    for member, lam, A, B in seed:
+        old = span.get(lam)
+        if old is None:
+            span.update({l ^ lam: (a ^ A, b ^ B) for l, (a, b) in span.items()})
+        elif old != (A, B):
+            raise ClosureError(f"lam collision: {member} collides with the closure on lam={lam}")
+    return span
+
+
 def close_set(seed: Iterable[Conic]) -> MathonArc:
     """Close a seed set of conics under composition into a Mathon arc.
 
     Composition is coordinatewise XOR on the triples (lam, alpha lam,
-    beta lam), so the closure is the GF(2)-span of the seed triples.  It is
-    grown as a dict lam -> (alpha lam, beta lam) from {0: (0, 0)}: a seed
-    outside the span doubles it, and the span stays a function of lam
-    because the new lam lies outside the old lam subgroup.  Raises
+    beta lam), so the closure is the triple_span of the seed.  Raises
     ClosureError when a seed's lam is taken by another member of the span or
     a member is degenerate; else, by Mathon's theorem, the members are
     pairwise disjoint, as any two compose to a third, nondegenerate one.
     """
-    span: dict[int, tuple[int, int]] = {0: (0, 0)}
-    gf: Optional[GF] = None
-    for c in seed:
-        if gf is None:
-            gf = c.gf
-        elif c.gf != gf:
-            raise ValueError("seed conics live in different fields")
-        A, B = gf.mul(c.alpha, c.lam), gf.mul(c.beta, c.lam)
-        old = span.get(c.lam)
-        if old is None:
-            span.update({l ^ c.lam: (a ^ A, b ^ B) for l, (a, b) in span.items()})
-        elif old != (A, B):
-            raise ClosureError(f"lam collision: {c} collides with the closure on lam={c.lam}")
-    if gf is None:
+    seed = list(seed)
+    if not seed:
         raise ValueError("seed must contain at least one conic")
+    gf = seed[0].gf
+    if any(c.gf != gf for c in seed):
+        raise ValueError("seed conics live in different fields")
+    span = triple_span((c, c.lam, gf.mul(c.alpha, c.lam), gf.mul(c.beta, c.lam)) for c in seed)
 
     closed = []
     for l in sorted(span)[1:]:  # every key but 0

@@ -31,6 +31,7 @@ is enumerated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -113,22 +114,20 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
 
     The multiplier for lam is c_lam = lam * (lambda_d + 1) / (lambda_d + lam);
     both factors are nonzero because lambda_d lies outside H, so no condition
-    degenerates.  The common right-hand side is epsilon = 1 + trace(1).
+    degenerates.  It is computed as top + top * lambda_d / (lambda_d + lam)
+    with top = lambda_d + 1, the same value by one multiplication less.  The
+    common right-hand side is epsilon = 1 + trace(1).
     """
     gf = spec.gf
     ld = spec.lambda_d
     top = ld ^ 1
-    conditions = []
-    for lam in spec.H:
-        if lam == 0:
-            continue
-        c = gf.div(gf.mul(lam, top), ld ^ lam)
-        conditions.append(TraceCondition(lam=lam, c=c))
+    k = gf.mul(top, ld)
+    mul, inv = gf.mul, gf.inv
     return TraceConditionSystem(
         gf=gf,
         group=spec,
         epsilon=1 ^ gf.trace(1),
-        conditions=tuple(conditions),
+        conditions=tuple([TraceCondition(l, top ^ mul(k, inv(ld ^ l))) for l in spec.H[1:]]),
     )
 
 
@@ -197,6 +196,8 @@ def _eliminate(
     reduced: list[tuple[int, int, int]] = []
     consistent = True
     for cond in system.conditions:
+        if not consistent and len(reduced) == h:
+            break  # at full rank an inconsistent system stays so, at the same rank
         consistent &= _gf2_add_row(reduced, cond.c, eps)
     rank = len(reduced)
     num_mu = (1 << (h - rank)) if consistent else 0
@@ -366,21 +367,19 @@ def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ..
     """All additive subgroups of GF(q) of the given order that contain 1.
 
     Returned as sorted element tuples in lexicographic order, so every
-    enumeration built on top is deterministic.
+    enumeration built on top is deterministic.  A subgroup of order 2^k is
+    <1> + W for exactly one (k-1)-dimensional space W of even elements (bit 0
+    clear), and W has one reduced echelon basis: k-1 pivot bits, each row its
+    pivot plus any lower bit that is neither bit 0 nor a pivot.  So each
+    subgroup is built once, and no smaller subgroup is built at all.
     """
-    _order_log2(gf, order)
-    level: set[frozenset[int]] = {frozenset({0, 1})}
-    size = 2
-    while size < order:
-        grown: set[frozenset[int]] = set()
-        for S in level:
-            for s in gf.elements():
-                if s in S:
-                    continue
-                grown.add(frozenset(S | {s ^ e for e in S}))
-        level = grown
-        size *= 2
-    return tuple(sorted(tuple(sorted(S)) for S in level))
+    k = _order_log2(gf, order)
+    groups = []
+    for pivots in itertools.combinations(range(1, gf.h), k - 1):
+        taken = 1 | sum(1 << p for p in pivots)
+        rows = [[(1 << p) | m for m in range(1 << p) if not m & taken] for p in pivots]
+        groups += [tuple(sorted(gf.additive_span((1,) + b))) for b in itertools.product(*rows)]
+    return tuple(sorted(groups))
 
 
 def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
@@ -398,8 +397,7 @@ def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
     return [
         GroupSpec(gf, H, ld)
         for H in additive_subgroups_containing_one(gf, order)
-        for ld in gf.elements()
-        if ld not in H
+        for ld in sorted(set(gf.elements()).difference(H))
     ]
 
 

@@ -5,8 +5,10 @@ field arithmetic as polynomials over GF(2), every point of PG(2,q) and
 PG(3,q), incidence as a dot product, joins and meets as a nullspace, the
 pencil of a point and the line histogram of a point set line by line, conic
 and cone points by scanning, the closure of a conic set by composing pairs
-until nothing new appears, the pointwise projection from the nuclear line,
-and trace systems solved by evaluating every condition at every mu.
+until nothing new appears, the additivity of a plane set by XOR of every
+pair, the pointwise projection from the nuclear line, subgroups by growing
+every intermediate level, and trace systems solved by evaluating every
+condition at every mu.
 """
 
 import dataclasses
@@ -231,6 +233,20 @@ def nuclear_intersection(gf: GF, plane: pg.Coords) -> pg.Coords:
     return pg.normalize(gf, (gf.div(u2, u0), 0, 1, 0))
 
 
+def additive_by_pairs(F: fl.PartialFlock) -> bool:
+    """Whether the (t, f, g) triples of the planes form a group with distinct t, pair by pair."""
+    triples = fl.base_representation(F)
+    triple_set = set(triples)
+    return (
+        len({t for t, _, _ in triples}) == len(triples)
+        and (0, 0, 0) in triple_set
+        and all(
+            (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2]) in triple_set
+            for a, b in itertools.combinations(triple_set, 2)
+        )
+    )
+
+
 def make_flock(gf: GF, planes: Iterable[pg.Coords]) -> fl.PartialFlock:
     """Normalize, deduplicate and sort raw plane tuples into a PartialFlock."""
     return fl.PartialFlock(gf, tuple(sorted({pg.normalize(gf, p) for p in planes})))
@@ -288,6 +304,19 @@ def standard_plane_conic(gf: GF, abc: tuple[int, int, int]) -> Conic:
 
 
 # -- trace-condition systems ---------------------------------------------------------
+
+
+def subgroups_by_growth(gf: GF, order: int) -> tuple[tuple[int, ...], ...]:
+    """The additive subgroups containing 1 of one order, grown level by level from {0, 1}.
+
+    Every subgroup of each smaller order is built, once per element outside it.
+    """
+    level: set[frozenset[int]] = {frozenset({0, 1})}
+    while len(next(iter(level))) < order:
+        level = {
+            frozenset(S | {s ^ e for e in S}) for S in level for s in gf.elements() if s not in S
+        }
+    return tuple(sorted(tuple(sorted(S)) for S in level))
 
 
 def condition_value_squared(gf: GF, c: int, rho: int) -> int:

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from arcflock import flocks as fl
 from arcflock import mathon_arcs as ma
 from arcflock.cli import main
+from arcflock.finite_field import make_field
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,30 @@ def test_high_degree_arc_above_the_step_ceiling_exits_2_within_seconds():
     assert proc.stderr.startswith(f"error: the arc line scan stops at {ma.MAX_SCAN_STEPS} steps")
     assert "63520 * 2049" in proc.stderr
     assert elapsed < 2
+
+
+def test_flock_above_the_step_ceiling_exits_2_within_seconds():
+    # a degree-256 arc at h = 16 is built and converted, then its flock's
+    # 256 * 65 537 section points are refused before any is listed
+    arc = ma.denniston_arc(make_field(16), 2048, range(1, 256))
+    inputs = {
+        ("convert", "--direction", "arc-to-flock", "-"): ma.arc_to_json(arc),
+        ("verify", "-"): fl.flock_to_json(fl.arc_to_flock(arc)),
+    }
+    for argv, obj in inputs.items():
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcflock", *argv],
+            input=json.dumps(obj), capture_output=True, text=True, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: the flock section oracle stops at {ma.MAX_SCAN_STEPS} steps,"
+            " got (q + 1) * d * (d + 1) / 2 = 65537 * 256 * 257 / 2\n"
+        )
+        assert elapsed < 2
 
 
 def test_construct_mathon_extend_frozen_q32(capsys):
@@ -478,6 +504,19 @@ def test_oversized_rank_survey_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: a survey of |H| = 4 at h = 16 has 2147287044 (H, lambda_d)")
+
+
+def test_survey_of_the_whole_field_reports_no_pairs_within_seconds():
+    # H = GF(2^16) leaves no lambda_d; enumerating it takes one subgroup
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arcflock", "search", "--h", "16", "--d", "65536"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["records"] == [] and payload["summary"]["pairs"] == 0
 
 
 def test_rank_text_format(capsys):

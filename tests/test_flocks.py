@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import oracles
 import pytest
 
 from arcflock import projective as pg
+from arcflock import search as se
 from arcflock.finite_field import make_field
 from arcflock.flocks import (
     BASE_NUCLEUS,
@@ -46,6 +48,7 @@ from arcflock.flocks import (
     verify_partial_flock,
 )
 from arcflock.mathon_arcs import (
+    MAX_SCAN_STEPS,
     Conic,
     DisjointnessError,
     close_set,
@@ -224,6 +227,49 @@ def test_generic_flock_is_additive_but_not_linear(generic_arc_q8):
     assert cls.additive and not cls.linear
 
 
+def _random_plane_set(gf, rng, kind):
+    """Planes [1, f, t, g] from triples (t, f, g) of one of four kinds.
+
+    additive: the span of up to h random triples with independent t;
+    collision: that span plus a triple that reuses one of its t;
+    no_x0: the span without (0, 0, 0); open: the span minus or plus one
+    random triple.
+    """
+    span = {0: (0, 0)}
+    for _ in range(rng.randint(1, gf.h)):
+        t = rng.choice([x for x in range(1, gf.q) if x not in span])
+        f, g = rng.randrange(gf.q), rng.randrange(gf.q)
+        span.update({l ^ t: (a ^ f, b ^ g) for l, (a, b) in span.items()})
+    triples = {(t, f, g) for t, (f, g) in span.items()}
+    if kind == "collision":
+        t, f, g = rng.choice(sorted(triples))
+        triples.add((t, f ^ rng.randrange(1, gf.q), g))
+    elif kind == "no_x0":
+        triples.discard((0, 0, 0))
+    elif kind == "open" and rng.random() < 0.5 and len(triples) > 2:
+        triples.remove(rng.choice(sorted(triples - {(0, 0, 0)})))
+    elif kind == "open":
+        triples.add(tuple(rng.randrange(gf.q) for _ in range(3)))
+    return oracles.make_flock(gf, [(1, f, t, g) for t, f, g in triples])
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_classify_flock_additivity_matches_pair_closure(h):
+    # 4 x 125 plane sets per field, 2000 in all, against the pair-by-pair oracle
+    gf = make_field(h)
+    rng = random.Random(h)
+    outcomes = Counter()
+    for kind in ("additive", "collision", "no_x0", "open"):
+        for _ in range(125):
+            F = _random_plane_set(gf, rng, kind)
+            additive = oracles.additive_by_pairs(F)
+            assert classify_flock(F).additive == additive, F.planes
+            outcomes[kind, additive] += 1
+    assert outcomes["additive", True] == 125
+    assert outcomes["collision", False] == outcomes["no_x0", False] == 125
+    assert outcomes["open", False] >= 60
+
+
 @pytest.mark.parametrize("h", [3, 4])
 def test_linearity_matches_meet_and_incidence(h):
     """Reference: meet the first two planes, then test both points on the rest."""
@@ -263,6 +309,23 @@ def test_flock_report_json_shape(battery_arcs):
     assert obj["section_sizes"] == [9, 9, 9, 9]
     assert len(obj["pairs"]) == 6
     assert all(p["trace"] == 1 and p["shared_points"] == 0 for p in obj["pairs"])
+
+
+def test_flock_oracle_refuses_too_many_steps_before_listing(monkeypatch):
+    # a degree-256 flock at h = 16 would list 256 * 65 537 section points
+    gf = make_field(16)
+    F = arc_to_flock(denniston_arc(gf, 2048, range(1, 256)))
+    assert F.size == 256
+
+    def no_listing(gf, plane):
+        raise AssertionError("a section was listed before the refusal")
+
+    monkeypatch.setattr("arcflock.flocks.plane_section", no_listing)
+    refusal = f"stops at {MAX_SCAN_STEPS} steps.* 65537 \\* 256 \\* 257 / 2"
+    with pytest.raises(ValueError, match=refusal):
+        verify_partial_flock(F)
+    # the bench's largest flocks and a degree-4 flock at h = 16 stay below
+    assert 65 * 32 * 33 // 2 <= MAX_SCAN_STEPS and 65537 * 4 * 5 // 2 <= MAX_SCAN_STEPS
 
 
 def test_bad_flock_report_fails():
@@ -623,6 +686,90 @@ def test_extend_flock_to_a_non_linear_flock_q32(extension_arc_q32):
     assert verify_partial_flock(ext).verdict
 
 
+def _extension_cases(gf, F):
+    """Every plane V that extend_flock accepts for F: off the vertex and the base
+    nucleus, with a section disjoint from each section of F."""
+    for t in range(1, gf.q):
+        for f, g in itertools.product(range(gf.q), repeat=2):
+            V = (1, f, t, g)
+            if all(sections_disjoint(gf, V, u) for u in F.planes):
+                yield V
+
+
+def test_extend_flock_exhaustive_q8_q16():
+    # every accepted (F, V) over the Denniston flocks of every trace-1 alpha
+    # and every proper subgroup containing 1, plus one non-linear flock at
+    # q = 16 (the q = 8 one has no extension): the result is F plus V + F, so
+    # it has double size and is additive, and the section oracle passes it,
+    # so the check of every pair, which extend_flock no longer runs, could not
+    # fail on any of them
+    gf16 = make_field(4)
+    non_linear = arc_to_flock(close_set([Conic(gf16, 1, 8, 1), Conic(gf16, 1, 11, 2)]))
+    assert not classify_flock(non_linear).linear
+    bases = [non_linear]
+    for h in (3, 4):
+        gf = make_field(h)
+        for k in range(1, h):
+            for A in se.additive_subgroups_containing_one(gf, 1 << k):
+                bases += [
+                    arc_to_flock(denniston_arc(gf, alpha, A[1:]))
+                    for alpha in gf.elements()
+                    if gf.trace(alpha) == 1
+                ]
+    verdicts = {}
+    cases = 0
+    for F in bases:
+        for V in _extension_cases(F.gf, F):
+            ext = extend_flock(F, V)
+            shifted = {(1, V[1] ^ u[1], V[2] ^ u[2], V[3] ^ u[3]) for u in F.planes}
+            assert ext.planes == tuple(sorted(set(F.planes) | shifted))
+            assert ext.size == 2 * F.size
+            if ext.planes not in verdicts:
+                verdicts[ext.planes] = verify_partial_flock(ext).verdict
+                assert classify_flock(ext).additive
+            cases += 1
+    assert cases == 288 + 10208 + 80  # [DERIVED: Denniston at q = 8 and 16, then non-linear]
+    assert all(verdicts.values())
+
+
+def _doublings(h):
+    """(base arc, new conic) for one doubling at h.
+
+    Odd h: the trace system of H = <1, 2, ...> of order guaranteed_degree / 2
+    and the least solvable lambda_d, alpha = 1.  Even h: Denniston arcs with
+    the least trace-1 alpha, doubled from degree 2 up to guaranteed_degree.
+    """
+    gf = make_field(h)
+    top = se.guaranteed_degree(h) // 2
+    if h % 2:
+        H = tuple(range(top))
+        for ld in range(top, gf.q):
+            valid = se.solve_trace_system(se.build_trace_system(se.GroupSpec(gf, H, ld)))
+            if valid:
+                break
+        beta = se.beta_of(gf, ld, min(valid))
+        spec = se.GroupSpec(gf, H, ld)
+        return [(se.base_denniston_arc(spec), Conic(gf, 1, gf.square(beta), gf.square(ld)))]
+    alpha = min(a for a in gf.elements() if gf.trace(a) == 1)
+    return [(denniston_arc(gf, alpha, range(1, d)), Conic(gf, alpha, 1, d))
+            for d in (2, 4, 8, 16) if d <= top]
+
+
+@pytest.mark.parametrize("h", [3, 4, 5, 6, 7, 8, 9])
+def test_both_routes_carry_each_doubling(h):
+    # the flock route: double the base's flock by the new conic's plane; the
+    # arc route: synthetic extension by the conic, then its flock
+    doublings = _doublings(h)
+    assert doublings
+    for base, c in doublings:
+        gf = base.gf
+        plane = (1, gf.mul(c.alpha, c.lam), c.lam, gf.mul(c.beta, c.lam))
+        ext = extend_flock(arc_to_flock(base), plane)
+        assert ext == arc_to_flock(synthetic_extension(base, c))
+        assert ext.size == 2 * base.degree
+    assert 2 * doublings[-1][0].degree == se.guaranteed_degree(h)
+
+
 def test_generic_arc_q8_has_no_extension(generic_arc_q8):
     # [DERIVED: exhaustive scan; no valid conic outside the lam subgroup is
     # disjoint from all three conics of this arc, so no doubling exists]
@@ -655,6 +802,24 @@ def test_extend_flock_rejections(battery_arcs):
     # matching X2-coefficient with an existing conic plane
     with pytest.raises(DisjointnessError, match=r"\(1, 1, 1, 1\)"):
         extend_flock(F4, (1, 5, 1, 6))
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_extend_flock_rejects_every_additive_non_flock_of_two_planes(h):
+    # F = {X0 = 0, u} with the section of u meeting that of X0 = 0, and any V
+    # passing the test against F: the composition in the raw picture refuses
+    # each, so the doubled set is never returned
+    gf = make_field(h)
+    cases = 0
+    for u in _vertex_avoiding_planes(gf):
+        if u[2] == 0 or sections_disjoint(gf, EMBEDDING_PLANE, u):
+            continue
+        F = PartialFlock(gf, (EMBEDDING_PLANE, u))
+        for V in _extension_cases(gf, F):
+            with pytest.raises(DisjointnessError, match="share a cone point"):
+                extend_flock(F, V)
+            cases += 1
+    assert cases > 0
 
 
 # -- serialization -------------------------------------------------------------------

@@ -293,6 +293,9 @@ def test_subgroup_counts_match_gaussian_binomials():
         (5, 4, _gauss2(4, 1)),
         (5, 8, _gauss2(4, 2)),
         (4, 4, _gauss2(3, 1)),
+        (8, 128, _gauss2(7, 6)),
+        (10, 512, _gauss2(9, 8)),
+        (16, 1 << 16, 1),
     ):
         subs = additive_subgroups_containing_one(make_field(h), order)
         assert len(subs) == expected
@@ -318,6 +321,14 @@ def test_subgroups_match_literal_brute_force_q16():
         if all(a ^ b in s for a, b in itertools.combinations(cand, 2)):
             brute.append(cand)
     assert tuple(sorted(brute)) == additive_subgroups_containing_one(gf, 4)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6])
+def test_subgroups_match_the_growth_oracle_at_every_order(h):
+    gf = make_field(h)
+    for order in (1 << k for k in range(1, h + 1)):
+        expected = oracles.subgroups_by_growth(gf, order)
+        assert additive_subgroups_containing_one(gf, order) == expected
 
 
 def test_subgroup_enumeration_validation():
