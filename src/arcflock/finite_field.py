@@ -20,6 +20,8 @@ trace(x^j d_i) = [i = j]; it is the inverse of the Gram matrix
 trace(x^(i+j)) over GF(2), computed once per field.  An element mu then has
 trace coordinates v_j = trace(x^j mu), and trace(c mu) = parity(c & v) for
 every c: the bits of c are the coefficients of a linear form in v.
+One GF(2) row reduction, gf2_add_row, inverts that Gram matrix and solves
+every trace system of the search module.
 """
 
 from __future__ import annotations
@@ -87,6 +89,28 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
     raise ValueError("multiplicative group is not cyclic; modulus is not irreducible")
 
 
+def gf2_add_row(reduced: list[tuple[int, int, int]], row: int, b: int) -> bool:
+    """Add the equation parity(row & x) = b to a reduced row echelon form, in place.
+
+    Entries are (pivot bit, row, rhs); each stored row has zeros at every
+    other pivot bit.  An rhs of several bits carries one system per bit.  A
+    row that reduces to zero adds no pivot; the return value is False exactly
+    when it reduces to 0 = b with b != 0, contradicting the rows present.
+    """
+    for pb, pr, pbv in reduced:
+        if (row >> pb) & 1:
+            row ^= pr
+            b ^= pbv
+    if row == 0:
+        return not b
+    pb = row.bit_length() - 1
+    for i, (qb, qr, qbv) in enumerate(reduced):
+        if (qr >> pb) & 1:
+            reduced[i] = (qb, qr ^ row, qbv ^ b)
+    reduced.append((pb, row, b))
+    return True
+
+
 class GF:
     """GF(2^h); immutable, hashable, with elements represented as ints."""
 
@@ -126,23 +150,17 @@ class GF:
         return mask
 
     def _build_dual_basis(self) -> tuple[int, ...]:
-        # Gauss-Jordan on the Gram rows trace(x^(i+j)), each carrying a unit row
-        # above bit h; the carried rows end up as the inverse matrix, whose row i
-        # holds the polynomial coefficients of d_i
+        # row j of the Gram matrix trace(x^(i+j)) with right-hand side 1 << j:
+        # reduced to the identity, pivot i carries row i of the inverse, whose
+        # bits are the polynomial coefficients of d_i
         h = self.h
-        rows = [
-            sum(self.trace(self.mul(1 << i, 1 << j)) << j for j in range(h)) | 1 << (h + i)
-            for i in range(h)
-        ]
-        for col in range(h):
-            pivot = next((r for r in range(col, h) if rows[r] >> col & 1), None)
-            if pivot is None:
+        reduced: list[tuple[int, int, int]] = []
+        for j in range(h):
+            row = sum(self.trace(self.mul(1 << i, 1 << j)) << i for i in range(h))
+            # the right-hand sides are independent, so a row adding no pivot contradicts
+            if not gf2_add_row(reduced, row, 1 << j):
                 raise AssertionError("the trace form is degenerate")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            for r in range(h):
-                if r != col and rows[r] >> col & 1:
-                    rows[r] ^= rows[col]
-        return tuple(row >> h for row in rows)
+        return tuple(b for _, _, b in sorted(reduced))
 
     # -- identity -------------------------------------------------------------
 

@@ -10,9 +10,8 @@ sections; a section-intersection oracle that shares nothing with it runs
 alongside it in every verification report.  The oracle lists each section
 as a point set from the cone's parametrisation: every cone point other than
 the vertex is (x0, s^2, s u, u^2) for (s:u) in PG(1,q) and x0 in GF(q), so
-a plane meets each of the q + 1 generators in one point, or, through the
-vertex, in the whole generator or in the vertex alone.  A section costs
-O(q), with no scan of PG(3,q).
+a plane avoiding the vertex meets each of the q + 1 generators in one
+point.  A section costs O(q), with no scan of PG(3,q).
 
 A Mathon arc with conics F_{alpha,beta,lam} corresponds to the additive
 partial flock with planes [1, alpha*lam, lam, beta*lam] plus the plane
@@ -85,25 +84,20 @@ def _generators(gf: GF) -> list[tuple[int, int, int]]:
 
 
 def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
-    """All cone points on the given plane [u0, u1, u2, u3], generator by generator.
+    """The q + 1 cone points on a plane [u0, u1, u2, u3] avoiding the vertex.
 
-    On the generator (X1, X2, X3) the plane asks u0 x0 = v with
-    v = u1 X1 + u2 X2 + u3 X3.  With u0 != 0 that is one point per
-    generator, x0 = v/u0, so q + 1 points.  With u0 = 0 the plane holds the
-    vertex and, for every generator with v = 0, the whole generator line.
+    Scaled once to u0 = 1, the plane meets the generator (X1, X2, X3) where
+    x0 = u1 X1 + u2 X2 + u3 X3: one point per generator.  Planes through
+    the vertex (u0 = 0) are refused.
     """
-    u0, u1, u2, u3 = plane
+    if plane[0] == 0:
+        raise ValueError(f"plane {plane} passes through the cone vertex {VERTEX}")
+    _, u1, u2, u3 = pg.normalize(gf, plane)
     mul = gf.mul
-    pts = set()
-    if u0 == 0:
-        pts.add(VERTEX)
-    for gen in _generators(gf):
-        v = mul(u1, gen[0]) ^ mul(u2, gen[1]) ^ mul(u3, gen[2])
-        if u0:
-            pts.add(pg.normalize(gf, (gf.div(v, u0),) + gen))
-        elif v == 0:
-            pts.update(pg.normalize(gf, (x0,) + gen) for x0 in range(gf.q))
-    return frozenset(pts)
+    return frozenset(
+        pg.normalize(gf, (mul(u1, x1) ^ mul(u2, x2) ^ mul(u3, x3), x1, x2, x3))
+        for x1, x2, x3 in _generators(gf)
+    )
 
 
 def section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:

@@ -11,31 +11,33 @@ mu = 1 / rho is disjoint from every member of D exactly when
 where c_lam = lam * (lambda_d + 1) / (lambda_d + lam) and
 epsilon = 1 + trace(1) (so 0 in fields of odd degree, 1 in even degree).
 The system is solved in trace coordinates: mu is written as the bit vector
-v with v_j = trace(x^j * mu), and then trace(c * mu) = parity(c & v), so the
-row of each condition over GF(2) is c_lam itself (see finite_field).  A
-surviving rho must also leave C nondegenerate, i.e. trace(beta) = 1, which
-is one more affine row: trace((lambda_d + 1) * mu) = epsilon, whose row is
-lambda_d + 1.  One Gaussian elimination per system gives the rank and both
-solution counts in closed form; valid rho are listed, only when an arc is
-wanted, by mapping its particular solution and null basis back to mu
-through the trace-dual basis.  (The tests check all of this against an
-exhaustive mu scan, and each condition against its squared form
-trace(1 + (c_lam / rho)^2) = 1.)
+v with v_j = trace(x^j * mu), and then trace(c * mu) = parity(c & v), so a
+condition is stored as its multiplier c_lam, which is also its row over
+GF(2) (see finite_field).  A surviving rho must also leave C nondegenerate,
+i.e. trace(beta) = 1, which is one more affine row:
+trace((lambda_d + 1) * mu) = epsilon, whose row is lambda_d + 1.  One
+elimination per system, by the package's one GF(2) row reduction
+finite_field.gf2_add_row, gives the rank and both solution counts in closed
+form; valid rho are listed, only when an arc is wanted, by mapping its
+particular solution and null basis back to mu through the trace-dual basis.
+(The tests check all of this against an exhaustive mu scan, and each
+condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
 synthetic extension (construct_extension_arc), which tests each new conic
 pair by composition.  search_group only counts; search_field attaches one
 such arc to the first record that has a valid rho, up to h = MAX_SCAN_H.
-Surveys larger than MAX_SURVEY_SPECS pairs are refused before any subgroup
-is enumerated.
+Surveys larger than MAX_SURVEY_SPECS pairs, or than MAX_SURVEY_CONDITIONS
+trace conditions (d - 1 per pair), are refused before any subgroup is
+enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .finite_field import GF
+from .finite_field import GF, gf2_add_row
 from .mathon_arcs import (
     MAX_SCAN_H,
     Conic,
@@ -50,6 +52,12 @@ from .mathon_arcs import (
 #: stays near 1 GB: rank --h 8 --d 8 (661 416 pairs) runs, while
 #: rank --h 9 --d 8 (5 440 680) and rank --h 16 --d 4 (about 2.1e9) are refused.
 MAX_SURVEY_SPECS = 1 << 20
+
+#: largest number of trace conditions, d - 1 per pair, that a survey solves.
+#: At 1.3-2.1 us per condition end to end a survey at the bound ends within
+#: about 20 s: rank --h 8 --d 8 (4.6e6) runs, while rank --h 9 --d 256
+#: (1.7e7, 35 s), --h 10 --d 512 and --h 11 --d 1024 (1.1e9) are refused.
+MAX_SURVEY_CONDITIONS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -89,24 +97,18 @@ class GroupSpec:
         return len(self.H)
 
 
-class TraceCondition(NamedTuple):
-    """One disjointness condition trace(c * mu) = epsilon, tagged by its lam.
-
-    In trace coordinates v of mu it reads parity(c & v) = epsilon.
-    """
-
-    lam: int
-    c: int
-
-
 @dataclass(frozen=True)
 class TraceConditionSystem:
-    """The full affine system for a GroupSpec: conditions plus target epsilon."""
+    """The full affine system for a GroupSpec: conditions plus target epsilon.
+
+    Condition trace(c * mu) = epsilon is stored as its multiplier c, one per
+    lam in group.H[1:], in that order.
+    """
 
     gf: GF
     group: GroupSpec
     epsilon: int
-    conditions: tuple[TraceCondition, ...]
+    conditions: tuple[int, ...]
 
 
 def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
@@ -127,33 +129,11 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
         gf=gf,
         group=spec,
         epsilon=1 ^ gf.trace(1),
-        conditions=tuple([TraceCondition(l, top ^ mul(k, inv(ld ^ l))) for l in spec.H[1:]]),
+        conditions=tuple([top ^ mul(k, inv(ld ^ l)) for l in spec.H[1:]]),
     )
 
 
 # -- solving the system over GF(2) ---------------------------------------------
-
-
-def _gf2_add_row(reduced: list[tuple[int, int, int]], row: int, b: int) -> bool:
-    """Add the equation parity(row & x) = b to a reduced row echelon form, in place.
-
-    Entries are (pivot bit, row, rhs bit); each stored row has zeros at every
-    other pivot bit.  A row that reduces to zero adds no pivot; the return
-    value is False exactly when it reduces to 0 = 1, i.e. contradicts the
-    rows already present.
-    """
-    for pb, pr, pbv in reduced:
-        if (row >> pb) & 1:
-            row ^= pr
-            b ^= pbv
-    if row == 0:
-        return not b
-    pb = row.bit_length() - 1
-    for i, (qb, qr, qbv) in enumerate(reduced):
-        if (qr >> pb) & 1:
-            reduced[i] = (qb, qr ^ row, qbv ^ b)
-    reduced.append((pb, row, b))
-    return True
 
 
 def _gf2_affine_solve(
@@ -195,13 +175,13 @@ def _eliminate(
     eps = system.epsilon
     reduced: list[tuple[int, int, int]] = []
     consistent = True
-    for cond in system.conditions:
+    for c in system.conditions:
         if not consistent and len(reduced) == h:
             break  # at full rank an inconsistent system stays so, at the same rank
-        consistent &= _gf2_add_row(reduced, cond.c, eps)
+        consistent &= gf2_add_row(reduced, c, eps)
     rank = len(reduced)
     num_mu = (1 << (h - rank)) if consistent else 0
-    if consistent and _gf2_add_row(reduced, system.group.lambda_d ^ 1, eps):
+    if consistent and gf2_add_row(reduced, system.group.lambda_d ^ 1, eps):
         num_valid_mu = 1 << (h - len(reduced))
     else:
         num_valid_mu = 0
@@ -271,6 +251,8 @@ def base_denniston_arc(spec: GroupSpec) -> MathonArc:
     trace(1) = 1, i.e. a field of odd degree.
     """
     gf = spec.gf
+    if gf.trace(1) != 1:
+        raise ValueError(f"h = {gf.h} is even: the alpha = 1 base arc needs trace(1) = 1")
     lams = tuple(sorted(gf.square(lam) for lam in spec.H if lam != 0))
     return denniston_arc(gf, 1, lams)
 
@@ -385,15 +367,21 @@ def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ..
 def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
     """Every (H, lambda_d) with |H| = order: subgroups lexicographically, lambda_d upward.
 
-    The number of pairs is checked in closed form first, so a survey larger
-    than MAX_SURVEY_SPECS is refused before any subgroup is enumerated.
+    The numbers of pairs and of trace conditions are checked in closed form
+    first, so a survey larger than MAX_SURVEY_SPECS pairs or
+    MAX_SURVEY_CONDITIONS conditions is refused before any subgroup is
+    enumerated.
     """
     pairs = _survey_size(gf, order)
-    if pairs > MAX_SURVEY_SPECS:
-        raise ValueError(
-            f"a survey of |H| = {order} at h = {gf.h} has {pairs} (H, lambda_d) pairs;"
-            f" surveys stop at {MAX_SURVEY_SPECS}"
-        )
+    for count, unit, bound in (
+        (pairs, "(H, lambda_d) pairs", MAX_SURVEY_SPECS),
+        (pairs * (order - 1), "trace conditions", MAX_SURVEY_CONDITIONS),
+    ):
+        if count > bound:
+            raise ValueError(
+                f"a survey of |H| = {order} at h = {gf.h} has {count} {unit};"
+                f" surveys stop at {bound}"
+            )
     return [
         GroupSpec(gf, H, ld)
         for H in additive_subgroups_containing_one(gf, order)

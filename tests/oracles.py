@@ -331,7 +331,7 @@ def mu_solutions_scan(system: se.TraceConditionSystem) -> frozenset[int]:
     return frozenset(
         mu
         for mu in gf.elements()
-        if all(gf.trace(gf.mul(cond.c, mu)) == eps for cond in system.conditions)
+        if all(gf.trace(gf.mul(c, mu)) == eps for c in system.conditions)
     )
 
 

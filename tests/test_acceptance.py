@@ -453,15 +453,15 @@ def test_criterion_10_parity_split_and_oracle():
             mu = gf.inv(rho)
             beta = beta_of(gf, spec.lambda_d, rho)
             cand = quadric_points(gf, 1, gf.square(beta), gf.square(spec.lambda_d))
-            for cond in system.conditions:
-                predicted = gf.trace(gf.mul(cond.c, mu)) == system.epsilon
-                base = quadric_points(gf, 1, 1, gf.square(cond.lam))
+            for lam, c in zip(spec.H[1:], system.conditions):
+                predicted = gf.trace(gf.mul(c, mu)) == system.epsilon
+                base = quadric_points(gf, 1, 1, gf.square(lam))
                 disjoint = cand.isdisjoint(base)
                 if predicted != disjoint:
                     failures.append(f"q={q} H={spec.H} ld={spec.lambda_d} "
-                                    f"rho={rho} lam={cond.lam}: prediction "
+                                    f"rho={rho} lam={lam}: prediction "
                                     f"{predicted} vs oracle {disjoint}")
-                if (oracles.condition_value_squared(gf, cond.c, rho) == 1) != predicted:
+                if (oracles.condition_value_squared(gf, c, rho) == 1) != predicted:
                     failures.append(f"q={q} rho={rho}: squared redundant check "
                                     f"deviates")
                 if predicted:

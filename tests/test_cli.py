@@ -181,6 +181,15 @@ def test_construct_mathon_extend_explicit_and_invalid_rho(capsys):
     assert "not a valid solution" in err
 
 
+def test_construct_mathon_extend_refuses_even_h(capsys):
+    # the trace system of GF(16) has valid rho, but the alpha = 1 base arc is degenerate
+    code, out, err = run_cli(
+        capsys, "construct", "mathon-extend", "--h", "4", "--H", "1,2", "--lambda-d", "6"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: h = 4 is even: the alpha = 1 base arc needs trace(1) = 1\n"
+
+
 # -- verify --------------------------------------------------------------------------
 
 
@@ -504,6 +513,16 @@ def test_oversized_rank_survey_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: a survey of |H| = 4 at h = 16 has 2147287044 (H, lambda_d)")
+
+
+def test_rank_survey_of_too_many_trace_conditions_exits_2(capsys):
+    # 1 047 552 pairs fit the pair bound, but their 1023 conditions each do not
+    code, out, err = run_cli(capsys, "rank", "--h", "11", "--d", "1024")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a survey of |H| = 1024 at h = 11 has 1071645696 trace conditions;"
+        " surveys stop at 8388608\n"
+    )
 
 
 def test_survey_of_the_whole_field_reports_no_pairs_within_seconds():

@@ -5,7 +5,7 @@ import random
 import oracles
 import pytest
 
-from arcflock.finite_field import GF, MAX_H, least_irreducible, make_field
+from arcflock.finite_field import GF, MAX_H, gf2_add_row, least_irreducible, make_field
 
 # [DERIVED: each value re-proven least irreducible by the naive oracle]
 FROZEN_MODULI = {
@@ -142,6 +142,43 @@ def test_dual_basis_against_naive_trace(h):
         assert [_oracle_trace_of_product(gf, 1 << j, d) for j in range(h)] == [
             int(i == j) for j in range(h)
         ]
+
+
+def test_dual_basis_refuses_a_degenerate_trace_form(monkeypatch):
+    # with a trace that vanishes everywhere no Gram row adds a pivot
+    gf = GF(3)
+    monkeypatch.setattr(GF, "trace", lambda self, a: 0)
+    with pytest.raises(AssertionError, match="the trace form is degenerate"):
+        gf._build_dual_basis()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gf2_add_row_against_brute_force(n):
+    # after every added row: the consistency flag, the rank (by the size of the
+    # row span) and the solution count against a scan of every x in GF(2)^n
+    rng = random.Random(1600 + n)
+    for _ in range(200):
+        reduced = []
+        consistent = True
+        rows, rhs = [], []
+        for _ in range(rng.randrange(1, 2 * n + 2)):
+            row, b = rng.randrange(1 << n), rng.randrange(2)
+            consistent &= gf2_add_row(reduced, row, b)
+            rows.append(row)
+            rhs.append(b)
+            span = {0}
+            for r in rows:
+                span |= {r ^ s for s in span}
+            solutions = [
+                x for x in range(1 << n)
+                if all((r & x).bit_count() & 1 == c for r, c in zip(rows, rhs))
+            ]
+            assert 1 << len(reduced) == len(span)
+            assert consistent == bool(solutions)
+            assert len(solutions) == ((1 << (n - len(reduced))) if consistent else 0)
+            for pb, r, _ in reduced:  # reduced row echelon form
+                assert r.bit_length() - 1 == pb
+                assert all(not r >> qb & 1 for qb, _, _ in reduced if qb != pb)
 
 
 @pytest.mark.parametrize("h", range(1, 7))

@@ -113,14 +113,19 @@ def test_vertex_avoiding_sections_have_q_plus_1_points(h):
 
 @pytest.mark.parametrize("h", (1, 2, 3))
 def test_plane_section_matches_brute_force_on_every_plane(h):
-    # planes through the vertex included: their sections are unions of generators
+    # planes through the vertex have no conic section and are refused
     gf = make_field(h)
     cone = oracles.brute_cone(gf)
     for plane in oracles.points(gf, 4):
+        if plane[0] == 0:
+            with pytest.raises(ValueError, match="passes through the cone vertex"):
+                plane_section(gf, plane)
+            continue
         brute = frozenset(e for e in cone if oracles.incident(gf, e, plane))
         assert plane_section(gf, plane) == brute
-        if plane[0] != 0:
-            assert len(brute) == gf.q + 1
+        assert len(brute) == gf.q + 1
+        if h > 1:  # the same plane with u0 = 2 is scaled back once
+            assert plane_section(gf, tuple(gf.mul(2, u) for u in plane)) == brute
 
 
 def test_denniston_flock_and_its_projection_verify_at_h10():

@@ -74,10 +74,10 @@ def test_frozen_system_q32():
     spec = GroupSpec(gf, (0, 1, 2, 3), 4)
     system = build_trace_system(spec)
     assert system.epsilon == 0  # 1 + trace(1), odd-degree field
-    assert [(c.lam, c.c) for c in system.conditions] == [(1, 1), (2, 3), (3, 14)]
-    for cond in system.conditions:
-        recomputed = gf.div(gf.mul(cond.lam, 4 ^ 1), 4 ^ cond.lam)
-        assert cond.c == recomputed != 0
+    assert list(zip(spec.H[1:], system.conditions)) == [(1, 1), (2, 3), (3, 14)]
+    for lam, c in zip(spec.H[1:], system.conditions):
+        recomputed = gf.div(gf.mul(lam, 4 ^ 1), 4 ^ lam)
+        assert c == recomputed != 0
 
 
 def test_epsilon_depends_on_field_parity():
@@ -91,7 +91,10 @@ def test_condition_count_is_d_minus_one():
         ld = next(x for x in gf.elements() if x not in H)
         system = build_trace_system(GroupSpec(gf, H, ld))
         assert len(system.conditions) == 7
-        assert [c.lam for c in system.conditions] == [x for x in H if x]
+        # one multiplier per nonzero element of H, in H's order
+        assert list(system.conditions) == [
+            gf.div(gf.mul(lam, ld ^ 1), ld ^ lam) for lam in H if lam
+        ]
 
 
 # -- linear algebra over GF(2) -------------------------------------------------------
@@ -102,7 +105,7 @@ def test_condition_rows_are_linear_functionals():
     gf = make_field(4)
     for spec in enumerate_group_specs(gf, 4):
         system = build_trace_system(spec)
-        rows = [cond.c for cond in system.conditions] + [spec.lambda_d ^ 1]
+        rows = list(system.conditions) + [spec.lambda_d ^ 1]
         for v in gf.elements():
             mu = gf.from_trace_coordinates(v)
             for row in rows:
@@ -111,13 +114,14 @@ def test_condition_rows_are_linear_functionals():
 
 def _linear_mu_solutions(system) -> frozenset[int]:
     """The mu solving the conditions, from the solver's elimination helpers."""
-    from arcflock.search import _gf2_add_row, _gf2_affine_solve
+    from arcflock.finite_field import gf2_add_row
+    from arcflock.search import _gf2_affine_solve
 
     gf = system.gf
     reduced = []
     consistent = True
-    for cond in system.conditions:
-        consistent &= _gf2_add_row(reduced, cond.c, system.epsilon)
+    for c in system.conditions:
+        consistent &= gf2_add_row(reduced, c, system.epsilon)
     if not consistent:
         return frozenset()
     particular, basis = _gf2_affine_solve(reduced, gf.h)
@@ -191,10 +195,10 @@ def test_condition_value_squared_is_equivalent():
     gf = make_field(5)
     spec = GroupSpec(gf, (0, 1, 2, 3), 4)
     system = build_trace_system(spec)
-    for cond in system.conditions:
+    for c in system.conditions:
         for rho in gf.nonzero_elements():
-            direct = gf.trace(gf.div(cond.c, rho)) == system.epsilon
-            assert (oracles.condition_value_squared(gf, cond.c, rho) == 1) == direct
+            direct = gf.trace(gf.div(c, rho)) == system.epsilon
+            assert (oracles.condition_value_squared(gf, c, rho) == 1) == direct
 
 
 # -- solving and constructing --------------------------------------------------------
@@ -347,6 +351,12 @@ def test_enumerate_group_specs_refuses_oversized_surveys_early(monkeypatch):
     # [15 choose 1]_2 * (2^16 - 4) = 32767 * 65532 pairs
     with pytest.raises(ValueError, match="2147287044 .* pairs; surveys stop at 1048576"):
         enumerate_group_specs(make_field(16), 4)
+    # few enough pairs, but d - 1 trace conditions each: [10 choose 9]_2 * 1024 pairs
+    # of 1023, and [9 choose 8]_2 * 512 pairs of 511
+    with pytest.raises(ValueError, match="1071645696 trace conditions; surveys stop at 8388608"):
+        enumerate_group_specs(make_field(11), 1024)
+    with pytest.raises(ValueError, match="133693952 trace conditions"):
+        enumerate_group_specs(make_field(10), 512)
     with pytest.raises(ValueError, match="power of two"):
         enumerate_group_specs(make_field(16), 6)
     with pytest.raises(ValueError, match="exceeds the field size"):
@@ -354,7 +364,7 @@ def test_enumerate_group_specs_refuses_oversized_surveys_early(monkeypatch):
 
 
 def test_survey_size_matches_the_enumeration():
-    from arcflock.search import MAX_SURVEY_SPECS, _survey_size
+    from arcflock.search import MAX_SURVEY_CONDITIONS, MAX_SURVEY_SPECS, _survey_size
 
     for h in range(1, 7):
         gf = make_field(h)
@@ -368,6 +378,11 @@ def test_survey_size_matches_the_enumeration():
     assert _survey_size(make_field(9), 4) == 129540 <= MAX_SURVEY_SPECS
     assert _survey_size(make_field(8), 8) == 661416 <= MAX_SURVEY_SPECS
     assert _survey_size(make_field(9), 8) == 5440680 > MAX_SURVEY_SPECS
+    # so do their d - 1 trace conditions per pair, and those of rank --h 8 --d 128
+    # and search --h 7 --d 8
+    for h, order in ((9, 4), (8, 8), (8, 128), (7, 8)):
+        assert _survey_size(make_field(h), order) * (order - 1) <= MAX_SURVEY_CONDITIONS
+    assert _survey_size(make_field(8), 8) * 7 == 4629912
 
 
 def test_enumerate_group_specs_counts_and_order():
