@@ -105,18 +105,12 @@ def _verdict_exit(ok: bool) -> int:
     return 0 if ok else 1
 
 
-def _conic_lines(arc: ma.MathonArc) -> list[str]:
-    return [
-        f"  conic alpha={c.alpha} beta={c.beta} lam={c.lam}" for c in arc.conics
-    ]
-
-
 def _arc_verify_payload(arc: ma.MathonArc) -> tuple[dict, list[str], bool]:
     report = ma.verify_maximal_arc(arc.gf, ma.arc_points(arc), arc.degree)
     hist = dict(sorted(report.histogram.items()))
     lines = [
         f"arc: q={arc.gf.q} degree={arc.degree} conics={len(arc.conics)}",
-        *_conic_lines(arc),
+        *[f"  conic alpha={c.alpha} beta={c.beta} lam={c.lam}" for c in arc.conics],
         f"verification: size={report.size} expected={report.expected_size}"
         f" histogram={hist} verdict={'PASS' if report.verdict else 'FAIL'}",
     ]

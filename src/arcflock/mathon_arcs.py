@@ -40,13 +40,9 @@ from .finite_field import GF
 #: common nucleus of every conic in the family
 NUCLEUS: pg.Coords = (0, 0, 1)
 
-#: largest h for which verify_maximal_arc scans: a degree-4 arc takes about
-#: 12 s at h = 12, and every further step of h quadruples the time
-MAX_SCAN_H = 12
-
 #: largest |points| * (q + 1), the point-line steps of one verify_maximal_arc
-#: scan: a degree-16 arc at h = 11 (about 6.3e7) and a degree-4 arc at h = 12
-#: (about 5.0e7) run; a degree-32 arc at h = 11 (about 1.3e8) is refused
+#: scan: degree 16 at h = 11 (6.3e7) and degree 4 at h = 12 (5.0e7) fit; degree
+#: 32 at h = 11 (1.3e8) does not, nor any arc above h = 12: (q + 2)(q + 1) > 2^26
 MAX_SCAN_STEPS = 1 << 26
 
 
@@ -224,12 +220,26 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     return close_set(Conic(gf, alpha, 1, l) for l in lams)
 
 
+def arc_size(q: int, d: int) -> int:
+    """q(d - 1) + d, the number of points of a degree-d maximal arc."""
+    return q * (d - 1) + d
+
+
+def line_scan_fits(q: int, size: int) -> bool:
+    """Whether a line scan of size points, size * (q + 1) steps, is within MAX_SCAN_STEPS."""
+    return size * (q + 1) <= MAX_SCAN_STEPS
+
+
+def _check_line_scan(q: int, size: int) -> None:
+    if not line_scan_fits(q, size):
+        steps = f"|points| * (q + 1) = {size} * {q + 1}"
+        raise ValueError(f"the arc line scan stops at {MAX_SCAN_STEPS} steps, got {steps}")
+
+
 def arc_points(m: MathonArc) -> frozenset[pg.Coords]:
-    """All q(d-1) + d points of the arc: the conics plus the nucleus."""
-    pts = {NUCLEUS}
-    for c in m.conics:
-        pts |= conic_points(c)
-    return frozenset(pts)
+    """All q(d-1) + d points of the arc, the conics plus the nucleus, if their scan fits."""
+    _check_line_scan(m.gf.q, arc_size(m.gf.q, m.degree))
+    return frozenset({NUCLEUS}).union(*map(conic_points, m.conics))
 
 
 @dataclass
@@ -273,21 +283,15 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     point (x, y, 0) lies on [0, 0, 1] and on every line of the class b = x/y
     (y != 0) or of the class [0, 1, c] (y = 0).  The product b y is read off
     one row of gf.scaled_powers per slope, so the inner loop runs in C.  The
-    work is |points| (q + 1) steps, so h is capped at MAX_SCAN_H before the
-    points are read, and the steps at MAX_SCAN_STEPS before they are scanned.
+    work is |points| (q + 1) steps, held to MAX_SCAN_STEPS for a degree-d arc
+    (d >= 2) before the points are read, and for the points before the scan.
     """
-    if gf.h > MAX_SCAN_H:
-        raise ValueError(
-            f"the arc line scan stops at h = {MAX_SCAN_H}, got h = {gf.h}:"
-            " its work grows as |points| * q"
-        )
-    pts = set(points)
     q, mul, inv = gf.q, gf.mul, gf.inv
-    if len(pts) * (q + 1) > MAX_SCAN_STEPS:
-        raise ValueError(
-            f"the arc line scan stops at {MAX_SCAN_STEPS} steps, got"
-            f" |points| * (q + 1) = {len(pts)} * {q + 1}"
-        )
+    if d < 2:
+        raise ValueError(f"a maximal arc has degree at least 2, got d = {d}")
+    _check_line_scan(q, arc_size(q, d))
+    pts = set(points)
+    _check_line_scan(q, len(pts))
     xs: list[int] = []
     ys: list[int] = []
     vertical = 0
@@ -314,7 +318,7 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
         q=q,
         degree=d,
         size=len(pts),
-        expected_size=q * (d - 1) + d,
+        expected_size=arc_size(q, d),
         histogram={k: v for k, v in sorted(hist.items()) if v},
     )
 
@@ -364,11 +368,15 @@ def arc_from_json(obj: dict) -> MathonArc:
     gf = GF.from_json(obj["field"])
     if not isinstance(obj["conics"], list):
         raise ValueError("'conics' must be a list of conics")
-    conics = []
+    conics, seen = [], set()
     for entry in obj["conics"]:
         if not isinstance(entry, dict) or set(entry) != {"alpha", "beta", "lambda"}:
             raise ValueError("each conic needs exactly alpha, beta and lambda")
-        conics.append(Conic(gf, entry["alpha"], entry["beta"], entry["lambda"]))
+        c = Conic(gf, entry["alpha"], entry["beta"], entry["lambda"])
+        if c in seen:
+            raise ValueError(f"conic alpha={c.alpha} beta={c.beta} lambda={c.lam} is listed twice")
+        seen.add(c)
+        conics.append(c)
     arc = close_set(conics)
     if len(arc.conics) != len(conics):
         raise ValueError("conic set is not closed under composition")

@@ -25,7 +25,7 @@ condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
 synthetic extension (construct_extension_arc), which tests each new conic
 pair by composition.  search_group only counts; search_field attaches one
-such arc to the first record that has a valid rho, up to h = MAX_SCAN_H.
+such arc to the first record that has a valid rho, when its line scan fits.
 Surveys larger than MAX_SURVEY_SPECS pairs, or than MAX_SURVEY_CONDITIONS
 trace conditions (d - 1 per pair), are refused before any subgroup is
 enumerated.
@@ -39,11 +39,12 @@ from typing import Optional
 
 from .finite_field import GF, gf2_add_row
 from .mathon_arcs import (
-    MAX_SCAN_H,
     Conic,
     MathonArc,
+    arc_size,
     arc_to_json,
     denniston_arc,
+    line_scan_fits,
     synthetic_extension,
 )
 
@@ -395,12 +396,12 @@ def search_field(gf: GF, order: int) -> list[SearchRecord]:
     Records come back in scan order.  At most one record carries an example
     arc: the first one with a valid rho, built from its smallest rho.
     Examples need trace(1) = 1 — the base arc's normal form is degenerate in
-    fields of even degree — and h <= MAX_SCAN_H, so that the line scan can
-    verify them; otherwise every example stays None.
+    fields of even degree — and the line scan of a degree-(2 order) arc to
+    fit (line_scan_fits; h <= 11 for order 2); otherwise every example stays None.
     """
     specs = enumerate_group_specs(gf, order)
     records = [search_group(spec) for spec in specs]
-    if gf.trace(1) == 1 and gf.h <= MAX_SCAN_H:
+    if gf.trace(1) == 1 and line_scan_fits(gf.q, arc_size(gf.q, 2 * order)):
         for spec, record in zip(specs, records):
             if record.num_rho_valid == 0:
                 continue

@@ -89,7 +89,41 @@ def test_arc_above_the_scan_ceiling_exits_2_within_seconds():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: the arc line scan stops at h = {ma.MAX_SCAN_H}")
+    assert proc.stderr == (
+        f"error: the arc line scan stops at {ma.MAX_SCAN_STEPS} steps,"
+        " got |points| * (q + 1) = 196612 * 65537\n"
+    )
+
+
+def test_arc_scans_are_refused_before_any_point_is_listed():
+    # a degree-256 arc at h = 16 has 16 711 936 points; each command builds
+    # it, then exits 2 before listing them
+    arc = ma.denniston_arc(make_field(16), 2048, range(1, 256))
+    runs = [
+        (["construct", "denniston", "--h", "16", "--alpha", "2048", "--A", "1,2,4,8,16,32,64,128"],
+         None, "16711936 * 65537"),
+        (["verify", "-"], ma.arc_to_json(arc), "16711936 * 65537"),
+        (["convert", "--direction", "flock-to-arc", "-"], fl.flock_to_json(fl.arc_to_flock(arc)),
+         "16711936 * 65537"),
+        # a degree-4 arc at h = 13: 24 580 points
+        (["construct", "mathon-extend", "--h", "13", "--H", "1", "--lambda-d", "2"],
+         None, "24580 * 8193"),
+    ]
+    for argv, obj, steps in runs:
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcflock", *argv],
+            input=None if obj is None else json.dumps(obj),
+            capture_output=True, text=True, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: the arc line scan stops at {ma.MAX_SCAN_STEPS} steps,"
+            f" got |points| * (q + 1) = {steps}\n"
+        )
+        assert elapsed < 2, argv
 
 
 def test_high_degree_arc_above_the_step_ceiling_exits_2_within_seconds():
@@ -274,6 +308,16 @@ def test_verify_error_exit_codes(capsys, tmp_path):
 
     code, out, err = run_cli(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_repeated_conic_exits_2_naming_it(capsys, monkeypatch):
+    F = {"alpha": 1, "beta": 1, "lambda": 1}
+    arc = {"field": {"h": 3, "modulus": 11}, "conics": [F, F]}
+    for argv in (["verify", "-"], ["convert", "--direction", "arc-to-flock", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(arc)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: conic alpha=1 beta=1 lambda=1 is listed twice\n"
 
 
 # -- convert / project ---------------------------------------------------------------
@@ -468,7 +512,8 @@ def test_search_q8_has_a_verified_example(capsys):
 
 
 def test_search_above_the_scan_ceiling_reports_the_survey(capsys):
-    # h = 13 > MAX_SCAN_H: the survey is complete, but no example arc is built
+    # a degree-4 arc at h = 13 is over the scan budget: the survey is complete,
+    # but no example arc is built
     code, payload = run_json(capsys, "search", "--h", "13", "--d", "2")
     assert code == 0
     assert len(payload["records"]) == 8190

@@ -444,6 +444,17 @@ def test_arc_from_json_rejects_non_closed_set():
         arc_from_json(obj)
 
 
+def test_arc_from_json_names_a_repeated_conic():
+    # one conic is a closed set, so the repeat, not closure, is what is wrong
+    gf = make_field(3)
+    F = {"alpha": 1, "beta": 1, "lambda": 1}
+    assert len(arc_from_json({"field": gf.to_json(), "conics": [F]}).conics) == 1
+    G = {"alpha": 1, "beta": 1, "lambda": 2}
+    for conics in ([F, F], [F, G, F]):
+        with pytest.raises(ValueError, match="^conic alpha=1 beta=1 lambda=1 is listed twice$"):
+            arc_from_json({"field": gf.to_json(), "conics": conics})
+
+
 def test_verify_maximal_arc_denniston_degree4_h9():
     # the line scan at q = 512: 1540 points, each with its pencil of 513 lines
     gf = make_field(9)
@@ -520,16 +531,45 @@ def test_line_scan_memory_stays_linear_in_q():
     assert peak < 2 * 2**20
 
 
-def test_line_scan_refuses_fields_above_its_ceiling():
-    def unread():
-        raise AssertionError("the points were read before the refusal")
-        yield
+def unread():
+    raise AssertionError("the points were read before the refusal")
+    yield
 
-    with pytest.raises(ValueError, match=f"stops at h = {ma.MAX_SCAN_H}"):
-        verify_maximal_arc(make_field(ma.MAX_SCAN_H + 1), unread(), 4)
-    gf = make_field(ma.MAX_SCAN_H)
+
+def test_line_scan_refuses_fields_above_its_ceiling():
+    # no arc above h = 12 fits: the least, degree 2 at q = 8192, needs (q + 2)(q + 1) steps
+    assert 8194 * 8193 > ma.MAX_SCAN_STEPS
+    for d, steps in ((4, "24580 \\* 8193"), (2, "8194 \\* 8193")):
+        with pytest.raises(ValueError, match=f"stops at {ma.MAX_SCAN_STEPS} steps.* {steps}$"):
+            verify_maximal_arc(make_field(13), unread(), d)
+    gf = make_field(12)
     report = verify_maximal_arc(gf, [(1, 0, 0)], 2)
     assert report.histogram == {0: gf.q * gf.q, 1: gf.q + 1}
+
+
+def test_line_scan_refuses_a_degree_below_2_before_reading():
+    # so a tiny set at large q cannot reach a scan under a degree that sizes no arc
+    for d in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"degree at least 2, got d = {d}$"):
+            verify_maximal_arc(make_field(13), unread(), d)
+
+
+def test_arc_points_refuses_an_arc_over_the_budget_before_listing(monkeypatch):
+    def no_points(c):
+        raise AssertionError("a conic's points were listed before the refusal")
+
+    monkeypatch.setattr(ma, "conic_points", no_points)
+    gf11 = make_field(11)
+    arc32 = denniston_arc(gf11, 1, sorted(gf11.additive_span((1, 2, 4, 8, 16)) - {0}))
+    with pytest.raises(ValueError, match=f"stops at {ma.MAX_SCAN_STEPS} steps.* 63520 \\* 2049$"):
+        arc_points(arc32)
+    gf13 = make_field(13)
+    alpha = next(a for a in gf13.nonzero_elements() if gf13.trace(a) == 1)
+    with pytest.raises(ValueError, match=" 8194 \\* 8193$"):
+        arc_points(denniston_arc(gf13, alpha, (1,)))
+    # an arc that fits reaches conic_points
+    with pytest.raises(AssertionError, match="listed before"):
+        arc_points(denniston_arc(gf11, 1, (1, 2, 3)))
 
 
 def test_line_scan_refuses_too_many_steps_before_scanning(monkeypatch):
@@ -538,7 +578,7 @@ def test_line_scan_refuses_too_many_steps_before_scanning(monkeypatch):
     assert (4096 * 3 + 4) * 4097 <= ma.MAX_SCAN_STEPS
     gf = make_field(11)
     A = sorted(gf.additive_span((1, 2, 4, 8, 16)) - {0})
-    pts = arc_points(denniston_arc(gf, 1, A))
+    pts = {NUCLEUS}.union(*map(conic_points, denniston_arc(gf, 1, A).conics))
     assert len(pts) == 2048 * 31 + 32
 
     def no_scan(self, b):
@@ -547,6 +587,9 @@ def test_line_scan_refuses_too_many_steps_before_scanning(monkeypatch):
     monkeypatch.setattr(type(gf), "scaled_powers", no_scan)
     with pytest.raises(ValueError, match=f"stops at {ma.MAX_SCAN_STEPS} steps.* 63520 \\* 2049"):
         verify_maximal_arc(gf, pts, 32)
+    # a degree whose arc fits still has the points it was given re-checked
+    with pytest.raises(ValueError, match=f"stops at {ma.MAX_SCAN_STEPS} steps.* 63520 \\* 2049"):
+        verify_maximal_arc(gf, pts, 2)
 
 
 def test_arc_from_json_rejects_wrong_degree_and_bad_shapes():

@@ -430,6 +430,23 @@ def test_search_field_example_and_order_q8():
     assert verify_maximal_arc(gf, arc_points(arc), 4).verdict
 
 
+def test_search_field_attaches_an_example_exactly_when_its_scan_fits():
+    # the example is the first solvable record's arc, attached when arc_points would list it
+    for h in range(3, 16, 2):
+        gf = make_field(h)
+        records = search_field(gf, 2)
+        first = next(r for r in records if r.num_rho_valid)
+        spec = GroupSpec(gf, first.H, first.lambda_d)
+        arc = construct_extension_arc(spec, min(solve_trace_system(build_trace_system(spec))))
+        try:
+            arc_points(arc)
+            scannable = True
+        except ValueError:
+            scannable = False
+        assert scannable == (h <= 11)
+        assert [r.example_arc for r in records if r.example_arc] == ([arc] if scannable else [])
+
+
 # -- guaranteed degree ---------------------------------------------------------------
 
 
