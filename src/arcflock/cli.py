@@ -3,14 +3,13 @@
 Subcommands
 -----------
 construct denniston      degree-d Denniston arc from alpha and lam-subgroup generators
-construct mathon-extend  degree-2d arc through the trace-condition system: the valid
-                         rho are listed once; --rho must be one of them, else the
-                         least is taken
+construct mathon-extend  degree-2d arc through the trace-condition system, by one
+                         search.double_spec call: --rho must be a valid solution,
+                         else the least valid one is taken
 verify                   re-verify an arc or flock JSON file against the oracles
-convert                  arc-to-flock | flock-to-arc | project | chain
-project                  convert --direction project: the projection flock of an arc
-                         from the nuclear point --p (default 1,0,1,0); --p is refused
-                         with any other direction
+convert                  arc-to-flock | flock-to-arc | chain
+project                  the projection flock of an arc from the nuclear point --p
+                         (default 1,0,1,0)
 search                   solve the trace system for every (H, lambda_d) pair and
                          verify the one example arc that search_field attaches
 rank                     rank/solution-count analysis of the same systems
@@ -146,19 +145,8 @@ def _cmd_construct_denniston(args: argparse.Namespace) -> int:
 
 def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
     gf = make_field(args.h, args.modulus)
-    H = tuple(sorted(set(_span_generators(gf, _parse_elements(args.H))) | {0}))
-    spec = se.GroupSpec(gf, H, args.lambda_d)
-    valid = se.solve_trace_system(se.build_trace_system(spec))
-    if args.rho is not None:
-        if args.rho not in valid:
-            raise ValueError(f"rho {args.rho} is not a valid solution")
-        rho = args.rho
-    elif not valid:
-        raise ValueError("no valid rho exists for this (H, lambda_d) pair")
-    else:
-        rho = min(valid)
-    arc = se.construct_extension_arc(spec, rho)
-    record = se.search_group(spec)
+    spec = se.GroupSpec(gf, _span_generators(gf, _parse_elements(args.H)), args.lambda_d)
+    record, rho, arc = se.double_spec(spec, args.rho)
     report_json, lines, ok = _arc_verify_payload(arc)
     payload = {
         "arc": ma.arc_to_json(arc),
@@ -188,10 +176,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    """convert --direction ..., and project (convert --direction project)."""
+    """convert --direction ..., and project (direction "project")."""
     direction = args.direction
-    if args.p is not None and direction != "project":
-        raise ValueError("--p sets the projection point: use it with --direction project")
     obj = _load_input(args.input)
     if direction == "flock-to-arc":
         arc = fl.flock_to_arc(fl.flock_from_json(_unwrap(obj, "flock")[1]))
@@ -374,10 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument(
         "--direction",
         required=True,
-        choices=("arc-to-flock", "flock-to-arc", "project", "chain"),
+        choices=("arc-to-flock", "flock-to-arc", "chain"),
     )
     conv.add_argument("input", help="path to a JSON file, or - for stdin")
-    conv.add_argument("--p", default=None, help="projection point, e.g. 1,0,1,0")
     _add_common(conv)
     conv.set_defaults(func=_cmd_convert)
 

@@ -566,7 +566,7 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     gf = F.gf
     if not classify_flock(F).additive:
         raise ValueError("only an additive partial flock can be extended")
-    v = pg.normalize(gf, tuple(V))
+    v = pg.normalize(gf, pg.check_space_coords(gf, V))
     if v[0] == 0:
         raise ValueError(f"plane {v} passes through the cone vertex {VERTEX}")
     if v[2] == 0:

@@ -211,8 +211,10 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     if 0 in lams:
         raise ValueError("0 does not index a conic; A must omit it")
     for l in lams:
-        if not 0 <= l < gf.q:
+        if not gf.is_element(l):
             raise ValueError(f"lam={l!r} is not an element of GF({gf.q})")
+    if type(alpha) is not int:
+        raise ValueError(f"alpha={alpha!r} is not an element of GF({gf.q})")
     if gf.trace(alpha) != 1:
         raise ValueError(f"trace(alpha) must be 1, got alpha={alpha}")
     if gf.additive_span(lams) != set(lams) | {0}:

@@ -24,8 +24,10 @@ particular solution and null basis back to mu through the trace-dual basis.
 condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
 Every valid rho yields a degree-2d Mathon arc containing D, built by
 synthetic extension (construct_extension_arc), which tests each new conic
-pair by composition.  search_group only counts; search_field attaches one
-such arc to the first record that has a valid rho, when its line scan fits.
+pair by composition.  search_group only counts; double_spec, the one
+doubling, also picks rho and builds the arc from the same elimination, and
+search_field attaches that arc to the first record with a valid rho, when
+its line scan fits.
 Surveys larger than MAX_SURVEY_SPECS pairs, or than MAX_SURVEY_CONDITIONS
 trace conditions (d - 1 per pair), are refused before any subgroup is
 enumerated.
@@ -76,18 +78,18 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         gf = self.gf
+        if any(type(x) is not int or not 0 <= x < gf.q for x in self.H):
+            raise ValueError("H contains values outside the field")
         elems = set(self.H)
         if tuple(sorted(elems)) != self.H or len(elems) != len(self.H):
             raise ValueError("H must be a sorted tuple of distinct elements")
-        if any(not 0 <= x < gf.q for x in elems):
-            raise ValueError("H contains values outside the field")
         if 0 not in elems:
             raise ValueError("H must contain 0")
         if 1 not in elems:
             raise ValueError("H must contain 1")
         if gf.additive_span(elems - {0}) != elems:
             raise ValueError("H must be closed under addition")
-        if not 0 <= self.lambda_d < gf.q:
+        if type(self.lambda_d) is not int or not 0 <= self.lambda_d < gf.q:
             raise ValueError("lambda_d lies outside the field")
         if self.lambda_d in elems:
             raise ValueError("lambda_d must lie outside H")
@@ -135,29 +137,6 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
 
 
 # -- solving the system over GF(2) ---------------------------------------------
-
-
-def _gf2_affine_solve(
-    reduced: list[tuple[int, int, int]], nbits: int
-) -> tuple[int, list[int]]:
-    """Particular solution and null basis of a consistent reduced system.
-
-    The full solution set is {particular ^ s : s in span(basis)}.
-    """
-    particular = 0
-    for pb, _, bv in reduced:
-        particular |= bv << pb
-    pivot_bits = {pb for pb, _, _ in reduced}
-    basis = []
-    for fb in range(nbits):
-        if fb in pivot_bits:
-            continue
-        v = 1 << fb
-        for pb, row, _ in reduced:
-            if (row >> fb) & 1:
-                v |= 1 << pb
-        basis.append(v)
-    return particular, basis
 
 
 def _eliminate(
@@ -220,25 +199,33 @@ def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
     return gf.mul(lambda_d ^ 1, gf.inv(rho)) ^ 1
 
 
-def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
-    """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1.
+def _valid_rho(gf: GF, reduced: list[tuple[int, int, int]]) -> frozenset[int]:
+    """The rho = 1/mu, mu != 0, of a consistent reduced system.
 
-    The particular solution and the null basis are trace coordinates; each
-    is mapped back to a field element once, and since that map is linear the
-    span is listed in mu directly.  That costs 2^(h - rank) field
-    inversions; counting alone needs no listing.
+    Its solutions are a particular solution plus the span of a null basis,
+    both in trace coordinates; each is mapped back to mu once, and since that
+    map is linear the span is listed in mu directly.  That costs 2^(h - rank)
+    field inversions; counting alone needs no listing.
     """
-    gf = system.gf
-    reduced, _, _, num_valid_mu = _eliminate(system)
-    if not num_valid_mu:
-        return frozenset()
-    particular, basis = _gf2_affine_solve(reduced, gf.h)
-    mus = {gf.from_trace_coordinates(particular)}
-    for v in basis:
-        step = gf.from_trace_coordinates(v)
-        mus |= {mu ^ step for mu in mus}
+    pivots = {pb for pb, _, _ in reduced}
+    shift = gf.from_trace_coordinates(sum(bv << pb for pb, _, bv in reduced))
+    basis = []
+    for fb in range(gf.h):
+        if fb not in pivots:
+            v = 1 << fb
+            for pb, row, _ in reduced:
+                if (row >> fb) & 1:
+                    v |= 1 << pb
+            basis.append(gf.from_trace_coordinates(v))
+    mus = {shift ^ mu for mu in gf.additive_span(basis)}
     mus.discard(0)
     return frozenset(gf.inv(mu) for mu in mus)
+
+
+def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
+    """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1."""
+    reduced, _, _, num_valid_mu = _eliminate(system)
+    return _valid_rho(system.gf, reduced) if num_valid_mu else frozenset()
 
 
 # -- arc construction ------------------------------------------------------------
@@ -267,7 +254,7 @@ def construct_extension_arc(spec: GroupSpec, rho: int) -> MathonArc:
     conic with each base conic; nothing here trusts the trace system.
     """
     gf = spec.gf
-    if not 1 <= rho < gf.q:
+    if rho == 0 or not gf.is_element(rho):
         raise ValueError("rho must be a nonzero field element")
     base = base_denniston_arc(spec)
     beta = beta_of(gf, spec.lambda_d, rho)
@@ -304,16 +291,16 @@ class SearchRecord:
         }
 
 
-def search_group(spec: GroupSpec) -> SearchRecord:
-    """Solve the trace system for one spec: rank and rho counts, no arc.
+def _search(spec: GroupSpec) -> tuple[SearchRecord, list[tuple[int, int, int]]]:
+    """One elimination: the spec's record and the reduced rows of its whole system.
 
-    The counts come from one elimination, with mu = 0 taken off when it
-    solves the homogeneous (epsilon = 0) system, since it gives no rho.
+    The counts take mu = 0 off when it solves the homogeneous (epsilon = 0)
+    system, since it gives no rho.
     """
     system = build_trace_system(spec)
-    _, rank, num_mu, num_valid_mu = _eliminate(system)
+    reduced, rank, num_mu, num_valid_mu = _eliminate(system)
     mu_zero = 1 if system.epsilon == 0 else 0
-    return SearchRecord(
+    record = SearchRecord(
         q=spec.gf.q,
         H=spec.H,
         lambda_d=spec.lambda_d,
@@ -322,11 +309,34 @@ def search_group(spec: GroupSpec) -> SearchRecord:
         num_rho_prefilter=num_mu - mu_zero,
         num_rho_valid=num_valid_mu - mu_zero,
     )
+    return record, reduced
+
+
+def search_group(spec: GroupSpec) -> SearchRecord:
+    """Solve the trace system for one spec: rank and rho counts, no arc."""
+    return _search(spec)[0]
+
+
+def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecord, int, MathonArc]:
+    """The doubling of one spec: its record, the rho used and the degree-2d arc.
+
+    The record's counts and the valid rho come from one elimination.  A given
+    rho must be valid; without one the least valid rho is taken.
+    """
+    record, reduced = _search(spec)
+    valid = _valid_rho(spec.gf, reduced) if record.num_rho_valid else frozenset()
+    if rho is None:
+        if not valid:
+            raise ValueError("no valid rho exists for this (H, lambda_d) pair")
+        rho = min(valid)
+    elif rho not in valid:
+        raise ValueError(f"rho {rho} is not a valid solution")
+    return record, rho, construct_extension_arc(spec, rho)
 
 
 def _order_log2(gf: GF, order: int) -> int:
     """k for a subgroup order 2^k; the order must be a power of two in 2..q."""
-    if order < 2 or order & (order - 1):
+    if type(order) is not int or order < 2 or order & (order - 1):
         raise ValueError("order must be a power of two, at least 2")
     if order > gf.q:
         raise ValueError("order exceeds the field size")
@@ -394,7 +404,7 @@ def search_field(gf: GF, order: int) -> list[SearchRecord]:
     """Run the solver over every (H, lambda_d) pair of one subgroup order.
 
     Records come back in scan order.  At most one record carries an example
-    arc: the first one with a valid rho, built from its smallest rho.
+    arc: double_spec's arc for the first one with a valid rho.
     Examples need trace(1) = 1 — the base arc's normal form is degenerate in
     fields of even degree — and the line scan of a degree-(2 order) arc to
     fit (line_scan_fits; h <= 11 for order 2); otherwise every example stays None.
@@ -403,11 +413,9 @@ def search_field(gf: GF, order: int) -> list[SearchRecord]:
     records = [search_group(spec) for spec in specs]
     if gf.trace(1) == 1 and line_scan_fits(gf.q, arc_size(gf.q, 2 * order)):
         for spec, record in zip(specs, records):
-            if record.num_rho_valid == 0:
-                continue
-            valid = solve_trace_system(build_trace_system(spec))
-            record.example_arc = construct_extension_arc(spec, min(valid))
-            break
+            if record.num_rho_valid:
+                record.example_arc = double_spec(spec)[2]
+                break
     return records
 
 
@@ -417,6 +425,6 @@ def guaranteed_degree(h: int) -> int:
     Starting from a degree-2 base and doubling through subgroup chains of
     length floor(log2 h) guarantees this degree for every h >= 1.
     """
-    if h < 1:
-        raise ValueError("h must be at least 1")
+    if type(h) is not int or h < 1:
+        raise ValueError(f"h must be an int of at least 1, got {h!r}")
     return 1 << h.bit_length()

@@ -74,6 +74,7 @@ from arcflock.search import (
     beta_of,
     build_trace_system,
     construct_extension_arc,
+    double_spec,
     enumerate_group_specs,
     guaranteed_degree,
     rank_analysis,
@@ -408,8 +409,7 @@ def test_criterion_09_guaranteed_degree_formula():
     gf = make_field(5)
     spec = next(s for s in enumerate_group_specs(gf, 4)
                 if solve_trace_system(build_trace_system(s)))
-    realized = construct_extension_arc(
-        spec, min(solve_trace_system(build_trace_system(spec)))).degree
+    realized = double_spec(spec)[2].degree
     if realized < guaranteed_degree(5):
         failures.append(f"h=5 realizes degree {realized} < {guaranteed_degree(5)}")
     gf7 = make_field(7)

@@ -10,8 +10,9 @@ import pytest
 
 from arcflock import flocks as fl
 from arcflock import mathon_arcs as ma
+from arcflock import search as se
 from arcflock.cli import main
-from arcflock.finite_field import make_field
+from arcflock.finite_field import gf2_add_row, make_field
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +216,39 @@ def test_construct_mathon_extend_explicit_and_invalid_rho(capsys):
     assert "not a valid solution" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--H", "1,2", "--lambda-d", "4", "--rho", "3"], "rho 3 is not a valid solution"),
+        (["--H", "1,2,4", "--lambda-d", "8"], "no valid rho exists for this (H, lambda_d) pair"),
+    ],
+    ids=["invalid-rho", "no-valid-rho"],
+)
+def test_construct_mathon_extend_refusals(capsys, argv, message):
+    code, out, err = run_cli(capsys, "construct", "mathon-extend", "--h", "5", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_construct_mathon_extend_solves_its_system_once(capsys, monkeypatch):
+    # the doubling costs exactly the row reductions of one search_group call
+    calls = []
+
+    def counted(reduced, row, b):
+        calls.append(row)
+        return gf2_add_row(reduced, row, b)
+
+    monkeypatch.setattr(se, "gf2_add_row", counted)
+    se.search_group(se.GroupSpec(make_field(5), (0, 1, 2, 3), 4))
+    one_search = len(calls)
+    assert one_search == 4  # three conditions and the trace(beta) row
+    calls.clear()
+    code, payload = run_json(
+        capsys, "construct", "mathon-extend", "--h", "5", "--H", "1,2", "--lambda-d", "4"
+    )
+    assert code == 0 and payload["rho"] == 16
+    assert len(calls) == one_search
+
+
 def test_construct_mathon_extend_refuses_even_h(capsys):
     # the trace system of GF(16) has valid rho, but the alpha = 1 base arc is degenerate
     code, out, err = run_cli(
@@ -377,8 +411,8 @@ def test_convert_flock_to_arc_round_trip(capsys, arc_file, tmp_path):
     assert payload["report"]["verdict"] is True
 
 
-def test_convert_project_default_and_custom_point(capsys, arc_file):
-    code, payload = run_json(capsys, "convert", "--direction", "project", arc_file)
+def test_project_default_and_custom_point(capsys, arc_file):
+    code, payload = run_json(capsys, "project", arc_file)
     assert code == 0
     assert payload["projection_point"] == [1, 0, 1, 0]
     assert payload["flock"]["planes"] == [
@@ -390,21 +424,10 @@ def test_convert_project_default_and_custom_point(capsys, arc_file):
     assert payload["report"]["verdict"] is True
     assert payload["classification"]["additive"] is False
 
-    code, payload = run_json(
-        capsys, "convert", "--direction", "project", arc_file, "--p", "1,0,3,0"
-    )
+    code, payload = run_json(capsys, "project", arc_file, "--p", "1,0,3,0")
     assert code == 0
     assert payload["projection_point"] == [1, 0, 3, 0]
     assert payload["report"]["verdict"] is True
-
-
-def test_project_subcommand_matches_convert(capsys, arc_file):
-    code_a, via_convert = run_json(
-        capsys, "convert", "--direction", "project", arc_file
-    )
-    code_b, via_project = run_json(capsys, "project", arc_file)
-    assert code_a == code_b == 0
-    assert via_convert == via_project
 
 
 def test_convert_chain(capsys, arc_file):
@@ -415,14 +438,10 @@ def test_convert_chain(capsys, arc_file):
     assert payload["raw"]["planes"] != payload["additive"]["planes"]
 
 
-def test_convert_rejects_bad_projection_point(capsys, arc_file):
-    code, out, err = run_cli(
-        capsys, "convert", "--direction", "project", arc_file, "--p", "1,0"
-    )
+def test_project_rejects_bad_projection_point(capsys, arc_file):
+    code, out, err = run_cli(capsys, "project", arc_file, "--p", "1,0")
     assert code == 2 and "coordinates" in err
-    code, out, err = run_cli(
-        capsys, "convert", "--direction", "project", arc_file, "--p", "1,0,0,0"
-    )
+    code, out, err = run_cli(capsys, "project", arc_file, "--p", "1,0,0,0")
     assert code == 2  # the vertex is not a projection point
 
 
@@ -430,11 +449,14 @@ def test_convert_rejects_bad_projection_point(capsys, arc_file):
     "argv, message",
     [
         (["project", "--p", ""], "cannot parse element list ''"),
-        (["convert", "--direction", "arc-to-flock", "--p", "1,0,1,0"], "--direction project"),
-        (["convert", "--direction", "flock-to-arc", "--p", "1,0,1,0"], "--direction project"),
-        (["convert", "--direction", "chain", "--p", "1,0,1,0"], "--direction project"),
+        # projection has one spelling, project: convert takes no --p and no project direction
+        (["convert", "--direction", "arc-to-flock", "--p", "1,0,1,0"], "unrecognized arguments"),
+        (["convert", "--direction", "flock-to-arc", "--p", "1,0,1,0"], "unrecognized arguments"),
+        (["convert", "--direction", "chain", "--p", "1,0,1,0"], "unrecognized arguments"),
+        (["convert", "--direction", "project"], "invalid choice: 'project'"),
     ],
-    ids=["project-empty-p", "arc-to-flock-with-p", "flock-to-arc-with-p", "chain-with-p"],
+    ids=["project-empty-p", "arc-to-flock-with-p", "flock-to-arc-with-p", "chain-with-p",
+         "convert-project"],
 )
 def test_projection_point_is_honoured_or_refused(arc_file, argv, message):
     proc = subprocess.run(

@@ -103,7 +103,6 @@ _ARGV = st.sampled_from(
         ["verify", "-"],
         ["convert", "--direction", "arc-to-flock", "-"],
         ["convert", "--direction", "flock-to-arc", "-"],
-        ["convert", "--direction", "project", "-"],
         ["convert", "--direction", "chain", "-"],
         ["project", "-"],
         ["project", "-", "--p=1,0,2,0"],

@@ -809,6 +809,17 @@ def test_extend_flock_rejections(battery_arcs):
         extend_flock(F4, (1, 5, 1, 6))
 
 
+@pytest.mark.parametrize(
+    "V, message",
+    [((1, 2, 3), "four coordinates"), ((1, 0, 9, 0), "coordinate 9"),
+     ((1, 0, 1.0, 0), "coordinate 1.0"), ("1234", "four coordinates")],
+    ids=["three-coordinates", "out-of-range", "float", "string"],
+)
+def test_extend_flock_refuses_malformed_planes(battery_arcs, V, message):
+    with pytest.raises(ValueError, match=message):
+        extend_flock(arc_to_flock(battery_arcs[(8, 4)]), V)
+
+
 @pytest.mark.parametrize("h", [2, 3])
 def test_extend_flock_rejects_every_additive_non_flock_of_two_planes(h):
     # F = {X0 = 0, u} with the section of u meeting that of X0 = 0, and any V

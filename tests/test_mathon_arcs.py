@@ -314,6 +314,16 @@ def test_denniston_arc_validation():
         denniston_arc(gf4, 1, (1,))  # trace(1) = 0 for even h
 
 
+@pytest.mark.parametrize(
+    "alpha, A, message",
+    [(1.0, (1,), "alpha=1.0"), (1, (1.0,), "lam=1.0"), ("1", (1,), "alpha='1'")],
+    ids=["float-alpha", "float-lam", "str-alpha"],
+)
+def test_denniston_arc_refuses_non_int_elements(alpha, A, message):
+    with pytest.raises(ValueError, match=message):
+        denniston_arc(make_field(3), alpha, A)
+
+
 def test_verify_maximal_arc_rejects_corrupted_set():
     gf = make_field(3)
     arc = denniston_arc(gf, 1, (1, 2, 3))

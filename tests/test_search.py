@@ -15,6 +15,7 @@ from arcflock.search import (
     beta_of,
     build_trace_system,
     construct_extension_arc,
+    double_spec,
     enumerate_group_specs,
     guaranteed_degree,
     rank_analysis,
@@ -113,9 +114,9 @@ def test_condition_rows_are_linear_functionals():
 
 
 def _linear_mu_solutions(system) -> frozenset[int]:
-    """The mu solving the conditions, from the solver's elimination helpers."""
+    """The mu solving the conditions, listed by the solver from their reduced rows."""
     from arcflock.finite_field import gf2_add_row
-    from arcflock.search import _gf2_affine_solve
+    from arcflock.search import _valid_rho
 
     gf = system.gf
     reduced = []
@@ -124,11 +125,8 @@ def _linear_mu_solutions(system) -> frozenset[int]:
         consistent &= gf2_add_row(reduced, c, system.epsilon)
     if not consistent:
         return frozenset()
-    particular, basis = _gf2_affine_solve(reduced, gf.h)
-    span = {particular}
-    for v in basis:
-        span |= {s ^ v for s in span}
-    return frozenset(gf.from_trace_coordinates(v) for v in span)
+    nonzero = frozenset(gf.inv(rho) for rho in _valid_rho(gf, reduced))
+    return nonzero | ({0} if system.epsilon == 0 else frozenset())
 
 
 @pytest.mark.parametrize("h", (4, 5))
@@ -247,8 +245,7 @@ def test_degree16_doubling_at_h9():
     # the paper's doubling at guaranteed_degree(9) = 16: |H| = 8 and lambda_d = 8
     gf = make_field(9)
     spec = GroupSpec(gf, tuple(range(8)), 8)
-    rho = min(solve_trace_system(build_trace_system(spec)))
-    arc = construct_extension_arc(spec, rho)
+    _, rho, arc = double_spec(spec)
     assert arc.degree == 16 == guaranteed_degree(9)
     assert set(arc.conics) >= set(base_denniston_arc(spec).conics)
     report = verify_maximal_arc(gf, arc_points(arc), arc.degree)
@@ -269,6 +266,64 @@ def test_construct_extension_arc_rejects_bad_rho():
     # rho failing the trace system: the new conic meets a base conic
     with pytest.raises(DisjointnessError):
         construct_extension_arc(spec, 2)
+
+
+def test_double_spec_rho_policy():
+    # H = {0,1}, lambda_d = 2 in GF(32) has valid rho {4, ..., 30}
+    gf = make_field(5)
+    spec = GroupSpec(gf, (0, 1), 2)
+    valid = solve_trace_system(build_trace_system(spec))
+    record, rho, arc = double_spec(spec)
+    assert rho == min(valid) == 4
+    assert record == search_group(spec)
+    assert arc == construct_extension_arc(spec, 4)
+    record, rho, arc = double_spec(spec, max(valid))
+    assert rho == max(valid) == 30
+    assert record == search_group(spec)
+    assert arc == construct_extension_arc(spec, 30)
+    for bad in (0, 3, 31, 32, 1.5):
+        assert bad not in valid
+        with pytest.raises(ValueError, match=f"^rho {bad} is not a valid solution$"):
+            double_spec(spec, bad)
+
+
+def test_double_spec_without_valid_rho():
+    # H = <1, 2, 4> = {0, ..., 7}, lambda_d = 8 in GF(32): consistent, but no rho
+    spec = GroupSpec(make_field(5), tuple(range(8)), 8)
+    assert search_group(spec).num_rho_valid == 0
+    with pytest.raises(ValueError, match=r"^no valid rho exists for this \(H, lambda_d\) pair$"):
+        double_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "H, lambda_d, message",
+    [((0, 1), 2.0, "lambda_d lies outside"), ((0, 1.0), 2, "H contains values outside"),
+     ((0, True), 2, "H contains values outside"), ((0, "1"), 2, "H contains values outside"),
+     ((0, 1), "2", "lambda_d lies outside")],
+    ids=["float-lambda-d", "float-in-H", "bool-in-H", "str-in-H", "str-lambda-d"],
+)
+def test_group_spec_refuses_non_int_elements(H, lambda_d, message):
+    with pytest.raises(ValueError, match=message):
+        GroupSpec(make_field(3), H, lambda_d)
+
+
+@pytest.mark.parametrize("rho", [None, 1.5, 16.0, "16", True], ids=repr)
+def test_construct_extension_arc_refuses_non_elements(rho):
+    spec = GroupSpec(make_field(5), (0, 1, 2, 3), 4)
+    with pytest.raises(ValueError, match="nonzero field element"):
+        construct_extension_arc(spec, rho)
+
+
+@pytest.mark.parametrize("order", ["4", 2.0, None, 3, 1], ids=repr)
+def test_search_field_refuses_bad_orders(order):
+    with pytest.raises(ValueError, match="power of two"):
+        search_field(make_field(3), order)
+
+
+@pytest.mark.parametrize("h", [3.0, "3", None, 0, -1], ids=repr)
+def test_guaranteed_degree_refuses_non_positive_ints(h):
+    with pytest.raises(ValueError, match="int of at least 1"):
+        guaranteed_degree(h)
 
 
 def test_search_group_record_and_example():
@@ -436,8 +491,7 @@ def test_search_field_attaches_an_example_exactly_when_its_scan_fits():
         gf = make_field(h)
         records = search_field(gf, 2)
         first = next(r for r in records if r.num_rho_valid)
-        spec = GroupSpec(gf, first.H, first.lambda_d)
-        arc = construct_extension_arc(spec, min(solve_trace_system(build_trace_system(spec))))
+        arc = double_spec(GroupSpec(gf, first.H, first.lambda_d))[2]
         try:
             arc_points(arc)
             scannable = True
