@@ -20,8 +20,8 @@ trace(x^j d_i) = [i = j]; it is the inverse of the Gram matrix
 trace(x^(i+j)) over GF(2), computed once per field.  An element mu then has
 trace coordinates v_j = trace(x^j mu), and trace(c mu) = parity(c & v) for
 every c: the bits of c are the coefficients of a linear form in v.
-One GF(2) row reduction, gf2_add_row, inverts that Gram matrix and solves
-every trace system of the search module.
+One GF(2) row reduction, gf2_add_row then gf2_back_substitute, inverts that
+Gram matrix and solves every trace system of the search module.
 """
 
 from __future__ import annotations
@@ -89,26 +89,36 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
     raise ValueError("multiplicative group is not cyclic; modulus is not irreducible")
 
 
-def gf2_add_row(reduced: list[tuple[int, int, int]], row: int, b: int) -> bool:
-    """Add the equation parity(row & x) = b to a reduced row echelon form, in place.
+def gf2_add_row(echelon: dict[int, tuple[int, int]], row: int, b: int) -> bool:
+    """Add the equation parity(row & x) = b to an echelon form, in place.
 
-    Entries are (pivot bit, row, rhs); each stored row has zeros at every
-    other pivot bit.  An rhs of several bits carries one system per bit.  A
-    row that reduces to zero adds no pivot; the return value is False exactly
-    when it reduces to 0 = b with b != 0, contradicting the rows present.
+    Entries map each pivot, the leading bit of its row, to (row, rhs); stored
+    rows are never changed.  An rhs of several bits carries one system per
+    bit.  A row that reduces to zero adds no pivot; the return value is False
+    exactly when it reduces to 0 = b with b != 0, contradicting the rows present.
     """
-    for pb, pr, pbv in reduced:
-        if (row >> pb) & 1:
-            row ^= pr
-            b ^= pbv
-    if row == 0:
-        return not b
-    pb = row.bit_length() - 1
-    for i, (qb, qr, qbv) in enumerate(reduced):
-        if (qr >> pb) & 1:
-            reduced[i] = (qb, qr ^ row, qbv ^ b)
-    reduced.append((pb, row, b))
-    return True
+    while row:
+        pb = row.bit_length() - 1
+        if pb not in echelon:
+            echelon[pb] = (row, b)
+            return True
+        pr, pbv = echelon[pb]
+        row ^= pr
+        b ^= pbv
+    return not b
+
+
+def gf2_back_substitute(echelon: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The reduced row echelon form of an echelon: (pivot, row, rhs), pivots ascending."""
+    reduced: list[tuple[int, int, int]] = []
+    for pb in sorted(echelon):
+        row, b = echelon[pb]
+        for qb, qr, qbv in reduced:
+            if row >> qb & 1:
+                row ^= qr
+                b ^= qbv
+        reduced.append((pb, row, b))
+    return reduced
 
 
 class GF:
@@ -154,13 +164,13 @@ class GF:
         # reduced to the identity, pivot i carries row i of the inverse, whose
         # bits are the polynomial coefficients of d_i
         h = self.h
-        reduced: list[tuple[int, int, int]] = []
+        echelon: dict[int, tuple[int, int]] = {}
         for j in range(h):
             row = sum(self.trace(self.mul(1 << i, 1 << j)) << i for i in range(h))
             # the right-hand sides are independent, so a row adding no pivot contradicts
-            if not gf2_add_row(reduced, row, 1 << j):
+            if not gf2_add_row(echelon, row, 1 << j):
                 raise AssertionError("the trace form is degenerate")
-        return tuple(b for _, _, b in sorted(reduced))
+        return tuple(b for _, _, b in gf2_back_substitute(echelon))
 
     # -- identity -------------------------------------------------------------
 
@@ -203,6 +213,13 @@ class GF:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def div_many(self, a: int, bs: list[int]) -> list[int]:
+        """[div(a, b) for b in bs]: log a - log b indexes exp, a negative index wrapping."""
+        if 0 in bs:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        exp, log, k = self._exp, self._log, self._log[a]
+        return [exp[k - log[b]] for b in bs] if a else [0] * len(bs)
 
     def square(self, a: int) -> int:
         return self.mul(a, a)

@@ -213,7 +213,7 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     for l in lams:
         if not gf.is_element(l):
             raise ValueError(f"lam={l!r} is not an element of GF({gf.q})")
-    if type(alpha) is not int:
+    if not gf.is_element(alpha):
         raise ValueError(f"alpha={alpha!r} is not an element of GF({gf.q})")
     if gf.trace(alpha) != 1:
         raise ValueError(f"trace(alpha) must be 1, got alpha={alpha}")

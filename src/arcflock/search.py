@@ -16,9 +16,9 @@ condition is stored as its multiplier c_lam, which is also its row over
 GF(2) (see finite_field).  A surviving rho must also leave C nondegenerate,
 i.e. trace(beta) = 1, which is one more affine row:
 trace((lambda_d + 1) * mu) = epsilon, whose row is lambda_d + 1.  One
-elimination per system, by the package's one GF(2) row reduction
-finite_field.gf2_add_row, gives the rank and both solution counts in closed
-form; valid rho are listed, only when an arc is wanted, by mapping its
+elimination per system, the echelon form of finite_field.gf2_add_row, gives
+the rank and both solution counts in closed form; valid rho are listed, only
+when an arc is wanted, by back-substituting it once and mapping its
 particular solution and null basis back to mu through the trace-dual basis.
 (The tests check all of this against an exhaustive mu scan, and each
 condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .finite_field import GF, gf2_add_row
+from .finite_field import GF, gf2_add_row, gf2_back_substitute
 from .mathon_arcs import (
     Conic,
     MathonArc,
@@ -57,9 +57,9 @@ from .mathon_arcs import (
 MAX_SURVEY_SPECS = 1 << 20
 
 #: largest number of trace conditions, d - 1 per pair, that a survey solves.
-#: At 1.3-2.1 us per condition end to end a survey at the bound ends within
-#: about 20 s: rank --h 8 --d 8 (4.6e6) runs, while rank --h 9 --d 256
-#: (1.7e7, 35 s), --h 10 --d 512 and --h 11 --d 1024 (1.1e9) are refused.
+#: At 0.6-1.4 us per condition end to end (3.5 us at d = 8) a survey at the bound
+#: ends within about 20 s: rank --h 8 --d 8 (4.6e6, 16 s) runs, while --h 9 --d 256
+#: (1.7e7, 10 s), --h 10 --d 512 and --h 11 --d 1024 (1.1e9) are refused.
 MAX_SURVEY_CONDITIONS = 1 << 23
 
 
@@ -94,6 +94,14 @@ class GroupSpec:
         if self.lambda_d in elems:
             raise ValueError("lambda_d must lie outside H")
 
+    def _with_lambda_d(self, lambda_d: int) -> "GroupSpec":
+        """This spec with another lambda_d outside H, without checking H again."""
+        spec = object.__new__(GroupSpec)
+        object.__setattr__(spec, "gf", self.gf)  # as the frozen dataclass's __init__ does
+        object.__setattr__(spec, "H", self.H)
+        object.__setattr__(spec, "lambda_d", lambda_d)
+        return spec
+
     @property
     def d(self) -> int:
         """Order of H; also the degree of the base Denniston arc."""
@@ -126,13 +134,12 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
     gf = spec.gf
     ld = spec.lambda_d
     top = ld ^ 1
-    k = gf.mul(top, ld)
-    mul, inv = gf.mul, gf.inv
+    quotients = gf.div_many(gf.mul(top, ld), [ld ^ l for l in spec.H[1:]])
     return TraceConditionSystem(
         gf=gf,
         group=spec,
         epsilon=1 ^ gf.trace(1),
-        conditions=tuple([top ^ mul(k, inv(ld ^ l)) for l in spec.H[1:]]),
+        conditions=tuple([top ^ x for x in quotients]),
     )
 
 
@@ -141,31 +148,32 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
 
 def _eliminate(
     system: TraceConditionSystem,
-) -> tuple[list[tuple[int, int, int]], int, int, int]:
+) -> tuple[dict[int, tuple[int, int]], int, int, int]:
     """One elimination: the conditions, then the row trace((lambda_d + 1) mu) = epsilon.
 
     That last row is trace(beta) = 1 rewritten, since trace(beta) =
     trace((lambda_d + 1) mu) + trace(1).  The unknowns are the trace
     coordinates of mu, so each row is the condition's multiplier itself.
-    Returns the reduced rows of the whole system, the rank of the conditions
+    Returns the echelon form of the whole system, the rank of the conditions
     alone, and the number of mu (zero included) solving the conditions alone
     and the whole system: 2^(h - rank) of each, or 0 when inconsistent.
+    At rank h the rows left are skipped unless they can change the counts.
     """
     h = system.gf.h
     eps = system.epsilon
-    reduced: list[tuple[int, int, int]] = []
+    echelon: dict[int, tuple[int, int]] = {}
     consistent = True
     for c in system.conditions:
-        if not consistent and len(reduced) == h:
-            break  # at full rank an inconsistent system stays so, at the same rank
-        consistent &= gf2_add_row(reduced, c, eps)
-    rank = len(reduced)
+        if len(echelon) == h and not (consistent and eps):
+            break  # it stays inconsistent, or keeps its one solution mu = 0
+        consistent &= gf2_add_row(echelon, c, eps)
+    rank = len(echelon)
     num_mu = (1 << (h - rank)) if consistent else 0
-    if consistent and gf2_add_row(reduced, system.group.lambda_d ^ 1, eps):
-        num_valid_mu = 1 << (h - len(reduced))
+    if consistent and gf2_add_row(echelon, system.group.lambda_d ^ 1, eps):
+        num_valid_mu = 1 << (h - len(echelon))
     else:
         num_valid_mu = 0
-    return reduced, rank, num_mu, num_valid_mu
+    return echelon, rank, num_mu, num_valid_mu
 
 
 @dataclass(frozen=True)
@@ -199,24 +207,21 @@ def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
     return gf.mul(lambda_d ^ 1, gf.inv(rho)) ^ 1
 
 
-def _valid_rho(gf: GF, reduced: list[tuple[int, int, int]]) -> frozenset[int]:
-    """The rho = 1/mu, mu != 0, of a consistent reduced system.
+def _valid_rho(gf: GF, echelon: dict[int, tuple[int, int]]) -> frozenset[int]:
+    """The rho = 1/mu, mu != 0, of a consistent system in echelon form.
 
-    Its solutions are a particular solution plus the span of a null basis,
-    both in trace coordinates; each is mapped back to mu once, and since that
-    map is linear the span is listed in mu directly.  That costs 2^(h - rank)
-    field inversions; counting alone needs no listing.
+    Back-substituted, its solutions are a particular solution plus the span of
+    a null basis, in trace coordinates; each is mapped back to mu once, and as
+    that map is linear the span is listed in mu directly: 2^(h - rank) field
+    inversions; counting alone needs no listing.
     """
-    pivots = {pb for pb, _, _ in reduced}
+    reduced = gf2_back_substitute(echelon)
     shift = gf.from_trace_coordinates(sum(bv << pb for pb, _, bv in reduced))
     basis = []
     for fb in range(gf.h):
-        if fb not in pivots:
-            v = 1 << fb
-            for pb, row, _ in reduced:
-                if (row >> fb) & 1:
-                    v |= 1 << pb
-            basis.append(gf.from_trace_coordinates(v))
+        if fb not in echelon:  # free: each pivot whose row holds fb follows it
+            v = sum(1 << pb for pb, row, _ in reduced if row >> fb & 1)
+            basis.append(gf.from_trace_coordinates(v | 1 << fb))
     mus = {shift ^ mu for mu in gf.additive_span(basis)}
     mus.discard(0)
     return frozenset(gf.inv(mu) for mu in mus)
@@ -224,8 +229,8 @@ def _valid_rho(gf: GF, reduced: list[tuple[int, int, int]]) -> frozenset[int]:
 
 def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
     """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1."""
-    reduced, _, _, num_valid_mu = _eliminate(system)
-    return _valid_rho(system.gf, reduced) if num_valid_mu else frozenset()
+    echelon, _, _, num_valid_mu = _eliminate(system)
+    return _valid_rho(system.gf, echelon) if num_valid_mu else frozenset()
 
 
 # -- arc construction ------------------------------------------------------------
@@ -291,14 +296,14 @@ class SearchRecord:
         }
 
 
-def _search(spec: GroupSpec) -> tuple[SearchRecord, list[tuple[int, int, int]]]:
-    """One elimination: the spec's record and the reduced rows of its whole system.
+def _search(spec: GroupSpec) -> tuple[SearchRecord, dict[int, tuple[int, int]]]:
+    """One elimination: the spec's record and the echelon form of its whole system.
 
     The counts take mu = 0 off when it solves the homogeneous (epsilon = 0)
     system, since it gives no rho.
     """
     system = build_trace_system(spec)
-    reduced, rank, num_mu, num_valid_mu = _eliminate(system)
+    echelon, rank, num_mu, num_valid_mu = _eliminate(system)
     mu_zero = 1 if system.epsilon == 0 else 0
     record = SearchRecord(
         q=spec.gf.q,
@@ -309,7 +314,7 @@ def _search(spec: GroupSpec) -> tuple[SearchRecord, list[tuple[int, int, int]]]:
         num_rho_prefilter=num_mu - mu_zero,
         num_rho_valid=num_valid_mu - mu_zero,
     )
-    return record, reduced
+    return record, echelon
 
 
 def search_group(spec: GroupSpec) -> SearchRecord:
@@ -323,8 +328,8 @@ def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecor
     The record's counts and the valid rho come from one elimination.  A given
     rho must be valid; without one the least valid rho is taken.
     """
-    record, reduced = _search(spec)
-    valid = _valid_rho(spec.gf, reduced) if record.num_rho_valid else frozenset()
+    record, echelon = _search(spec)
+    valid = _valid_rho(spec.gf, echelon) if record.num_rho_valid else frozenset()
     if rho is None:
         if not valid:
             raise ValueError("no valid rho exists for this (H, lambda_d) pair")
@@ -393,11 +398,13 @@ def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
                 f"a survey of |H| = {order} at h = {gf.h} has {count} {unit};"
                 f" surveys stop at {bound}"
             )
-    return [
-        GroupSpec(gf, H, ld)
-        for H in additive_subgroups_containing_one(gf, order)
-        for ld in sorted(set(gf.elements()).difference(H))
-    ]
+    specs: list[GroupSpec] = []
+    for H in additive_subgroups_containing_one(gf, order):
+        lds = sorted(set(gf.elements()).difference(H))
+        if lds:
+            specs.append(GroupSpec(gf, H, lds[0]))  # checks H, once
+            specs += [specs[-1]._with_lambda_d(ld) for ld in lds[1:]]
+    return specs
 
 
 def search_field(gf: GF, order: int) -> list[SearchRecord]:

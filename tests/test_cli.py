@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payload shapes, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -71,6 +72,14 @@ def test_construct_denniston_rejects_zero_generator(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("alpha", ("98", "8", "99"))
+def test_construct_denniston_refuses_an_alpha_outside_the_field(capsys, alpha):
+    code, out, err = run_cli(
+        capsys, "construct", "denniston", "--h", "3", "--alpha", alpha, "--A", "1"
+    )
+    assert (code, out, err) == (2, "", f"error: alpha={alpha} is not an element of GF(8)\n")
 
 
 def test_construct_denniston_rejects_bad_alpha(capsys):
@@ -507,6 +516,28 @@ def test_malformed_coordinates_exit_2_without_traceback(
     assert proc.stderr.startswith("error: ")
 
 # -- search / rank -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("search --h 7 --d 4",
+         "e6733effaa07b4a1d671ab40d99e91b4bb0e2a3278c6dc4c432256f5e0db775f"),
+        ("search --h 8 --d 4",  # even h: epsilon = 1
+         "9ef3f1848106956043cedfde46737c695d9a98ce52c21176afd132501b5e9856"),
+        ("rank --h 6 --d 8",
+         "175a36c17cb35530a79c814927c4540dfd208847e8c0e5ed75db5f689e5aa0fc"),
+        ("rank --h 7 --d 4 --format text",
+         "ccc8f11e176a443250b2a1cc550a361dbe965f964fb5835931fd26693f4bd979"),
+        ("construct mathon-extend --h 9 --H 1,2,4 --lambda-d 8",
+         "0fa8d7dbc175e873f99ff09659a9dd23fe255edcce1d044c8403ed1fff3f9e44"),
+    ],
+)
+def test_survey_and_doubling_output_is_frozen(capsys, argv, digest):
+    # [FROZEN: sha256 of the whole stdout; any change to the solver must keep these bytes]
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_q16_frozen_summary(capsys):

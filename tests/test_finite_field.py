@@ -5,7 +5,14 @@ import random
 import oracles
 import pytest
 
-from arcflock.finite_field import GF, MAX_H, gf2_add_row, least_irreducible, make_field
+from arcflock.finite_field import (
+    GF,
+    MAX_H,
+    gf2_add_row,
+    gf2_back_substitute,
+    least_irreducible,
+    make_field,
+)
 
 # [DERIVED: each value re-proven least irreducible by the naive oracle]
 FROZEN_MODULI = {
@@ -95,6 +102,17 @@ def test_inverse_and_division(h):
         gf.div(1, 0)
 
 
+@pytest.mark.parametrize("h", range(1, 7))
+def test_div_many_matches_div_on_every_pair(h):
+    gf = make_field(h)
+    divisors = list(gf.nonzero_elements())
+    for a in gf.elements():
+        assert gf.div_many(a, divisors) == [gf.div(a, b) for b in divisors]
+        with pytest.raises(ZeroDivisionError):
+            gf.div_many(a, [1, 0])
+    assert gf.div_many(1, []) == []
+
+
 @pytest.mark.parametrize("h", range(1, 17))
 def test_square_and_sqrt_are_inverse_bijections(h):
     gf = make_field(h)
@@ -155,15 +173,19 @@ def test_dual_basis_refuses_a_degenerate_trace_form(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gf2_add_row_against_brute_force(n):
     # after every added row: the consistency flag, the rank (by the size of the
-    # row span) and the solution count against a scan of every x in GF(2)^n
+    # row span) and the solution count against a scan of every x in GF(2)^n;
+    # the stored rows form an echelon, and back-substituted they are the
+    # reduced row echelon form of the same consistent system
     rng = random.Random(1600 + n)
     for _ in range(200):
-        reduced = []
+        echelon = {}
         consistent = True
         rows, rhs = [], []
         for _ in range(rng.randrange(1, 2 * n + 2)):
             row, b = rng.randrange(1 << n), rng.randrange(2)
-            consistent &= gf2_add_row(reduced, row, b)
+            stored = dict(echelon)
+            consistent &= gf2_add_row(echelon, row, b)
+            assert stored.items() <= echelon.items()  # stored rows never change
             rows.append(row)
             rhs.append(b)
             span = {0}
@@ -173,12 +195,21 @@ def test_gf2_add_row_against_brute_force(n):
                 x for x in range(1 << n)
                 if all((r & x).bit_count() & 1 == c for r, c in zip(rows, rhs))
             ]
-            assert 1 << len(reduced) == len(span)
+            assert 1 << len(echelon) == len(span)
             assert consistent == bool(solutions)
-            assert len(solutions) == ((1 << (n - len(reduced))) if consistent else 0)
+            assert len(solutions) == ((1 << (n - len(echelon))) if consistent else 0)
+            for pb, (r, _) in echelon.items():  # echelon: each row led by its pivot
+                assert r.bit_length() - 1 == pb
+            reduced = gf2_back_substitute(echelon)
+            assert [pb for pb, _, _ in reduced] == sorted(echelon)
             for pb, r, _ in reduced:  # reduced row echelon form
                 assert r.bit_length() - 1 == pb
                 assert all(not r >> qb & 1 for qb, _, _ in reduced if qb != pb)
+            if consistent:  # every solution keeps the reduced rows; free bits 0 give one
+                assert all(
+                    (r & x).bit_count() & 1 == c for x in solutions for _, r, c in reduced
+                )
+                assert sum(b << pb for pb, _, b in reduced) in solutions
 
 
 @pytest.mark.parametrize("h", range(1, 7))

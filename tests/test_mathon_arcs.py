@@ -324,6 +324,14 @@ def test_denniston_arc_refuses_non_int_elements(alpha, A, message):
         denniston_arc(make_field(3), alpha, A)
 
 
+@pytest.mark.parametrize("alpha", (8, 98, 99, -1))
+def test_denniston_arc_refuses_out_of_range_alpha_before_its_trace(alpha):
+    # 8 and 98 have masked trace 0, 99 and -1 masked trace 1: one message for all
+    with pytest.raises(ValueError) as err:
+        denniston_arc(make_field(3), alpha, (1,))
+    assert str(err.value) == f"alpha={alpha} is not an element of GF(8)"
+
+
 def test_verify_maximal_arc_rejects_corrupted_set():
     gf = make_field(3)
     arc = denniston_arc(gf, 1, (1, 2, 3))

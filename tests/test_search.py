@@ -55,6 +55,17 @@ def test_group_spec_validation():
         GroupSpec(gf, (0, 1, 2, 3), 99)
 
 
+@pytest.mark.parametrize("h", range(2, 8))
+def test_enumerated_specs_equal_checked_specs(h):
+    # the enumeration checks each subgroup once; every spec it builds is the
+    # one the checking constructor gives
+    gf = make_field(h)
+    for k in range(1, h + 1):
+        for s in enumerate_group_specs(gf, 1 << k):
+            checked = GroupSpec(s.gf, s.H, s.lambda_d)
+            assert s == checked and hash(s) == hash(checked)
+
+
 def test_group_spec_properties():
     gf = make_field(5)
     spec = GroupSpec(gf, (0, 1, 2, 3), 4)
@@ -114,18 +125,18 @@ def test_condition_rows_are_linear_functionals():
 
 
 def _linear_mu_solutions(system) -> frozenset[int]:
-    """The mu solving the conditions, listed by the solver from their reduced rows."""
+    """The mu solving the conditions, listed by the solver from their echelon form."""
     from arcflock.finite_field import gf2_add_row
     from arcflock.search import _valid_rho
 
     gf = system.gf
-    reduced = []
+    echelon = {}
     consistent = True
     for c in system.conditions:
-        consistent &= gf2_add_row(reduced, c, system.epsilon)
+        consistent &= gf2_add_row(echelon, c, system.epsilon)
     if not consistent:
         return frozenset()
-    nonzero = frozenset(gf.inv(rho) for rho in _valid_rho(gf, reduced))
+    nonzero = frozenset(gf.inv(rho) for rho in _valid_rho(gf, echelon))
     return nonzero | ({0} if system.epsilon == 0 else frozenset())
 
 
