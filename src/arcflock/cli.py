@@ -116,17 +116,17 @@ def _arc_verify_payload(arc: ma.MathonArc) -> tuple[dict, list[str], bool]:
     return report.to_json(), lines, report.verdict
 
 
-def _flock_verify_payload(F: fl.PartialFlock) -> tuple[dict, list[str], bool]:
+def _flock_verify_payload(F: fl.PartialFlock, flock_json: dict) -> tuple[dict, list[str], bool]:
     report = fl.verify_partial_flock(F)
-    cls = fl.classify_flock(F)
+    cls = {key: flock_json[key] for key in ("additive", "linear")}
     lines = [
         f"flock: q={F.gf.q} planes={F.size}"
-        f" additive={cls.additive} linear={cls.linear}",
+        f" additive={cls['additive']} linear={cls['linear']}",
         *[f"  plane {list(p)}" for p in F.planes],
         f"verification: sections={list(report.section_sizes)}"
         f" verdict={'PASS' if report.verdict else 'FAIL'}",
     ]
-    payload = {"report": report.to_json(), "classification": cls.to_json()}
+    payload = {"report": report.to_json(), "classification": cls}
     return payload, lines, report.verdict
 
 
@@ -168,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report_json, lines, ok = _arc_verify_payload(ma.arc_from_json(obj))
         payload = {"kind": "arc", "report": report_json}
     else:
-        sub, lines, ok = _flock_verify_payload(fl.flock_from_json(obj))
+        sub, lines, ok = _flock_verify_payload(*fl._flock_and_derived_json(obj))
         payload = {"kind": "flock", **sub}
     lines.insert(0, f"kind: {kind}")
     _emit(payload, lines, args)
@@ -180,22 +180,25 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     direction = args.direction
     obj = _load_input(args.input)
     if direction == "flock-to-arc":
-        arc = fl.flock_to_arc(fl.flock_from_json(_unwrap(obj, "flock")[1]))
+        F, flock_json = fl._flock_and_derived_json(_unwrap(obj, "flock")[1])
+        arc = fl._additive_flock_to_arc(F, flock_json["additive"])
         report_json, lines, ok = _arc_verify_payload(arc)
         payload = {"arc": ma.arc_to_json(arc), "report": report_json}
     elif direction == "arc-to-flock":
         F = fl.arc_to_flock(ma.arc_from_json(_unwrap(obj, "arc")[1]))
-        sub, lines, ok = _flock_verify_payload(F)
-        payload = {"flock": fl.flock_to_json(F), **sub}
+        flock_json = fl.flock_to_json(F)
+        sub, lines, ok = _flock_verify_payload(F, flock_json)
+        payload = {"flock": flock_json, **sub}
     elif direction == "project":
         arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
         p = fl.DEFAULT_PROJECTION_POINT
         if args.p is not None:
             p = pg.check_space_coords(arc.gf, _parse_elements(args.p))
         F = fl.project_arc(arc, p)
-        sub, lines, ok = _flock_verify_payload(F)
+        flock_json = fl.flock_to_json(F)
+        sub, lines, ok = _flock_verify_payload(F, flock_json)
         payload = {
-            "flock": fl.flock_to_json(F),
+            "flock": flock_json,
             "projection_point": list(pg.normalize(arc.gf, p)),
             **sub,
         }
@@ -205,10 +208,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         additive = fl.geometric_to_additive(raw)
         algebraic = fl.arc_to_flock(arc)
         ok = additive == algebraic
+        additive_json = fl.flock_to_json(additive)
         payload = {
             "raw": fl.flock_to_json(raw),
-            "additive": fl.flock_to_json(additive),
-            "algebraic": fl.flock_to_json(algebraic),
+            "additive": additive_json,
+            "algebraic": additive_json if ok else fl.flock_to_json(algebraic),
             "chain_equals_algebraic": ok,
         }
         lines = [
@@ -266,23 +270,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     gf = make_field(args.h, args.modulus)
-    records = []
-    lines = [f"rank analysis q={gf.q} |H|={args.d}"]
-    for spec in se.enumerate_group_specs(gf, args.d):
-        system = se.build_trace_system(spec)
-        analysis = se.rank_analysis(system)
-        records.append(
-            {
-                "H": list(spec.H),
-                "lambda_d": spec.lambda_d,
-                "epsilon": system.epsilon,
-                **analysis.to_json(),
-            }
-        )
+    records, lines = [], [f"rank analysis q={gf.q} |H|={args.d}"]
+    for r in se.search_field(gf, args.d):
+        # mu = 0 solves the conditions when epsilon = 0, but gives no rho
+        analysis = {"rank": r.rank, "solution_count": r.num_rho_prefilter + (r.epsilon == 0),
+                    "independent": r.rank == len(r.H) - 1}
+        records.append({"H": list(r.H), "lambda_d": r.lambda_d, "epsilon": r.epsilon, **analysis})
         lines.append(
-            f"H={{{','.join(map(str, spec.H))}}} lambda_d={spec.lambda_d}"
-            f" rank={analysis.rank} solutions={analysis.solution_count}"
-            f" independent={analysis.independent}"
+            f"H={{{','.join(map(str, r.H))}}} lambda_d={r.lambda_d} rank={r.rank}"
+            f" solutions={analysis['solution_count']} independent={analysis['independent']}"
         )
     hist = Counter(str(r["rank"]) for r in records)
     payload = {

@@ -89,23 +89,24 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
     raise ValueError("multiplicative group is not cyclic; modulus is not irreducible")
 
 
-def gf2_add_row(echelon: dict[int, tuple[int, int]], row: int, b: int) -> bool:
+def gf2_add_row(echelon: dict[int, tuple[int, int]], row: int, b: int) -> int:
     """Add the equation parity(row & x) = b to an echelon form, in place.
 
     Entries map each pivot, the leading bit of its row, to (row, rhs); stored
     rows are never changed.  An rhs of several bits carries one system per
-    bit.  A row that reduces to zero adds no pivot; the return value is False
-    exactly when it reduces to 0 = b with b != 0, contradicting the rows present.
+    bit.  A row that adds a pivot returns 0; one that reduces to zero returns
+    what is left of b, nonzero exactly when it contradicts the rows present
+    (with one rhs bit per row, the rows that sum to zero).
     """
     while row:
         pb = row.bit_length() - 1
         if pb not in echelon:
             echelon[pb] = (row, b)
-            return True
+            return 0
         pr, pbv = echelon[pb]
         row ^= pr
         b ^= pbv
-    return not b
+    return b
 
 
 def gf2_back_substitute(echelon: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -168,7 +169,7 @@ class GF:
         for j in range(h):
             row = sum(self.trace(self.mul(1 << i, 1 << j)) << i for i in range(h))
             # the right-hand sides are independent, so a row adding no pivot contradicts
-            if not gf2_add_row(echelon, row, 1 << j):
+            if gf2_add_row(echelon, row, 1 << j):
                 raise AssertionError("the trace form is degenerate")
         return tuple(b for _, _, b in gf2_back_substitute(echelon))
 

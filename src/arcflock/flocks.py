@@ -283,13 +283,14 @@ def flock_to_arc(F: PartialFlock) -> MathonArc:
     plane [1, f, t, g] yields F_{f/t, g/t, t}.  The triples (t, f, g) of an
     additive flock are their own GF(2)-span, so close_set returns these conics.
     """
-    cls = classify_flock(F)
-    if not cls.additive:
+    return _additive_flock_to_arc(F, classify_flock(F).additive)
+
+
+def _additive_flock_to_arc(F: PartialFlock, additive: bool) -> MathonArc:
+    """flock_to_arc of a flock already classified."""
+    if not additive:
         raise ValueError("only an additive partial flock corresponds to an arc")
-    conics = [
-        additive_plane_conic(F.gf, p) for p in F.planes if p != EMBEDDING_PLANE
-    ]
-    return close_set(conics)
+    return close_set([additive_plane_conic(F.gf, p) for p in F.planes if p != EMBEDDING_PLANE])
 
 
 # -- projection from the nuclear line ----------------------------------------------
@@ -603,6 +604,11 @@ def flock_to_json(F: PartialFlock) -> dict:
 
 def flock_from_json(obj: dict) -> PartialFlock:
     """Rebuild a flock from JSON; any declared derived field must match as JSON."""
+    return _flock_and_derived_json(obj)[0]
+
+
+def _flock_and_derived_json(obj: dict) -> tuple[PartialFlock, dict]:
+    """flock_from_json, and the flock_to_json of the flock that it checked the object against."""
     if not isinstance(obj, dict) or "field" not in obj or "planes" not in obj:
         raise ValueError("flock object must have 'field' and 'planes' keys")
     gf = GF.from_json(obj["field"])
@@ -616,4 +622,4 @@ def flock_from_json(obj: dict) -> PartialFlock:
     for key in ("B", "f", "g", "additive", "linear"):
         if key in obj and json.dumps(obj[key]) != json.dumps(derived[key]):
             raise ValueError(f"declared {key!r} does not match the planes")
-    return F
+    return F, derived

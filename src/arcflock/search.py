@@ -1,36 +1,42 @@
 """Trace-condition search for Mathon arcs that double a Denniston arc.
 
 Fix an additive subgroup H of GF(q) containing 1, of order d, and an
-element lambda_d outside H.  The base Denniston arc
+element a = lambda_d outside H.  The base Denniston arc
 D = {F_{1,1,lam^2} : lam in H, lam != 0} has degree d; the candidate conic
-C = F_{1, beta^2, lambda_d^2} with beta = (lambda_d + 1) * mu + 1 and
-mu = 1 / rho is disjoint from every member of D exactly when
+C = F_{1, beta^2, a^2} with beta = (a + 1) mu + 1 and mu = 1 / rho misses
+every member of D exactly when trace(c_lam mu) = epsilon for every nonzero
+lam in H, where c_lam = lam (a + 1) / (a + lam) and epsilon = 1 + trace(1)
+(0 at odd h, 1 at even h), and is nondegenerate when trace(beta) = 1, i.e.
+trace((a + 1) mu) = epsilon.  In trace coordinates (v_j = trace(x^j mu))
+trace(c mu) = parity(c & v), so each row over GF(2) is its multiplier (see
+finite_field).  build_trace_system, rank_analysis and solve_trace_system
+solve this system for one pair: the reference the tests hold the survey to,
+and check against an exhaustive mu scan.
 
-    trace(c_lam * mu) = epsilon        for every lam in H, lam != 0,
-
-where c_lam = lam * (lambda_d + 1) / (lambda_d + lam) and
-epsilon = 1 + trace(1) (so 0 in fields of odd degree, 1 in even degree).
-The system is solved in trace coordinates: mu is written as the bit vector
-v with v_j = trace(x^j * mu), and then trace(c * mu) = parity(c & v), so a
-condition is stored as its multiplier c_lam, which is also its row over
-GF(2) (see finite_field).  A surviving rho must also leave C nondegenerate,
-i.e. trace(beta) = 1, which is one more affine row:
-trace((lambda_d + 1) * mu) = epsilon, whose row is lambda_d + 1.  One
-elimination per system, the echelon form of finite_field.gf2_add_row, gives
-the rank and both solution counts in closed form; valid rho are listed, only
-when an arc is wanted, by back-substituting it once and mapping its
-particular solution and null basis back to mu through the trace-dual basis.
-(The tests check all of this against an exhaustive mu scan, and each
-condition against its squared form trace(1 + (c_lam / rho)^2) = 1.)
-Every valid rho yields a degree-2d Mathon arc containing D, built by
-synthetic extension (construct_extension_arc), which tests each new conic
-pair by composition.  search_group only counts; double_spec, the one
-doubling, also picks rho and builds the arc from the same elimination, and
-search_field attaches that arc to the first record with a valid rho, when
-its line scan fits.
-Surveys larger than MAX_SURVEY_SPECS pairs, or than MAX_SURVEY_CONDITIONS
-trace conditions (d - 1 per pair), are refused before any subgroup is
-enumerated.
+The survey solves one system per coset K = a + H.  With u_x = 1/x and
+gamma = a (a + 1) mu, c_lam mu = gamma (u_a + u_{a+lam}) and (a + 1) mu =
+gamma u_a, so with phi = trace(gamma .) the conditions read phi(u_x) =
+phi(u_a) + epsilon for x != a in K, and validity adds phi(u_a) = epsilon.
+Let M be the d x h matrix of rows u_x, r its rank and C its column space
+{(phi(u_x))_x}, each vector of it reached by 2^(h-r) gamma.  Then rank =
+r - [1 in C] and, zero included, num_mu = 2^(h-r) (1 + [1 in C]) and
+num_valid_mu = 2^(h-r) at odd h, num_mu = 2^(h-r) ([e_a in C] + [1 + e_a in
+C]) and num_valid_mu = 2^(h-r) [e_a in C] at even h.  Eliminating M with
+right-hand side the bit pos(x) on row u_x (finite_field.gf2_add_row) leaves
+a dependency w per row that adds no pivot, and these span M's left kernel:
+1 in C iff every w is even, e_a in C iff no w has bit pos(a), 1 + e_a in C
+iff parity(w) = w_pos(a) for every w.  So one elimination gives the record
+of every lambda_d in the coset (at odd h all counts are the coset's, at even
+h the rank is), and back-substituted with right-hand side epsilon w_pos(a)
+it gives the gamma, so the valid rho = a (a + 1) / gamma, of any one.
+Counts leave out mu = 0, which gives no rho.  Each valid rho yields a
+degree-2d Mathon arc containing D, built by synthetic extension
+(construct_extension_arc), which tests each new conic pair by composition.
+search_group only counts; double_spec, the one doubling, also picks rho and
+builds the arc; search_field attaches that arc to the first record with a
+valid rho, when its line scan fits.  Surveys larger than MAX_SURVEY_SPECS
+pairs, or than MAX_SURVEY_CONDITIONS trace conditions (d - 1 per pair), are
+refused before any subgroup is enumerated.
 """
 
 from __future__ import annotations
@@ -50,16 +56,16 @@ from .mathon_arcs import (
     synthetic_extension,
 )
 
-#: largest (H, lambda_d) survey that enumerate_group_specs builds.  A pair
-#: costs about 1 KB of specs, records and output, so a survey at the bound
+#: largest (H, lambda_d) survey that search_field or enumerate_group_specs builds.
+#: A pair costs about 1 KB of records and output, so a survey at the bound
 #: stays near 1 GB: rank --h 8 --d 8 (661 416 pairs) runs, while
 #: rank --h 9 --d 8 (5 440 680) and rank --h 16 --d 4 (about 2.1e9) are refused.
 MAX_SURVEY_SPECS = 1 << 20
 
 #: largest number of trace conditions, d - 1 per pair, that a survey solves.
-#: At 0.6-1.4 us per condition end to end (3.5 us at d = 8) a survey at the bound
-#: ends within about 20 s: rank --h 8 --d 8 (4.6e6, 16 s) runs, while --h 9 --d 256
-#: (1.7e7, 10 s), --h 10 --d 512 and --h 11 --d 1024 (1.1e9) are refused.
+#: At 0.4-0.7 us per condition end to end (2 us at d = 8) a survey at the bound
+#: ends within about 20 s: rank --h 8 --d 8 (4.6e6, 10 s) runs, while --h 9 --d 256
+#: (1.7e7, 6.5 s), --h 10 --d 512 and --h 11 --d 1024 (1.1e9) are refused.
 MAX_SURVEY_CONDITIONS = 1 << 23
 
 
@@ -135,20 +141,13 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
     ld = spec.lambda_d
     top = ld ^ 1
     quotients = gf.div_many(gf.mul(top, ld), [ld ^ l for l in spec.H[1:]])
-    return TraceConditionSystem(
-        gf=gf,
-        group=spec,
-        epsilon=1 ^ gf.trace(1),
-        conditions=tuple([top ^ x for x in quotients]),
-    )
+    return TraceConditionSystem(gf, spec, 1 ^ gf.trace(1), tuple([top ^ x for x in quotients]))
 
 
 # -- solving the system over GF(2) ---------------------------------------------
 
 
-def _eliminate(
-    system: TraceConditionSystem,
-) -> tuple[dict[int, tuple[int, int]], int, int, int]:
+def _eliminate(system: TraceConditionSystem) -> tuple[dict[int, tuple[int, int]], int, int, int]:
     """One elimination: the conditions, then the row trace((lambda_d + 1) mu) = epsilon.
 
     That last row is trace(beta) = 1 rewritten, since trace(beta) =
@@ -166,10 +165,10 @@ def _eliminate(
     for c in system.conditions:
         if len(echelon) == h and not (consistent and eps):
             break  # it stays inconsistent, or keeps its one solution mu = 0
-        consistent &= gf2_add_row(echelon, c, eps)
+        consistent &= not gf2_add_row(echelon, c, eps)
     rank = len(echelon)
     num_mu = (1 << (h - rank)) if consistent else 0
-    if consistent and gf2_add_row(echelon, system.group.lambda_d ^ 1, eps):
+    if consistent and not gf2_add_row(echelon, system.group.lambda_d ^ 1, eps):
         num_valid_mu = 1 << (h - len(echelon))
     else:
         num_valid_mu = 0
@@ -185,21 +184,14 @@ class RankAnalysis:
     independent: bool
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "solution_count": self.solution_count,
-            "independent": self.independent,
-        }
+        return {"rank": self.rank, "solution_count": self.solution_count,
+                "independent": self.independent}
 
 
 def rank_analysis(system: TraceConditionSystem) -> RankAnalysis:
     """GF(2)-rank of the conditions; solution count 2^(h-rank), or 0 if inconsistent."""
     _, rank, num_mu, _ = _eliminate(system)
-    return RankAnalysis(
-        rank=rank,
-        solution_count=num_mu,
-        independent=rank == len(system.conditions),
-    )
+    return RankAnalysis(rank, num_mu, rank == len(system.conditions))
 
 
 def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
@@ -207,13 +199,13 @@ def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
     return gf.mul(lambda_d ^ 1, gf.inv(rho)) ^ 1
 
 
-def _valid_rho(gf: GF, echelon: dict[int, tuple[int, int]]) -> frozenset[int]:
-    """The rho = 1/mu, mu != 0, of a consistent system in echelon form.
+def _valid_rho(gf: GF, echelon: dict[int, tuple[int, int]], scale: int = 1) -> frozenset[int]:
+    """The rho = scale/mu, mu != 0, of a consistent system in echelon form.
 
     Back-substituted, its solutions are a particular solution plus the span of
     a null basis, in trace coordinates; each is mapped back to mu once, and as
     that map is linear the span is listed in mu directly: 2^(h - rank) field
-    inversions; counting alone needs no listing.
+    divisions; counting alone needs no listing.
     """
     reduced = gf2_back_substitute(echelon)
     shift = gf.from_trace_coordinates(sum(bv << pb for pb, _, bv in reduced))
@@ -224,7 +216,7 @@ def _valid_rho(gf: GF, echelon: dict[int, tuple[int, int]]) -> frozenset[int]:
             basis.append(gf.from_trace_coordinates(v | 1 << fb))
     mus = {shift ^ mu for mu in gf.additive_span(basis)}
     mus.discard(0)
-    return frozenset(gf.inv(mu) for mu in mus)
+    return frozenset(gf.div_many(scale, list(mus)))
 
 
 def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
@@ -296,30 +288,45 @@ class SearchRecord:
         }
 
 
-def _search(spec: GroupSpec) -> tuple[SearchRecord, dict[int, tuple[int, int]]]:
-    """One elimination: the spec's record and the echelon form of its whole system.
+def _solve_coset(gf: GF, H: tuple[int, ...], a: int) -> tuple[list[SearchRecord], dict]:
+    """The records of lambda_d = a + H[i], in H's order, and their echelon form.
 
-    The counts take mu = 0 off when it solves the homogeneous (epsilon = 0)
-    system, since it gives no rho.
+    Row i is 1/(a + H[i]) with right-hand side 1 << i, so gf2_add_row returns
+    the dependency w of each row that adds no pivot (see the module docstring).
     """
-    system = build_trace_system(spec)
-    echelon, rank, num_mu, num_valid_mu = _eliminate(system)
-    mu_zero = 1 if system.epsilon == 0 else 0
-    record = SearchRecord(
-        q=spec.gf.q,
-        H=spec.H,
-        lambda_d=spec.lambda_d,
-        epsilon=system.epsilon,
-        rank=rank,
-        num_rho_prefilter=num_mu - mu_zero,
-        num_rho_valid=num_valid_mu - mu_zero,
-    )
-    return record, echelon
+    echelon: dict[int, tuple[int, int]] = {}
+    full = (1 << len(H)) - 1
+    # over the dependencies w: the bits some w has, the bits where some w
+    # differs from its parity, and whether some w has odd weight
+    seen = flipped = any_odd = 0
+    for i, u in enumerate(gf.div_many(1, [a ^ l for l in H])):
+        w = gf2_add_row(echelon, u, 1 << i)
+        odd = w.bit_count() & 1
+        seen, flipped, any_odd = seen | w, flipped | w ^ full * odd, any_odd | odd
+    eps = 1 ^ gf.trace(1)
+    free = 1 << (gf.h - len(echelon))
+    rank = len(echelon) - (not any_odd)
+    records = []
+    for i, lam in enumerate(H):
+        if eps:  # the mu reaching e_a or 1 + e_a in C; the valid ones reach e_a
+            in_e = not seen >> i & 1
+            prefilter, valid = free * (in_e + (not flipped >> i & 1)), free * in_e
+        else:  # the mu reaching 0 or 1; the valid ones reach 0; mu = 0 gives no rho
+            prefilter, valid = free * (2 - any_odd) - 1, free - 1
+        records.append(SearchRecord(gf.q, H, a ^ lam, eps, rank, prefilter, valid))
+    return records, echelon
+
+
+def _first_rho(gf: GF, echelon: dict[int, tuple[int, int]], first: SearchRecord) -> frozenset[int]:
+    """The valid rho of the coset's row-0 record, a = lambda_d: a (a + 1) / gamma for the
+    gamma != 0 with trace(gamma / x) = epsilon [x = a] on the coset (rhs epsilon w_0)."""
+    target = {pb: (row, first.epsilon & w) for pb, (row, w) in echelon.items()}
+    return _valid_rho(gf, target, gf.mul(first.lambda_d, first.lambda_d ^ 1))
 
 
 def search_group(spec: GroupSpec) -> SearchRecord:
-    """Solve the trace system for one spec: rank and rho counts, no arc."""
-    return _search(spec)[0]
+    """Rank and rho counts for one spec, read off its coset's elimination; no arc."""
+    return _solve_coset(spec.gf, spec.H, spec.lambda_d)[0][0]
 
 
 def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecord, int, MathonArc]:
@@ -328,8 +335,9 @@ def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecor
     The record's counts and the valid rho come from one elimination.  A given
     rho must be valid; without one the least valid rho is taken.
     """
-    record, echelon = _search(spec)
-    valid = _valid_rho(spec.gf, echelon) if record.num_rho_valid else frozenset()
+    records, echelon = _solve_coset(spec.gf, spec.H, spec.lambda_d)
+    record = records[0]
+    valid = _first_rho(spec.gf, echelon, record) if record.num_rho_valid else frozenset()
     if rho is None:
         if not valid:
             raise ValueError("no valid rho exists for this (H, lambda_d) pair")
@@ -380,14 +388,8 @@ def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ..
     return tuple(sorted(groups))
 
 
-def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
-    """Every (H, lambda_d) with |H| = order: subgroups lexicographically, lambda_d upward.
-
-    The numbers of pairs and of trace conditions are checked in closed form
-    first, so a survey larger than MAX_SURVEY_SPECS pairs or
-    MAX_SURVEY_CONDITIONS conditions is refused before any subgroup is
-    enumerated.
-    """
+def _check_survey(gf: GF, order: int) -> None:
+    """Refuse, unbuilt, a survey above MAX_SURVEY_SPECS pairs or MAX_SURVEY_CONDITIONS."""
     pairs = _survey_size(gf, order)
     for count, unit, bound in (
         (pairs, "(H, lambda_d) pairs", MAX_SURVEY_SPECS),
@@ -398,6 +400,11 @@ def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
                 f"a survey of |H| = {order} at h = {gf.h} has {count} {unit};"
                 f" surveys stop at {bound}"
             )
+
+
+def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
+    """Every (H, lambda_d) with |H| = order: subgroups lexicographically, lambda_d upward."""
+    _check_survey(gf, order)
     specs: list[GroupSpec] = []
     for H in additive_subgroups_containing_one(gf, order):
         lds = sorted(set(gf.elements()).difference(H))
@@ -408,21 +415,29 @@ def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
 
 
 def search_field(gf: GF, order: int) -> list[SearchRecord]:
-    """Run the solver over every (H, lambda_d) pair of one subgroup order.
+    """The record of every (H, lambda_d) pair of one order, in enumerate_group_specs' order.
 
-    Records come back in scan order.  At most one record carries an example
-    arc: double_spec's arc for the first one with a valid rho.
-    Examples need trace(1) = 1 — the base arc's normal form is degenerate in
-    fields of even degree — and the line scan of a degree-(2 order) arc to
-    fit (line_scan_fits; h <= 11 for order 2); otherwise every example stays None.
+    Walking lambda_d upward, each coset is solved at its least element and
+    hands out its records as they come.  At most one record carries an
+    example arc: double_spec's for the first one with a valid rho.  Examples
+    need trace(1) = 1 — the base arc's normal form is degenerate in fields of
+    even degree — and the line scan of a degree-(2 order) arc to fit
+    (line_scan_fits; h <= 11 for order 2); otherwise every example stays None.
     """
-    specs = enumerate_group_specs(gf, order)
-    records = [search_group(spec) for spec in specs]
-    if gf.trace(1) == 1 and line_scan_fits(gf.q, arc_size(gf.q, 2 * order)):
-        for spec, record in zip(specs, records):
-            if record.num_rho_valid:
-                record.example_arc = double_spec(spec)[2]
-                break
+    _check_survey(gf, order)
+    example = gf.trace(1) == 1 and line_scan_fits(gf.q, arc_size(gf.q, 2 * order))
+    records = []
+    for H in additive_subgroups_containing_one(gf, order):
+        pending: dict[int, SearchRecord] = {}
+        for ld in sorted(set(gf.elements()).difference(H)):
+            if ld not in pending:
+                coset, echelon = _solve_coset(gf, H, ld)
+                pending.update((r.lambda_d, r) for r in coset)
+                if example and coset[0].num_rho_valid:  # odd h: the coset's counts
+                    rho = min(_first_rho(gf, echelon, coset[0]))
+                    coset[0].example_arc = construct_extension_arc(GroupSpec(gf, H, ld), rho)
+                    example = False
+            records.append(pending.pop(ld))
     return records
 
 

@@ -249,7 +249,7 @@ def test_construct_mathon_extend_solves_its_system_once(capsys, monkeypatch):
     monkeypatch.setattr(se, "gf2_add_row", counted)
     se.search_group(se.GroupSpec(make_field(5), (0, 1, 2, 3), 4))
     one_search = len(calls)
-    assert one_search == 4  # three conditions and the trace(beta) row
+    assert one_search == 4  # the four rows of its coset
     calls.clear()
     code, payload = run_json(
         capsys, "construct", "mathon-extend", "--h", "5", "--H", "1,2", "--lambda-d", "4"
@@ -447,6 +447,36 @@ def test_convert_chain(capsys, arc_file):
     assert payload["raw"]["planes"] != payload["additive"]["planes"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_each_flock_is_classified_once_per_command(capsys, monkeypatch, arc_file, tmp_path, fmt):
+    flock_file, raw_file = tmp_path / "flock.json", tmp_path / "raw.json"
+    assert main(["convert", "--direction", "arc-to-flock", arc_file, "--out", str(flock_file)]) == 0
+    assert main(["project", arc_file, "--out", str(raw_file)]) == 0
+    bare_file = tmp_path / "bare.json"  # planes only: no declared field to check
+    bare_file.write_text(json.dumps({k: json.loads(flock_file.read_text())["flock"][k]
+                                     for k in ("field", "planes")}))
+    calls = []
+    classify = fl.classify_flock
+
+    def counted(F):
+        calls.append(F)
+        return classify(F)
+
+    monkeypatch.setattr(fl, "classify_flock", counted)
+    for argv, flocks, code in (
+        (["verify", str(flock_file)], 1, 0),
+        (["verify", str(bare_file)], 1, 0),
+        (["convert", "--direction", "arc-to-flock", arc_file], 1, 0),
+        (["convert", "--direction", "flock-to-arc", str(flock_file)], 1, 0),
+        (["convert", "--direction", "flock-to-arc", str(raw_file)], 1, 2),  # not additive
+        (["project", arc_file], 1, 0),
+        (["convert", "--direction", "chain", arc_file], 2, 0),  # raw, and additive = algebraic
+    ):
+        calls.clear()
+        assert run_cli(capsys, *argv, "--format", fmt)[0] == code, argv
+        assert len(calls) == flocks == len(set(calls)), argv
+
+
 def test_project_rejects_bad_projection_point(capsys, arc_file):
     code, out, err = run_cli(capsys, "project", arc_file, "--p", "1,0")
     assert code == 2 and "coordinates" in err
@@ -531,6 +561,8 @@ def test_malformed_coordinates_exit_2_without_traceback(
          "ccc8f11e176a443250b2a1cc550a361dbe965f964fb5835931fd26693f4bd979"),
         ("construct mathon-extend --h 9 --H 1,2,4 --lambda-d 8",
          "0fa8d7dbc175e873f99ff09659a9dd23fe255edcce1d044c8403ed1fff3f9e44"),
+        ("search --h 6 --d 8",  # even h at |H| = 8: counts vary inside a coset
+         "39e2c82462754f6a9591ec7057430bdc89d8d302fa8955abc8a12e8fd7ae46c6"),
     ],
 )
 def test_survey_and_doubling_output_is_frozen(capsys, argv, digest):

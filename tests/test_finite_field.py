@@ -184,7 +184,7 @@ def test_gf2_add_row_against_brute_force(n):
         for _ in range(rng.randrange(1, 2 * n + 2)):
             row, b = rng.randrange(1 << n), rng.randrange(2)
             stored = dict(echelon)
-            consistent &= gf2_add_row(echelon, row, b)
+            consistent &= not gf2_add_row(echelon, row, b)
             assert stored.items() <= echelon.items()  # stored rows never change
             rows.append(row)
             rhs.append(b)
@@ -210,6 +210,38 @@ def test_gf2_add_row_against_brute_force(n):
                     (r & x).bit_count() & 1 == c for x in solutions for _, r, c in reduced
                 )
                 assert sum(b << pb for pb, _, b in reduced) in solutions
+
+
+def _sum_rows(rows, w):
+    """The XOR of the rows whose bits are set in w."""
+    total = 0
+    for i, row in enumerate(rows):
+        if w >> i & 1:
+            total ^= row
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gf2_add_row_returns_the_dependency_of_a_row_it_cannot_add(n):
+    # row i with right-hand side 1 << i: a row adding a pivot returns 0, any other
+    # returns the set w of rows, itself included, that sum to zero; these w span
+    # every dependency among the rows
+    rng = random.Random(1700 + n)
+    for _ in range(100):
+        rows = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 2 * n + 2))]
+        echelon, deps = {}, []
+        for i, row in enumerate(rows):
+            rank = len(echelon)
+            w = gf2_add_row(echelon, row, 1 << i)
+            assert (len(echelon) == rank + 1) == (w == 0)
+            if w:
+                assert w >> i == 1 and _sum_rows(rows, w) == 0
+                deps.append(w)
+        kernel = [w for w in range(1, 1 << len(rows)) if _sum_rows(rows, w) == 0]
+        span = {0}
+        for w in deps:
+            span |= {w ^ s for s in span}
+        assert span - {0} == set(kernel)
 
 
 @pytest.mark.parametrize("h", range(1, 7))

@@ -1,5 +1,6 @@
 """Trace-condition solver against exhaustive scans and counting formulas."""
 
+import dataclasses
 import itertools
 import random
 
@@ -133,7 +134,7 @@ def _linear_mu_solutions(system) -> frozenset[int]:
     echelon = {}
     consistent = True
     for c in system.conditions:
-        consistent &= gf2_add_row(echelon, c, system.epsilon)
+        consistent &= not gf2_add_row(echelon, c, system.epsilon)
     if not consistent:
         return frozenset()
     nonzero = frozenset(gf.inv(rho) for rho in _valid_rho(gf, echelon))
@@ -458,6 +459,108 @@ def test_enumerate_group_specs_counts_and_order():
     assert all(s.lambda_d not in s.H for s in specs)
     keys = [(s.H, s.lambda_d) for s in specs]
     assert keys == sorted(keys)
+
+
+# -- one elimination per coset --------------------------------------------------------
+
+
+def _coset_rho(spec):
+    """The valid rho that the coset elimination lists for one spec."""
+    from arcflock.search import _first_rho, _solve_coset
+
+    records, echelon = _solve_coset(spec.gf, spec.H, spec.lambda_d)
+    if not records[0].num_rho_valid:
+        return frozenset()
+    return _first_rho(spec.gf, echelon, records[0])
+
+
+def _check_against_reference(record, spec, with_rho=True):
+    # the per-system path: rank_analysis counts mu = 0 among the solutions of an
+    # epsilon = 0 system, and solve_trace_system lists the valid rho
+    system = build_trace_system(spec)
+    analysis = rank_analysis(system)
+    assert (record.H, record.lambda_d, record.epsilon) == (spec.H, spec.lambda_d, system.epsilon)
+    assert record.rank == analysis.rank, spec
+    assert record.num_rho_prefilter == analysis.solution_count - (system.epsilon == 0), spec
+    if with_rho:
+        valid = solve_trace_system(system)
+        assert record.num_rho_valid == len(valid), spec
+        assert _coset_rho(spec) == valid, spec
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_coset_records_match_the_per_system_reference(h):
+    # every order at both parities: search_field's records against rank_analysis,
+    # and search_group and the valid rho (against solve_trace_system) too, on
+    # every pair up to h = 6; at h = 7 (308 826 pairs) the records of orders
+    # up to 8 and every eighth pair otherwise; the mu scan at h <= 5
+    gf = make_field(h)
+    for order in (1 << k for k in range(1, h)):  # every order below q
+        specs = enumerate_group_specs(gf, order)
+        records = search_field(gf, order)
+        assert len(records) == len(specs)
+        for i, (record, spec) in enumerate(zip(records, specs)):
+            sampled = h <= 6 or i % 8 == 0
+            if sampled or order <= 8:
+                _check_against_reference(record, spec, with_rho=sampled)
+            if sampled:
+                assert dataclasses.replace(record, example_arc=None) == search_group(spec)
+            if h <= 5:
+                rank, prefilter, valid = oracles.scan_trace_system(build_trace_system(spec))
+                assert (record.rank, record.num_rho_prefilter) == (rank, len(prefilter))
+                assert record.num_rho_valid == len(valid) and _coset_rho(spec) == valid
+
+
+@pytest.mark.parametrize("h", range(9, 17))
+def test_coset_records_match_the_per_system_reference_on_sampled_pairs(h):
+    gf = make_field(h)
+    rng = random.Random(900 + h)
+    for k in range(1, 6):  # |H| = 2 .. 32
+        for _ in range(4):
+            H = {0, 1}
+            while len(H) < 1 << k:
+                H = gf.additive_span(H | {rng.randrange(2, gf.q)})
+            lambda_d = rng.choice([x for x in range(gf.q) if x not in H])
+            spec = GroupSpec(gf, tuple(sorted(H)), lambda_d)
+            record = search_group(spec)
+            # listing 2^(h - rank) solutions is cheap only for a large enough rank
+            _check_against_reference(record, spec, with_rho=h - record.rank <= 10)
+
+
+def _counts_by_coset(h, order):
+    """The distinct (rank, prefilter, valid) of each coset lambda_d + H of a survey."""
+    cosets = {}
+    for r in search_field(make_field(h), order):
+        key = (r.H, min(r.lambda_d ^ x for x in r.H))
+        cosets.setdefault(key, set()).add((r.rank, r.num_rho_prefilter, r.num_rho_valid))
+    return list(cosets.values())
+
+
+def test_even_h_counts_vary_inside_a_coset():
+    # at even h only the rank is the coset's: at h = 6, |H| = 8 some coset has
+    # lambda_d with different rho counts, so the even-h branch is exercised
+    even = _counts_by_coset(6, 8)
+    assert any(len(counts) > 1 for counts in even)
+    assert all(len({rank for rank, _, _ in counts}) == 1 for counts in even)
+    # at odd h every count is the coset's
+    assert all(len(counts) == 1 for counts in _counts_by_coset(5, 4))
+
+
+def test_search_field_reduces_one_row_per_pair(monkeypatch):
+    # one elimination per coset of d rows, and its example arc from the same one
+    import arcflock.search as se
+    from arcflock.finite_field import gf2_add_row
+
+    calls = []
+
+    def counted(echelon, row, b):
+        calls.append(row)
+        return gf2_add_row(echelon, row, b)
+
+    monkeypatch.setattr(se, "gf2_add_row", counted)
+    records = search_field(make_field(7), 4)
+    assert len(records) == 7812 == len(calls)
+    assert sum(1 for r in records if r.example_arc) == 1
 
 
 # -- field-level search --------------------------------------------------------------
