@@ -7,11 +7,15 @@ the vertex normalizes to [1, f, t, g], and two such planes have disjoint
 sections exactly when their X2-coordinates differ and
 trace((f+f')(g+g')/(t+t')^2) = 1.  That trace test is exact for cone
 sections; a section-intersection oracle that shares nothing with it runs
-alongside it in every verification report.  The oracle lists each section
-as a point set from the cone's parametrisation: every cone point other than
-the vertex is (x0, s^2, s u, u^2) for (s:u) in PG(1,q) and x0 in GF(q), so
-a plane avoiding the vertex meets each of the q + 1 generators in one
-point.  A section costs O(q), with no scan of PG(3,q).
+alongside it in every verification report.  The oracle reads each section
+off the cone's parametrisation: every cone point other than the vertex is
+(x0, s^2, s u, u^2) for (s:u) in PG(1,q) and x0 in GF(q), so the plane
+[1, f, t, g] meets each of the q + 1 generators in one point, at
+x0 = f + t u + g u^2 on (1, u, u^2) and at x0 = g on (0, 0, 1).  A section
+is that column of q + 1 values, one x0 per generator, listed in O(q) from
+rotated exp tables with no multiplication and no scan of PG(3,q); two
+sections share a point exactly where their columns agree, so the oracle
+compares d sections generator by generator in O(d q).
 
 A Mathon arc with conics F_{alpha,beta,lam} corresponds to the additive
 partial flock with planes [1, alpha*lam, lam, beta*lam] plus the plane
@@ -47,7 +51,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import xor
 from typing import Optional
 
 from . import projective as pg
@@ -74,30 +81,57 @@ SINGULAR_PLANE: pg.Coords = (1, 0, 1, 0)
 # -- the cone and its plane sections -------------------------------------------
 
 
-def _generators(gf: GF) -> list[tuple[int, int, int]]:
-    """(X1, X2, X3) of the q + 1 cone generators: (1, u, u^2) and (0, 0, 1).
+def _square_logs(gf: GF) -> list[int]:
+    """log_index(u^2) for each u of gf.scaled_powers(1): the field's powers, then 0.
 
-    Every cone point other than the vertex is (x0, X1, X2, X3) for one of
-    them and some x0 in GF(q).
+    Squaring doubles the log, so this index list reads g u^2 off the row
+    scaled_powers(g) in the order in which scaled_powers(t) lists t u.
     """
-    return [(1, u, gf.square(u)) for u in range(gf.q)] + [(0, 0, 1)]
+    n = gf.q - 1
+    return [2 * k % n for k in range(n)] + [n]
+
+
+def _x0_column(gf: GF, square_logs: list[int], plane: pg.Coords) -> array:
+    """Where a normalized plane [1, f, t, g] meets each of the q + 1 cone generators.
+
+    Entry k < q is x0 = f + t u + g u^2 on the generator (1, u, u^2), u the
+    k-th entry of gf.scaled_powers(1); entry q is x0 = g on (0, 0, 1).  The
+    products t u and g u^2 are read off the rows scaled_powers(t) and
+    scaled_powers(g), with square_logs from _square_logs, so no entry costs a
+    multiplication.  The column is an array of machine words, not a list of
+    int objects, which at h = 16 would take about four times the memory.
+    """
+    _, f, t, g = plane
+    g_u2 = map(gf.scaled_powers(g).__getitem__, square_logs)
+    column = array("L", map(f.__xor__, map(xor, gf.scaled_powers(t), g_u2)))
+    column.append(g)
+    return column
 
 
 def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
     """The q + 1 cone points on a plane [u0, u1, u2, u3] avoiding the vertex.
 
     Scaled once to u0 = 1, the plane meets the generator (X1, X2, X3) where
-    x0 = u1 X1 + u2 X2 + u3 X3: one point per generator.  Planes through
-    the vertex (u0 = 0) are refused.
+    x0 = u1 X1 + u2 X2 + u3 X3: one point per generator, read off
+    _x0_column.  A point with x0 != 0 is scaled to x0 = 1 by subtracting
+    log x0 from the logs of its coordinates.  Planes through the vertex
+    (u0 = 0) are refused.
     """
     if plane[0] == 0:
         raise ValueError(f"plane {plane} passes through the cone vertex {VERTEX}")
-    _, u1, u2, u3 = pg.normalize(gf, plane)
-    mul = gf.mul
-    return frozenset(
-        pg.normalize(gf, (mul(u1, x1) ^ mul(u2, x2) ^ mul(u3, x3), x1, x2, x3))
-        for x1, x2, x3 in _generators(gf)
-    )
+    square_logs = _square_logs(gf)
+    column = _x0_column(gf, square_logs, pg.normalize(gf, plane))
+    n = gf.q - 1
+    power = gf.scaled_powers(1)[:n]  # power[k] = u of generator k; a negative k wraps mod n
+    logs = list(map(gf.log_index, column))
+    points = {
+        (1, power[-l], power[k - l], power[s - l]) if x0 else (0, 1, power[k], power[s])
+        for k, x0, l, s in zip(range(n), column, logs, square_logs)
+    }
+    f, g = column[n], column[n + 1]  # on (1, 0, 0) and on (0, 0, 1)
+    points.add((1, power[-logs[n]], 0, 0) if f else (0, 1, 0, 0))
+    points.add((1, 0, 0, power[-logs[n + 1]]) if g else (0, 0, 0, 1))
+    return frozenset(points)
 
 
 def section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
@@ -111,12 +145,15 @@ def section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
     wn = pg.normalize(gf, w)
     if un[0] == 0 or wn[0] == 0:
         raise ValueError("a plane through the cone vertex has no conic section")
-    dt = un[2] ^ wn[2]
+    return _normalized_section_trace(gf, un, wn)
+
+
+def _normalized_section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
+    """section_trace of two planes already normalized to [1, f, t, g]."""
+    dt = u[2] ^ w[2]
     if dt == 0:
         return None
-    df = un[1] ^ wn[1]
-    dg = un[3] ^ wn[3]
-    return gf.trace(gf.div(gf.mul(df, dg), gf.square(dt)))
+    return gf.trace(gf.div(gf.mul(u[1] ^ w[1], u[3] ^ w[3]), gf.square(dt)))
 
 
 def sections_disjoint(gf: GF, u: pg.Coords, w: pg.Coords) -> bool:
@@ -190,9 +227,16 @@ class FlockReport:
 def verify_partial_flock(F: PartialFlock) -> FlockReport:
     """Check every plane pair by the trace test and the section oracle.
 
-    The oracle lists d (q + 1) section points and intersects C(d, 2) pairs of
-    sections of q + 1 points each, so it is refused before any section is
-    listed when those (q + 1) d (d + 1) / 2 steps exceed MAX_SCAN_STEPS.
+    The oracle lists each section as its x0 column, one x0 per cone
+    generator (_x0_column), so every section has q + 1 points.  Two
+    sections share a point exactly where their columns agree, so the shared
+    points are counted generator by generator: a generator whose d values
+    are distinct costs one set, and only a value met by several planes adds
+    to their pairs' counts.  The work is d (q + 1) values plus one count per
+    shared point.  The step bound charges (q + 1) d (d + 1) / 2 steps, the
+    cost of listing d point sets and intersecting C(d, 2) pairs of them, so
+    it overestimates that work; the oracle is refused on it, before any
+    section is listed, when it exceeds MAX_SCAN_STEPS.
     """
     gf = F.gf
     d = F.size
@@ -201,17 +245,25 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
             f"the flock section oracle stops at {MAX_SCAN_STEPS} steps, got"
             f" (q + 1) * d * (d + 1) / 2 = {gf.q + 1} * {d} * {d + 1} / 2"
         )
-    sections = [plane_section(gf, p) for p in F.planes]
-    pairs = []
-    for i, j in itertools.combinations(range(F.size), 2):
-        tr = section_trace(gf, F.planes[i], F.planes[j])
-        shared = len(sections[i] & sections[j])
-        pairs.append(((i, j), tr, shared))
+    square_logs = _square_logs(gf)
+    columns = [_x0_column(gf, square_logs, p) for p in F.planes]
+    shared: Counter = Counter()
+    for x0s in zip(*columns):
+        if len(set(x0s)) < d:
+            meeting = defaultdict(list)
+            for i, x0 in enumerate(x0s):
+                meeting[x0].append(i)
+            for indices in meeting.values():
+                shared.update(itertools.combinations(indices, 2))
+    pairs = tuple(
+        ((i, j), _normalized_section_trace(gf, F.planes[i], F.planes[j]), shared[i, j])
+        for i, j in itertools.combinations(range(d), 2)
+    )
     return FlockReport(
         q=gf.q,
-        size=F.size,
-        section_sizes=tuple(len(s) for s in sections),
-        pairs=tuple(pairs),
+        size=d,
+        section_sizes=tuple(len(c) for c in columns),
+        pairs=pairs,
     )
 
 

@@ -209,7 +209,8 @@ def brute_cone(gf: GF) -> frozenset[pg.Coords]:
 def cone_points(gf: GF) -> frozenset[pg.Coords]:
     """All q^2 + q + 1 points of the cone, vertex included, generator by generator."""
     pts = {fl.VERTEX}
-    for gen in fl._generators(gf):
+    generators = [(1, u, gf.square(u)) for u in range(gf.q)] + [(0, 0, 1)]
+    for gen in generators:
         pts.update(pg.normalize(gf, (x0,) + gen) for x0 in range(gf.q))
     return frozenset(pts)
 

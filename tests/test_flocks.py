@@ -128,6 +128,65 @@ def test_plane_section_matches_brute_force_on_every_plane(h):
             assert plane_section(gf, tuple(gf.mul(2, u) for u in plane)) == brute
 
 
+def test_plane_section_matches_brute_force_on_sampled_planes_h4():
+    gf = make_field(4)
+    cone = oracles.brute_cone(gf)
+    rng = random.Random(1800)
+    # x0 = 0 on the generators (1, 0, 0) and (0, 0, 1) of the first two
+    planes = [(1, 0, 3, 0), (1, 0, 0, 0)] + rng.sample(_vertex_avoiding_planes(gf), 60)
+    for plane in planes:
+        brute = frozenset(e for e in cone if oracles.incident(gf, e, plane))
+        assert plane_section(gf, plane) == brute
+        assert plane_section(gf, tuple(gf.mul(5, u) for u in plane)) == brute
+
+
+def _brute_force_shared_points(gf, planes):
+    """verify_partial_flock of a plane set, its shared points held to brute-force sections."""
+    F = PartialFlock(gf, tuple(sorted(planes)))
+    cone = oracles.brute_cone(gf)
+    sections = [frozenset(e for e in cone if oracles.incident(gf, e, u)) for u in F.planes]
+    report = verify_partial_flock(F)
+    assert report.section_sizes == tuple(map(len, sections))
+    assert [ij for ij, _, _ in report.pairs] == list(itertools.combinations(range(F.size), 2))
+    for (i, j), tr, shared in report.pairs:
+        assert shared == len(sections[i] & sections[j])
+        assert tr == section_trace(gf, F.planes[i], F.planes[j])
+    return F, sections, report
+
+
+def test_flock_oracle_counts_the_shared_points_of_every_plane_pair_h2():
+    # all 64 vertex-avoiding planes of PG(3,4) in one report: 2016 pairs,
+    # equal-t pairs among them, and every cone point off the vertex on 16 planes
+    gf = make_field(2)
+    _, _, report = _brute_force_shared_points(gf, _vertex_avoiding_planes(gf))
+    assert len(report.pairs) == 2016
+    # planes with equal t meet in one cone point: 4 values of t, C(16, 2) pairs each
+    pattern = Counter((tr, shared) for _, tr, shared in report.pairs)
+    assert pattern == {(None, 1): 4 * 120, (1, 0): 576, (0, 2): 960}
+
+
+@pytest.mark.parametrize("h", (3, 4))
+def test_flock_oracle_counts_shared_points_on_sampled_planes(h):
+    gf = make_field(h)
+    q = gf.q
+    rng = random.Random(1900 + h)
+    planes = set(rng.sample(_vertex_avoiding_planes(gf), 24))
+    # four planes through the cone point (x0, 1, u, u^2): f = x0 + t u + g u^2
+    x0, u = rng.randrange(q), rng.randrange(q)
+    through = set()
+    for tg in rng.sample(range(q * q), 4):
+        t, g = divmod(tg, q)
+        through.add((1, x0 ^ gf.mul(t, u) ^ gf.mul(g, gf.square(u)), t, g))
+    # three planes with one X2-coefficient t
+    t = rng.randrange(q)
+    equal_t = {(1, f, t, g) for f, g in zip(rng.sample(range(q), 3), rng.sample(range(q), 3))}
+    F, sections, report = _brute_force_shared_points(gf, planes | through | equal_t)
+    point = pg.normalize(gf, (x0, 1, u, gf.square(u)))
+    assert point in frozenset.intersection(*(sections[F.planes.index(p)] for p in through))
+    assert sum(tr is None for _, tr, _ in report.pairs) >= 3
+    assert any(shared == 0 for _, _, shared in report.pairs)
+
+
 def test_denniston_flock_and_its_projection_verify_at_h10():
     # q = 1024: the PG(3,q) scan behind the sections would need ~10^9 points
     gf = make_field(10)
@@ -322,10 +381,11 @@ def test_flock_oracle_refuses_too_many_steps_before_listing(monkeypatch):
     F = arc_to_flock(denniston_arc(gf, 2048, range(1, 256)))
     assert F.size == 256
 
-    def no_listing(gf, plane):
+    def no_listing(*args):
         raise AssertionError("a section was listed before the refusal")
 
     monkeypatch.setattr("arcflock.flocks.plane_section", no_listing)
+    monkeypatch.setattr("arcflock.flocks._x0_column", no_listing)
     refusal = f"stops at {MAX_SCAN_STEPS} steps.* 65537 \\* 256 \\* 257 / 2"
     with pytest.raises(ValueError, match=refusal):
         verify_partial_flock(F)
