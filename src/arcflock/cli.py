@@ -180,8 +180,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     direction = args.direction
     obj = _load_input(args.input)
     if direction == "flock-to-arc":
-        F, flock_json = fl._flock_and_derived_json(_unwrap(obj, "flock")[1])
-        arc = fl._additive_flock_to_arc(F, flock_json["additive"])
+        arc = fl.flock_to_arc(fl.flock_from_json(_unwrap(obj, "flock")[1]))
         report_json, lines, ok = _arc_verify_payload(arc)
         payload = {"arc": ma.arc_to_json(arc), "report": report_json}
     elif direction == "arc-to-flock":

@@ -20,12 +20,14 @@ compares d sections generator by generator in O(d q).
 A Mathon arc with conics F_{alpha,beta,lam} corresponds to the additive
 partial flock with planes [1, alpha*lam, lam, beta*lam] plus the plane
 X0 = 0: the closed conic set and the flock are one GF(2)-space of triples
-(t, f, g) = (lam, alpha*lam, beta*lam), so classify_flock decides
-additivity by the span mathon_arcs.triple_span that close_set closes with.
-The trace test of two planes u, w is that of u + w against X0 = 0, so an
-additive plane set is a partial flock exactly when every other plane's
-section misses that of X0 = 0: the flock analogue of Mathon's theorem, by
-which extend_flock tests V against F and no pair of the doubled flock.
+(t, f, g) = (lam, alpha*lam, beta*lam) (Hamilton-Thas).  That space,
+mathon_arcs.triple_span of the planes, is the only bridge between flocks
+and arcs: classify_flock decides additivity by it, flock_to_arc reads one
+conic off each nonzero t, and extend_flock doubles it by XOR.  The trace
+test of two planes u, w is that of u + w against X0 = 0, so an additive
+plane set is a partial flock exactly when every other plane's section
+misses that of X0 = 0: the flock analogue of Mathon's theorem, by which
+extend_flock tests V and the planes of F against X0 = 0 alone.
 
 Independently, the arc's plane PG(2,q) embeds into X0 = 0 via
 (x,y,z) -> (0,x,z,y), and projecting the cone from a point p = (1,0,y,0)
@@ -44,7 +46,9 @@ Composing two standard planes by the weighted average mirroring Mathon's
 conic composition yields a third plane of their pencil; the coefficientwise
 sum of the two standard equations is the pencil's unique plane through p,
 and its trace in X0 = 0 is the common external line -- the Denniston
-line -- of the two projected conics' degree-4 closure.
+line -- of the two projected conics' degree-4 closure.  Carried through the
+coefficient chain, this geometric composition is the XOR of the additive
+planes.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from typing import Optional
 from . import projective as pg
 from .finite_field import GF
 from .mathon_arcs import MAX_SCAN_STEPS, ClosureError, Conic, DisjointnessError, MathonArc
-from .mathon_arcs import close_set, triple_span
+from .mathon_arcs import _span_arc, triple_span
 
 #: vertex of the cone X1 X3 = X2^2
 VERTEX: pg.Coords = (1, 0, 0, 0)
@@ -274,8 +278,18 @@ class FlockClassification:
     additive: bool
     linear: bool
 
-    def to_json(self) -> dict:
-        return {"additive": self.additive, "linear": self.linear}
+
+def _flock_span(F: PartialFlock) -> Optional[dict[int, tuple[int, int]]]:
+    """The triple_span t -> (f, g) of the planes [1, f, t, g].
+
+    None when the triples are not their own span, that is when F is not additive.
+    """
+    try:
+        span = triple_span((p, p[2], p[1], p[3]) for p in F.planes)
+    except ClosureError:
+        return None
+    # the span holds every triple and (0, 0, 0), so no more means equal
+    return span if len(span) == F.size else None
 
 
 def classify_flock(F: PartialFlock) -> FlockClassification:
@@ -287,12 +301,8 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
     Linear: all planes share a common line, i.e. the points on every plane
     form a nullspace of dimension 2 (distinct planes meet in at most a line).
     """
-    try:  # the span holds every triple and (0, 0, 0), so no more means equal
-        additive = len(triple_span((p, p[2], p[1], p[3]) for p in F.planes)) == F.size
-    except ClosureError:
-        additive = False
     linear = F.size == 1 or len(pg.nullspace(F.gf, F.planes, 4)) >= 2
-    return FlockClassification(additive=additive, linear=linear)
+    return FlockClassification(additive=_flock_span(F) is not None, linear=linear)
 
 
 # -- the algebraic arc <-> flock correspondence ------------------------------------
@@ -317,32 +327,18 @@ def is_denniston_type(m: MathonArc) -> bool:
     return classify_flock(arc_to_flock(m)).linear
 
 
-def additive_plane_conic(gf: GF, plane: pg.Coords) -> Conic:
-    """The conic whose additive-flock plane is the given one."""
-    u = pg.normalize(gf, plane)
-    if u[0] == 0:
-        raise ValueError(f"plane {plane} passes through the cone vertex {VERTEX}")
-    t = u[2]
-    if t == 0:
-        raise ValueError("a plane with zero X2-coefficient encodes no conic")
-    return Conic(gf, gf.div(u[1], t), gf.div(u[3], t), t)
-
-
 def flock_to_arc(F: PartialFlock) -> MathonArc:
     """Rebuild the Mathon arc of an additive partial flock.
 
     Inverse of arc_to_flock.  The plane X0 = 0 carries no conic; every other
-    plane [1, f, t, g] yields F_{f/t, g/t, t}.  The triples (t, f, g) of an
-    additive flock are their own GF(2)-span, so close_set returns these conics.
+    plane [1, f, t, g] yields F_{f/t, g/t, t}, read off the flock's own triple
+    span, so nothing is closed again.  A plane whose conic is degenerate, that
+    is whose section meets that of X0 = 0, raises ClosureError.
     """
-    return _additive_flock_to_arc(F, classify_flock(F).additive)
-
-
-def _additive_flock_to_arc(F: PartialFlock, additive: bool) -> MathonArc:
-    """flock_to_arc of a flock already classified."""
-    if not additive:
+    span = _flock_span(F)
+    if span is None:
         raise ValueError("only an additive partial flock corresponds to an arc")
-    return close_set([additive_plane_conic(F.gf, p) for p in F.planes if p != EMBEDDING_PLANE])
+    return _span_arc(F.gf, span)
 
 
 # -- projection from the nuclear line ----------------------------------------------
@@ -570,13 +566,6 @@ class DennistonLineReport:
     concurrent: bool
     common_point: Optional[pg.Coords]
 
-    def to_json(self) -> dict:
-        return {
-            "lines": [list(l) for l in self.lines],
-            "concurrent": self.concurrent,
-            "common_point": list(self.common_point) if self.common_point else None,
-        }
-
 
 def denniston_lines_concurrent(m: MathonArc) -> DennistonLineReport:
     """Collect the Denniston line of every conic pair and test concurrency."""
@@ -608,16 +597,17 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     """Double an additive partial flock by one new disjoint plane.
 
     The new plane must avoid the vertex (1,0,0,0) and the base nucleus
-    (0,0,1,0), and its section must be disjoint from every section of F.
-    The size-2d result is assembled in the raw picture: V and the conic
-    planes of F are carried through the coefficient chain, V is composed
-    with each of them there, and the compositions are carried back.  The
-    outcome, F and V + F, is the unique additive flock on the doubled base
-    set, and no pair of it needs a test: the trace test of two planes is that
-    of their sum against X0 = 0, and each sum is in F or V + F.
+    (0,0,1,0), and its section must be disjoint from every section of F;
+    every plane of F other than X0 = 0 must miss the section of X0 = 0, so
+    that F is a partial flock.  The result is F and V + F, the XOR of the
+    triple span of F with that of V: the unique additive flock on the doubled
+    base set, which the paper's composition of V with each plane of F in the
+    raw picture also gives.  No other pair of it needs a test: the trace test
+    of two planes is that of their sum against X0 = 0, and each sum is in F
+    or V + F.
     """
     gf = F.gf
-    if not classify_flock(F).additive:
+    if _flock_span(F) is None:
         raise ValueError("only an additive partial flock can be extended")
     v = pg.normalize(gf, pg.check_space_coords(gf, V))
     if v[0] == 0:
@@ -625,16 +615,13 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     if v[2] == 0:
         raise ValueError(f"plane {v} passes through the base nucleus {BASE_NUCLEUS}")
     for u in F.planes:
-        if not sections_disjoint(gf, v, u):
+        if _normalized_section_trace(gf, v, u) != 1:
             raise DisjointnessError(f"the section of {v} meets the section of {u}")
-    raw_v = additive_to_raw_plane(gf, v)
-    planes = set(F.planes) | {v}
     for u in F.planes:
-        if u == EMBEDDING_PLANE:
-            continue
-        composed = plane_compose(gf, raw_v, additive_to_raw_plane(gf, u))
-        planes.add(raw_to_additive_plane(gf, composed))
-    return PartialFlock(gf, tuple(sorted(planes)))
+        if u != EMBEDDING_PLANE and _normalized_section_trace(gf, EMBEDDING_PLANE, u) != 1:
+            raise DisjointnessError(f"sections of {EMBEDDING_PLANE} and {u} share a cone point")
+    shifted = {(1, v[1] ^ u[1], v[2] ^ u[2], v[3] ^ u[3]) for u in F.planes}
+    return PartialFlock(gf, tuple(sorted(set(F.planes) | shifted)))
 
 
 # -- serialization ------------------------------------------------------------------

@@ -14,16 +14,17 @@ plane [1, alpha lam, lam, beta lam] of flocks.arc_to_flock); a set of
 conics closed under this composition, i.e. whose triples span a GF(2)-space
 with one member per lam, together with the common nucleus, is a maximal arc
 of degree |set| + 1 (Mathon's construction).  triple_span grows that space,
-for close_set and for flocks.classify_flock: the closed conic set and the
-additive partial flock are one space of triples (Hamilton-Thas).
+for close_set and for every flock operation, and _span_arc reads the arc off
+it: the closed conic set and the additive partial flock are one space of
+triples (Hamilton-Thas).
 Denniston arcs are the special case alpha constant, beta = 1, with the lam
 values ranging over an additive subgroup minus 0.
 
 By Mathon's theorem two conics with distinct lam are disjoint exactly when
 their composition is nondegenerate, trace(alpha'' beta'') = 1, so the
 constructions decide disjointness by that trace test and list no points.
-Point sets feed only the oracles: arc_points (for the line scan
-verify_maximal_arc) and conics_disjoint, which never consult the trace.
+Point sets feed only the line scan: arc_points lists them for
+verify_maximal_arc, which never consults the trace.
 """
 
 from __future__ import annotations
@@ -127,13 +128,6 @@ def composition_trace(c1: Conic, c2: Conic) -> int:
     return gf.trace(gf.mul(a, b))
 
 
-def conics_disjoint(c1: Conic, c2: Conic) -> bool:
-    """Point-set disjointness; this oracle, not the trace test, is authoritative."""
-    if c1 == c2:
-        raise ValueError("disjointness is a question about distinct conics")
-    return conic_points(c1).isdisjoint(conic_points(c2))
-
-
 @dataclass(frozen=True)
 class MathonArc:
     """A closed set of pairwise disjoint conics plus their common nucleus."""
@@ -191,7 +185,14 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
     if any(c.gf != gf for c in seed):
         raise ValueError("seed conics live in different fields")
     span = triple_span((c, c.lam, gf.mul(c.alpha, c.lam), gf.mul(c.beta, c.lam)) for c in seed)
+    return _span_arc(gf, span)
 
+
+def _span_arc(gf: GF, span: dict[int, tuple[int, int]]) -> MathonArc:
+    """The arc of a triple span: F_{A/lam, B/lam, lam} for each nonzero lam, in lam order.
+
+    Raises ClosureError naming the lam of a degenerate member.
+    """
     closed = []
     for l in sorted(span)[1:]:  # every key but 0
         a, b = span[l]

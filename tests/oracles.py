@@ -4,11 +4,11 @@ Each is the textbook form of something the package computes by a shortcut:
 field arithmetic as polynomials over GF(2), every point of PG(2,q) and
 PG(3,q), incidence as a dot product, joins and meets as a nullspace, the
 pencil of a point and the line histogram of a point set line by line, conic
-and cone points by scanning, the closure of a conic set by composing pairs
-until nothing new appears, the additivity of a plane set by XOR of every
-pair, the pointwise projection from the nuclear line, subgroups by growing
-every intermediate level, and trace systems solved by evaluating every
-condition at every mu.
+and cone points by scanning, the disjointness of two conics by their point
+sets, the closure of a conic set by composing pairs until nothing new
+appears, the additivity of a plane set by XOR of every pair, the pointwise
+projection from the nuclear line, subgroups by growing every intermediate
+level, and trace systems solved by evaluating every condition at every mu.
 """
 
 import dataclasses
@@ -157,6 +157,13 @@ def quadric_scan(gf: GF, a: int, b: int, l: int) -> set[pg.Coords]:
     }
 
 
+def conics_disjoint(c1: Conic, c2: Conic) -> bool:
+    """Point-set disjointness; this oracle, not the trace test, is authoritative."""
+    if c1 == c2:
+        raise ValueError("disjointness is a question about distinct conics")
+    return ma.conic_points(c1).isdisjoint(ma.conic_points(c2))
+
+
 def close_by_composition(seed: Iterable[Conic]) -> ma.MathonArc:
     """Close a seed set by definition: compose every pair until nothing new appears.
 
@@ -188,7 +195,7 @@ def close_by_composition(seed: Iterable[Conic]) -> ma.MathonArc:
                 raise ma.ClosureError(f"{c1} and {c2} compose to {new}, not {old}")
     closed = sorted(by_lam.values(), key=lambda c: c.lam)
     for c1, c2 in itertools.combinations(closed, 2):
-        if not ma.conics_disjoint(c1, c2):
+        if not conics_disjoint(c1, c2):
             raise ma.DisjointnessError(f"{c1} and {c2} share a point")
     return ma.MathonArc(seed[0].gf, tuple(closed))
 

@@ -439,6 +439,28 @@ def test_project_default_and_custom_point(capsys, arc_file):
     assert payload["report"]["verdict"] is True
 
 
+_Q8 = {"h": 3, "modulus": 11}
+
+
+@pytest.mark.parametrize(
+    "flock, message",
+    [
+        (fl.flock_to_json(fl.project_arc(ma.denniston_arc(make_field(3), 1, (1, 2, 3)))),
+         "only an additive partial flock corresponds to an arc"),
+        ({"field": _Q8, "planes": [[1, 0, 0, 0], [1, 2, 1, 2]]},
+         "the closure's member on lam=1 is not a conic:"
+         " degenerate conic: trace(alpha*beta) = 0 for alpha=2, beta=2"),
+        ({"field": _Q8, "planes": [[1, 0, 0, 0]]}, "an arc needs at least one conic"),
+    ],
+    ids=["projected", "section-meets-x0", "lone-x0"],
+)
+def test_convert_flock_to_arc_refusals_are_frozen(capsys, tmp_path, flock, message):
+    path = tmp_path / "flock.json"
+    path.write_text(json.dumps(flock))
+    code, out, err = run_cli(capsys, "convert", "--direction", "flock-to-arc", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_convert_chain(capsys, arc_file):
     code, payload = run_json(capsys, "convert", "--direction", "chain", arc_file)
     assert code == 0

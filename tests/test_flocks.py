@@ -7,6 +7,8 @@ from collections import Counter
 import oracles
 import pytest
 
+from arcflock import flocks as fl
+from arcflock import mathon_arcs as ma
 from arcflock import projective as pg
 from arcflock import search as se
 from arcflock.finite_field import make_field
@@ -17,7 +19,6 @@ from arcflock.flocks import (
     SINGULAR_PLANE,
     VERTEX,
     PartialFlock,
-    additive_plane_conic,
     additive_to_geometric,
     additive_to_raw_plane,
     arc_to_flock,
@@ -414,14 +415,6 @@ def test_flock_to_arc_rejects_non_additive(battery_arcs):
     assert not classify_flock(raw).additive
     with pytest.raises(ValueError, match="additive"):
         flock_to_arc(raw)
-
-
-def test_additive_plane_conic_errors():
-    gf = make_field(3)
-    with pytest.raises(ValueError, match="vertex"):
-        additive_plane_conic(gf, (0, 1, 1, 1))
-    with pytest.raises(ValueError, match="no conic"):
-        additive_plane_conic(gf, (1, 1, 0, 1))
 
 
 # -- projection ----------------------------------------------------------------------
@@ -822,17 +815,45 @@ def _doublings(h):
 
 @pytest.mark.parametrize("h", [3, 4, 5, 6, 7, 8, 9])
 def test_both_routes_carry_each_doubling(h):
-    # the flock route: double the base's flock by the new conic's plane; the
-    # arc route: synthetic extension by the conic, then its flock
+    # the flock route: double the base's flock by the new conic's plane, by
+    # XOR; the raw route: compose that plane with each conic plane in the raw
+    # picture of the coefficient chain; the arc route: synthetic extension by
+    # the conic, then its flock
     doublings = _doublings(h)
     assert doublings
     for base, c in doublings:
         gf = base.gf
+        F = arc_to_flock(base)
         plane = (1, gf.mul(c.alpha, c.lam), c.lam, gf.mul(c.beta, c.lam))
-        ext = extend_flock(arc_to_flock(base), plane)
-        assert ext == arc_to_flock(synthetic_extension(base, c))
+        raw_v = additive_to_raw_plane(gf, plane)
+        composed = {
+            raw_to_additive_plane(gf, plane_compose(gf, raw_v, additive_to_raw_plane(gf, u)))
+            for u in F.planes
+            if u != EMBEDDING_PLANE
+        }
+        raw_route = PartialFlock(gf, tuple(sorted(set(F.planes) | {plane} | composed)))
+        ext = extend_flock(F, plane)
+        assert ext == raw_route == arc_to_flock(synthetic_extension(base, c))
         assert ext.size == 2 * base.degree
     assert 2 * doublings[-1][0].degree == se.guaranteed_degree(h)
+
+
+def test_flock_doubling_and_conversion_stay_on_the_triple_span(monkeypatch, battery_arcs):
+    # neither goes through the raw picture or closes the conic set again
+    def no_route(*args):
+        raise AssertionError("left the triple span")
+
+    base = battery_arcs[(8, 4)]
+    gf = base.gf
+    F = arc_to_flock(base)
+    doubled = arc_to_flock(denniston_arc(gf, 1, range(1, 8)))
+    for module, name in ((fl, "additive_to_raw_plane"), (fl, "plane_compose"),
+                         (fl, "raw_to_additive_plane"), (ma, "close_set")):
+        monkeypatch.setattr(module, name, no_route)
+    monkeypatch.setattr(fl, "close_set", no_route, raising=False)
+    assert extend_flock(F, (1, 4, 4, 4)) == doubled
+    assert flock_to_arc(F) == base
+    assert flock_to_arc(doubled).degree == 8
 
 
 def test_generic_arc_q8_has_no_extension(generic_arc_q8):
@@ -883,8 +904,8 @@ def test_extend_flock_refuses_malformed_planes(battery_arcs, V, message):
 @pytest.mark.parametrize("h", [2, 3])
 def test_extend_flock_rejects_every_additive_non_flock_of_two_planes(h):
     # F = {X0 = 0, u} with the section of u meeting that of X0 = 0, and any V
-    # passing the test against F: the composition in the raw picture refuses
-    # each, so the doubled set is never returned
+    # passing the test against F: the test of F against X0 = 0 refuses each,
+    # so the doubled set is never returned
     gf = make_field(h)
     cases = 0
     for u in _vertex_avoiding_planes(gf):

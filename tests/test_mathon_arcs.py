@@ -24,7 +24,6 @@ from arcflock.mathon_arcs import (
     compose,
     composition_trace,
     conic_points,
-    conics_disjoint,
     denniston_arc,
     denniston_closure,
     quadric_points,
@@ -135,7 +134,7 @@ def test_composition_trace_one_implies_disjoint_exhaustive_q8():
     for c1, c2 in itertools.combinations(conics, 2):
         if c1.lam == c2.lam:
             continue
-        counts[(composition_trace(c1, c2), conics_disjoint(c1, c2))] += 1
+        counts[(composition_trace(c1, c2), oracles.conics_disjoint(c1, c2))] += 1
     assert counts[(1, False)] == 0  # trace 1 never produces a shared point
     assert counts[(1, True)] == 5880
     assert counts[(0, False)] == 10584
@@ -153,9 +152,9 @@ def test_composition_trace_decides_disjointness_exhaustively(h, pairs):
     seen = 0
     for c1, c2 in itertools.combinations(oracles.all_conics(gf), 2):
         if c1.lam == c2.lam:
-            assert not conics_disjoint(c1, c2), (c1, c2)
+            assert not oracles.conics_disjoint(c1, c2), (c1, c2)
         else:
-            assert (composition_trace(c1, c2) == 1) == conics_disjoint(c1, c2), (c1, c2)
+            assert (composition_trace(c1, c2) == 1) == oracles.conics_disjoint(c1, c2), (c1, c2)
             seen += 1
     assert seen == pairs
 
@@ -164,13 +163,13 @@ def test_trace_zero_pair_meets():
     gf = make_field(3)
     c1, c2 = Conic(gf, 1, 1, 1), Conic(gf, 1, 3, 2)
     assert composition_trace(c1, c2) == 0
-    assert not conics_disjoint(c1, c2)
+    assert not oracles.conics_disjoint(c1, c2)
 
 
 def test_conics_disjoint_rejects_equal_conics():
     gf = make_field(3)
     with pytest.raises(ValueError, match="distinct conics"):
-        conics_disjoint(Conic(gf, 1, 1, 1), Conic(gf, 1, 1, 1))
+        oracles.conics_disjoint(Conic(gf, 1, 1, 1), Conic(gf, 1, 1, 1))
 
 
 # -- closure -------------------------------------------------------------------------
@@ -416,7 +415,7 @@ def test_constructions_list_no_points(monkeypatch, extension_arc_q32):
     with pytest.raises(AssertionError, match="listed conic points"):
         arc_points(d4)
     with pytest.raises(AssertionError, match="listed conic points"):
-        conics_disjoint(*d4.conics[:2])
+        oracles.conics_disjoint(*d4.conics[:2])
 
 
 def test_generic_arc_is_not_denniston_type(generic_arc_q8, battery_arcs):
