@@ -38,12 +38,9 @@ from .finite_field import GF, make_field
 
 def _parse_elements(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part, 0) for part in text.split(","))
+        return tuple(int(part, 0) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse element list {text!r}: {exc}") from None
-    if not values:
-        raise ValueError("element list is empty")
-    return values
 
 
 def _span_generators(gf: GF, gens: tuple[int, ...]) -> tuple[int, ...]:

@@ -128,7 +128,7 @@ class GF:
     __slots__ = ("h", "q", "modulus", "_exp", "_log", "_trace_mask", "_dual_basis")
 
     def __init__(self, h: int, modulus: Optional[int] = None):
-        if not isinstance(h, int) or not 1 <= h <= MAX_H:
+        if type(h) is not int or not 1 <= h <= MAX_H:
             raise ValueError(f"extension degree must be an int in 1..{MAX_H}, got {h!r}")
         if modulus is None:
             modulus = least_irreducible(h)
@@ -284,7 +284,7 @@ class GF:
         return make_field(h, modulus)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: make_field(True) is not make_field(1)
 def make_field(h: int, modulus: Optional[int] = None) -> GF:
     """GF(2^h) with the default (least irreducible) or a caller-chosen modulus."""
     return GF(h, modulus)

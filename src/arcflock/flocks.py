@@ -23,11 +23,13 @@ X0 = 0: the closed conic set and the flock are one GF(2)-space of triples
 (t, f, g) = (lam, alpha*lam, beta*lam) (Hamilton-Thas).  That space,
 mathon_arcs.triple_span of the planes, is the only bridge between flocks
 and arcs: classify_flock decides additivity by it, flock_to_arc reads one
-conic off each nonzero t, and extend_flock doubles it by XOR.  The trace
-test of two planes u, w is that of u + w against X0 = 0, so an additive
-plane set is a partial flock exactly when every other plane's section
-misses that of X0 = 0: the flock analogue of Mathon's theorem, by which
-extend_flock tests V and the planes of F against X0 = 0 alone.
+conic off each nonzero t, and extend_flock, the one doubling, doubles it by
+XOR: synthetic_extension and denniston_closure double an arc through it, by
+the new conic's plane.  The trace test of two planes u, w is that of u + w
+against X0 = 0, so an additive plane set is a partial flock exactly when
+every other plane's section misses that of X0 = 0: the flock analogue of
+Mathon's theorem, by which extend_flock tests V and the planes of F against
+X0 = 0 alone.
 
 Independently, the arc's plane PG(2,q) embeds into X0 = 0 via
 (x,y,z) -> (0,x,z,y), and projecting the cone from a point p = (1,0,y,0)
@@ -315,11 +317,14 @@ def arc_to_flock(m: MathonArc) -> PartialFlock:
     [1, alpha*lam, lam, beta*lam]; the plane X0 = 0 completes the flock, so
     the base set is the arc's lam subgroup including 0.
     """
-    gf = m.gf
-    planes = {EMBEDDING_PLANE}
-    for c in m.conics:
-        planes.add((1, gf.mul(c.alpha, c.lam), c.lam, gf.mul(c.beta, c.lam)))
-    return PartialFlock(gf, tuple(sorted(planes)))
+    planes = {EMBEDDING_PLANE, *map(_conic_plane, m.conics)}
+    return PartialFlock(m.gf, tuple(sorted(planes)))
+
+
+def _conic_plane(c: Conic) -> pg.Coords:
+    """The flock plane [1, alpha*lam, lam, beta*lam] of the conic F_{alpha,beta,lam}."""
+    gf = c.gf
+    return (1, gf.mul(c.alpha, c.lam), c.lam, gf.mul(c.beta, c.lam))
 
 
 def is_denniston_type(m: MathonArc) -> bool:
@@ -604,7 +609,7 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     base set, which the paper's composition of V with each plane of F in the
     raw picture also gives.  No other pair of it needs a test: the trace test
     of two planes is that of their sum against X0 = 0, and each sum is in F
-    or V + F.
+    or V + F.  This is the one doubling; arcs double through it.
     """
     gf = F.gf
     if _flock_span(F) is None:
@@ -622,6 +627,30 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
             raise DisjointnessError(f"sections of {EMBEDDING_PLANE} and {u} share a cone point")
     shifted = {(1, v[1] ^ u[1], v[2] ^ u[2], v[3] ^ u[3]) for u in F.planes}
     return PartialFlock(gf, tuple(sorted(set(F.planes) | shifted)))
+
+
+def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
+    """Extend a degree-d arc by one disjoint conic to the unique degree-2d arc.
+
+    The conic's lam must be new.  The arc's flock is doubled by the conic's
+    plane (extend_flock), which names the planes of a meeting pair and
+    refuses a base that is not closed, and the arc is read back off it.
+    """
+    if c.gf != m.gf:
+        raise ValueError("conic and arc live in different fields")
+    if c.lam in m.lam_values:
+        raise ValueError(f"lam={c.lam} already lies in the arc's lam subgroup")
+    return flock_to_arc(extend_flock(arc_to_flock(m), _conic_plane(c)))
+
+
+def denniston_closure(c1: Conic, c2: Conic) -> MathonArc:
+    """The unique degree-4 arc of Denniston type containing two disjoint conics.
+
+    It is the doubling of the one-conic arc {c1} by c2; conics with equal lam meet.
+    """
+    if c1.lam == c2.lam:
+        raise DisjointnessError(f"{c1} and {c2} share a point")
+    return synthetic_extension(MathonArc(c1.gf, (c1,)), c2)
 
 
 # -- serialization ------------------------------------------------------------------
@@ -653,10 +682,13 @@ def _flock_and_derived_json(obj: dict) -> tuple[PartialFlock, dict]:
     gf = GF.from_json(obj["field"])
     if not isinstance(obj["planes"], list):
         raise ValueError("'planes' must be a list of planes")
-    planes = []
+    planes: set[pg.Coords] = set()
     for entry in obj["planes"]:
-        planes.append(pg.normalize(gf, pg.check_space_coords(gf, entry)))
-    F = PartialFlock(gf, tuple(sorted(set(planes))))
+        p = pg.normalize(gf, pg.check_space_coords(gf, entry))
+        if p in planes:
+            raise ValueError(f"plane {list(p)} is listed twice")
+        planes.add(p)
+    F = PartialFlock(gf, tuple(sorted(planes)))
     derived = flock_to_json(F)
     for key in ("B", "f", "g", "additive", "linear"):
         if key in obj and json.dumps(obj[key]) != json.dumps(derived[key]):

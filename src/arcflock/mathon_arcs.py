@@ -14,17 +14,18 @@ plane [1, alpha lam, lam, beta lam] of flocks.arc_to_flock); a set of
 conics closed under this composition, i.e. whose triples span a GF(2)-space
 with one member per lam, together with the common nucleus, is a maximal arc
 of degree |set| + 1 (Mathon's construction).  triple_span grows that space,
-for close_set and for every flock operation, and _span_arc reads the arc off
-it: the closed conic set and the additive partial flock are one space of
-triples (Hamilton-Thas).
+for close_set and for the flocks module, and _span_arc reads the arc off it:
+the closed conic set and the additive partial flock are one space of triples
+(Hamilton-Thas), so arcs double through flocks.extend_flock.
 Denniston arcs are the special case alpha constant, beta = 1, with the lam
 values ranging over an additive subgroup minus 0.
 
 By Mathon's theorem two conics with distinct lam are disjoint exactly when
-their composition is nondegenerate, trace(alpha'' beta'') = 1, so the
-constructions decide disjointness by that trace test and list no points.
-Point sets feed only the line scan: arc_points lists them for
-verify_maximal_arc, which never consults the trace.
+their composition is nondegenerate, trace(alpha'' beta'') = 1
+(composition_trace), so a span whose members are all conics is pairwise
+disjoint, and no construction lists points.  Point sets feed only the line
+scan: arc_points lists them for verify_maximal_arc, which never consults the
+trace.
 """
 
 from __future__ import annotations
@@ -324,34 +325,6 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
         expected_size=arc_size(q, d),
         histogram={k: v for k, v in sorted(hist.items()) if v},
     )
-
-
-def denniston_closure(c1: Conic, c2: Conic) -> MathonArc:
-    """The unique degree-4 arc of Denniston type containing two disjoint conics.
-
-    Conics with equal lam meet; others are disjoint iff their composition is nondegenerate.
-    """
-    if c1.lam == c2.lam or composition_trace(c1, c2) != 1:
-        raise DisjointnessError(f"{c1} and {c2} share a point")
-    return close_set([c1, c2])
-
-
-def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
-    """Extend a degree-d arc by one disjoint conic to the unique degree-2d arc.
-
-    The conic's lam is new: it misses a base conic iff their composition is nondegenerate.
-    """
-    if c.gf != m.gf:
-        raise ValueError("conic and arc live in different fields")
-    if c.lam in set(m.lam_values) | {0}:
-        raise ValueError(f"lam={c.lam} already lies in the arc's lam subgroup")
-    for mc in m.conics:
-        if composition_trace(c, mc) != 1:
-            raise DisjointnessError(f"{c} meets {mc}")
-    ext = close_set(list(m.conics) + [c])
-    if ext.degree != 2 * m.degree or not set(ext.conics) >= set(m.conics):
-        raise ClosureError("extension did not double the degree")
-    return ext
 
 
 def arc_to_json(m: MathonArc) -> dict:

@@ -46,15 +46,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .finite_field import GF, gf2_add_row, gf2_back_substitute
-from .mathon_arcs import (
-    Conic,
-    MathonArc,
-    arc_size,
-    arc_to_json,
-    denniston_arc,
-    line_scan_fits,
-    synthetic_extension,
-)
+from .flocks import synthetic_extension
+from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc, line_scan_fits
 
 #: largest (H, lambda_d) survey that search_field or enumerate_group_specs builds.
 #: A pair costs about 1 KB of records and output, so a survey at the bound
@@ -247,8 +240,9 @@ def construct_extension_arc(spec: GroupSpec, rho: int) -> MathonArc:
 
     Degeneracy of the new conic (trace(beta) != 1) and any intersection with
     a base conic (rho outside the solution set) surface as errors from the
-    conic constructor and from synthetic_extension, which composes the new
-    conic with each base conic; nothing here trusts the trace system.
+    conic constructor and from synthetic_extension, whose extend_flock tests
+    the new conic's plane against each base plane; nothing here trusts the
+    trace system.
     """
     gf = spec.gf
     if rho == 0 or not gf.is_element(rho):

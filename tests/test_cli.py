@@ -363,6 +363,27 @@ def test_repeated_conic_exits_2_naming_it(capsys, monkeypatch):
         assert err == "error: conic alpha=1 beta=1 lambda=1 is listed twice\n"
 
 
+def test_repeated_plane_exits_2_naming_it(capsys, monkeypatch):
+    # [2, 2, 2, 2] is [1, 1, 1, 1] in another scaling
+    flock = {"field": {"h": 3, "modulus": 11},
+             "planes": [[1, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]]}
+    for argv in (["verify", "-"], ["convert", "--direction", "flock-to-arc", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(flock)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: plane [1, 1, 1, 1] is listed twice\n")
+
+
+def test_unparsable_inputs_exit_2_with_their_message(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "construct", "denniston", "--h", "3", "--alpha", "1",
+                             "--A", "1,,2")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot parse element list '1,,2':"
+                   " invalid literal for int() with base 0: ''\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    code, out, err = run_cli(capsys, "verify", "-")
+    assert (code, out, err) == (2, "", "error: input JSON is nested too deeply\n")
+
+
 # -- convert / project ---------------------------------------------------------------
 
 

@@ -348,6 +348,14 @@ def test_constructor_validation():
         assert alt.mul(a, alt.inv(a)) == 1
 
 
+def test_bool_degree_is_refused():
+    make_field(1)  # a cached GF(2) must not answer for make_field(True)
+    for build in (GF, make_field):
+        for h in (True, False):
+            with pytest.raises(ValueError, match=f"an int in 1..{MAX_H}, got {h!r}"):
+                build(h)
+
+
 def test_json_round_trip_and_errors():
     gf = make_field(5)
     blob = gf.to_json()

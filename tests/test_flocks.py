@@ -25,6 +25,7 @@ from arcflock.flocks import (
     base_representation,
     classify_flock,
     delta_plane,
+    denniston_closure,
     denniston_line,
     denniston_lines_concurrent,
     extend_flock,
@@ -46,6 +47,7 @@ from arcflock.flocks import (
     singular_plane,
     standard_to_plane,
     standardize_plane,
+    synthetic_extension,
     verify_partial_flock,
 )
 from arcflock.mathon_arcs import (
@@ -56,7 +58,6 @@ from arcflock.mathon_arcs import (
     compose,
     conic_points,
     denniston_arc,
-    synthetic_extension,
 )
 
 
@@ -537,6 +538,11 @@ def test_chain_special_planes():
     assert additive_to_raw_plane(gf, EMBEDDING_PLANE) == SINGULAR_PLANE
 
 
+def test_chain_refuses_a_vertex_plane():
+    with pytest.raises(ValueError, match=r"^plane \(0, 1, 0, 0\) passes through the cone vertex"):
+        raw_to_additive_plane(make_field(3), (0, 1, 0, 0))
+
+
 def test_chain_rejects_other_planes_through_projection_point():
     gf = make_field(3)
     u = (1, 1, 1, 1)  # contains (1,0,1,0) but is not the singular plane
@@ -644,6 +650,13 @@ def test_singular_plane_carries_the_denniston_line():
         assert oracles.incident(gf, oracles.unembed_point(spanning), line)
 
 
+def test_singular_plane_needs_distinct_x0_coefficients():
+    # both standard forms have a = 1
+    message = "^the pencil plane through p needs distinct X0-coefficients$"
+    with pytest.raises(ValueError, match=message):
+        singular_plane(make_field(3), (1, 0, 0, 0), (1, 1, 0, 0))
+
+
 def test_embed_unembed_round_trip():
     gf = make_field(3)
     for pt in oracles.points(gf, 3):
@@ -723,8 +736,9 @@ def test_extend_flock_matches_synthetic_extension(battery_arcs):
     d4 = battery_arcs[(8, 4)]
     F4 = arc_to_flock(d4)
     ext = extend_flock(F4, (1, 4, 4, 4))
-    m8 = synthetic_extension(d4, Conic(gf, 1, 1, 4))
-    assert ext == arc_to_flock(m8)
+    c = Conic(gf, 1, 1, 4)
+    assert ext == arc_to_flock(synthetic_extension(d4, c))
+    assert ext == arc_to_flock(oracles.close_by_composition(d4.conics + (c,)))
     assert ext.size == 8
     assert verify_partial_flock(ext).verdict
 
@@ -818,7 +832,8 @@ def test_both_routes_carry_each_doubling(h):
     # the flock route: double the base's flock by the new conic's plane, by
     # XOR; the raw route: compose that plane with each conic plane in the raw
     # picture of the coefficient chain; the arc route: synthetic extension by
-    # the conic, then its flock
+    # the conic, then its flock, which goes through extend_flock, so it is
+    # also held to the closure of base and conic by pairwise composition
     doublings = _doublings(h)
     assert doublings
     for base, c in doublings:
@@ -834,26 +849,33 @@ def test_both_routes_carry_each_doubling(h):
         raw_route = PartialFlock(gf, tuple(sorted(set(F.planes) | {plane} | composed)))
         ext = extend_flock(F, plane)
         assert ext == raw_route == arc_to_flock(synthetic_extension(base, c))
+        assert ext == arc_to_flock(oracles.close_by_composition(base.conics + (c,)))
         assert ext.size == 2 * base.degree
     assert 2 * doublings[-1][0].degree == se.guaranteed_degree(h)
 
 
 def test_flock_doubling_and_conversion_stay_on_the_triple_span(monkeypatch, battery_arcs):
-    # neither goes through the raw picture or closes the conic set again
+    # none goes through the raw picture, closes the conic set again or
+    # composes conics: arcs double through extend_flock
     def no_route(*args):
         raise AssertionError("left the triple span")
 
     base = battery_arcs[(8, 4)]
     gf = base.gf
     F = arc_to_flock(base)
-    doubled = arc_to_flock(denniston_arc(gf, 1, range(1, 8)))
+    doubled_arc = denniston_arc(gf, 1, range(1, 8))
+    doubled = arc_to_flock(doubled_arc)
     for module, name in ((fl, "additive_to_raw_plane"), (fl, "plane_compose"),
-                         (fl, "raw_to_additive_plane"), (ma, "close_set")):
+                         (fl, "raw_to_additive_plane"), (ma, "close_set"),
+                         (ma, "composition_trace"), (ma, "compose")):
         monkeypatch.setattr(module, name, no_route)
-    monkeypatch.setattr(fl, "close_set", no_route, raising=False)
+    for name in ("close_set", "composition_trace", "compose"):
+        monkeypatch.setattr(fl, name, no_route, raising=False)
     assert extend_flock(F, (1, 4, 4, 4)) == doubled
     assert flock_to_arc(F) == base
     assert flock_to_arc(doubled).degree == 8
+    assert synthetic_extension(base, Conic(gf, 1, 1, 4)) == doubled_arc
+    assert denniston_closure(*base.conics[:2]) == base
 
 
 def test_generic_arc_q8_has_no_extension(generic_arc_q8):
@@ -965,3 +987,12 @@ def test_flock_from_json_validation(battery_arcs):
     ]:
         with pytest.raises(ValueError, match=f"declared '{key}'"):
             flock_from_json(dict(good, **{key: value}))
+
+
+def test_flock_from_json_refuses_a_plane_listed_twice():
+    # also in another scaling: planes are compared, and named, after normalization
+    field = make_field(3).to_json()
+    for planes in ([[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]],
+                   [[1, 0, 0, 0], [2, 2, 2, 2], [1, 1, 1, 1]]):
+        with pytest.raises(ValueError, match=r"^plane \[1, (0|1), \1, \1\] is listed twice$"):
+            flock_from_json({"field": field, "planes": planes})

@@ -10,7 +10,13 @@ import pytest
 from arcflock import mathon_arcs as ma
 from arcflock import search as se
 from arcflock.finite_field import make_field
-from arcflock.flocks import arc_to_flock, flock_to_arc, is_denniston_type
+from arcflock.flocks import (
+    arc_to_flock,
+    denniston_closure,
+    flock_to_arc,
+    is_denniston_type,
+    synthetic_extension,
+)
 from arcflock.mathon_arcs import (
     NUCLEUS,
     ClosureError,
@@ -25,9 +31,7 @@ from arcflock.mathon_arcs import (
     composition_trace,
     conic_points,
     denniston_arc,
-    denniston_closure,
     quadric_points,
-    synthetic_extension,
     verify_maximal_arc,
 )
 
@@ -207,6 +211,14 @@ def test_close_set_degenerate_composition():
         close_set([Conic(gf, 1, 1, 1), Conic(gf, 1, 3, 2)])
 
 
+def test_close_set_refuses_an_empty_seed_and_two_fields():
+    with pytest.raises(ValueError, match="^seed must contain at least one conic$"):
+        close_set([])
+    seed = [Conic(make_field(3), 1, 1, 1), Conic(make_field(5), 1, 1, 2)]
+    with pytest.raises(ValueError, match="^seed conics live in different fields$"):
+        close_set(seed)
+
+
 def test_close_set_duplicate_seed_conic_is_fine():
     gf = make_field(3)
     c = Conic(gf, 1, 1, 1)
@@ -252,6 +264,12 @@ def test_mathon_arc_requires_sorted_distinct_lams():
         MathonArc(gf, (c2, c1))
     with pytest.raises(ValueError, match="at least one"):
         MathonArc(gf, ())
+
+
+def test_mathon_arc_requires_one_field():
+    gf = make_field(3)
+    with pytest.raises(ValueError, match="^conics live in different fields$"):
+        MathonArc(gf, (Conic(gf, 1, 1, 1), Conic(make_field(5), 1, 1, 2)))
 
 
 # -- Denniston arcs and the verification oracle --------------------------------------
@@ -392,6 +410,21 @@ def test_synthetic_extension_rejects_meeting_conic(battery_arcs):
         synthetic_extension(battery_arcs[(8, 4)], Conic(gf, 1, 3, 4))
 
 
+def test_synthetic_extension_refuses_another_field_and_an_open_base(battery_arcs):
+    gf = make_field(3)
+    with pytest.raises(ValueError, match="^conic and arc live in different fields$"):
+        synthetic_extension(battery_arcs[(8, 4)], Conic(make_field(5), 1, 1, 4))
+    open_base = MathonArc(gf, (Conic(gf, 1, 1, 1), Conic(gf, 1, 1, 2)))  # lacks lam = 3
+    with pytest.raises(ValueError, match="^only an additive partial flock can be extended$"):
+        synthetic_extension(open_base, Conic(gf, 1, 1, 4))
+
+
+def test_denniston_closure_of_conics_on_one_lam_meets():
+    gf = make_field(3)
+    with pytest.raises(DisjointnessError, match="share a point$"):
+        denniston_closure(Conic(gf, 1, 1, 1), Conic(gf, 1, 3, 1))
+
+
 def test_constructions_list_no_points(monkeypatch, extension_arc_q32):
     # disjointness is decided by composition; only the oracles list points
     def no_points(*args):
@@ -408,9 +441,9 @@ def test_constructions_list_no_points(monkeypatch, extension_arc_q32):
     spec = se.GroupSpec(gf, (0, 1, 2, 3), 4)
     assert se.construct_extension_arc(spec, 16) == extension_arc_q32
     meets = Conic(gf, 1, 5, 4)  # misses the base conics on lam = 1, 2, meets lam = 3
-    with pytest.raises(DisjointnessError, match=r"meets Conic\(.*lam=3\)$"):
+    with pytest.raises(DisjointnessError, match=r"meets the section of \(1, 3, 3, 3\)$"):
         synthetic_extension(d4, meets)
-    with pytest.raises(DisjointnessError, match="share a point"):
+    with pytest.raises(DisjointnessError, match=r"meets the section of \(1, 3, 3, 3\)$"):
         denniston_closure(d4.conics[2], meets)
     with pytest.raises(AssertionError, match="listed conic points"):
         arc_points(d4)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import random
 
 import oracles
@@ -224,6 +225,13 @@ def test_frozen_solution_q32():
     assert search_group(spec).num_rho_prefilter == 3
     assert solve_trace_system(system) == {16}
     assert beta_of(gf, 4, 16) == 3
+
+
+def test_rank_analysis_json_is_frozen():
+    # the per-pair payload that the benchmark's rank job digests, key order included
+    spec = GroupSpec(make_field(7), tuple(range(8)), 8)
+    payload = rank_analysis(build_trace_system(spec)).to_json()
+    assert json.dumps(payload) == '{"rank": 6, "solution_count": 2, "independent": false}'
 
 
 def test_base_denniston_arc_lams_are_squares_of_H():
