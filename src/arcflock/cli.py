@@ -85,7 +85,8 @@ def _unwrap(obj: dict, *kinds: str) -> tuple[str, dict]:
     raise ValueError(_NOT_FOUND[kinds])
 
 
-def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
+def _emit(payload: dict, lines: list[str], args: argparse.Namespace, ok: bool) -> int:
+    """Write the payload as JSON, or the lines as text; the exit status, 0 exactly when ok."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     else:
@@ -95,9 +96,6 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _verdict_exit(ok: bool) -> int:
     return 0 if ok else 1
 
 
@@ -136,8 +134,7 @@ def _cmd_construct_denniston(args: argparse.Namespace) -> int:
     arc = ma.denniston_arc(gf, args.alpha, tuple(x for x in lam_set if x != 0))
     report_json, lines, ok = _arc_verify_payload(arc)
     payload = {"arc": ma.arc_to_json(arc), "report": report_json}
-    _emit(payload, lines, args)
-    return _verdict_exit(ok)
+    return _emit(payload, lines, args, ok)
 
 
 def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
@@ -152,8 +149,7 @@ def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
         "search": record.to_json(),
     }
     lines.insert(0, f"trace system: rank={record.rank} valid_rho={record.num_rho_valid} rho={rho}")
-    _emit(payload, lines, args)
-    return _verdict_exit(ok)
+    return _emit(payload, lines, args, ok)
 
 
 # -- verify / convert / project -----------------------------------------------------
@@ -168,8 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sub, lines, ok = _flock_verify_payload(*fl._flock_and_derived_json(obj))
         payload = {"kind": "flock", **sub}
     lines.insert(0, f"kind: {kind}")
-    _emit(payload, lines, args)
-    return _verdict_exit(ok)
+    return _emit(payload, lines, args, ok)
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -216,8 +211,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             f"additive planes: {[list(p) for p in additive.planes]}",
             f"chain equals algebraic: {'PASS' if ok else 'FAIL'}",
         ]
-    _emit(payload, lines, args)
-    return _verdict_exit(ok)
+    return _emit(payload, lines, args, ok)
 
 
 # -- search / rank ------------------------------------------------------------------
@@ -260,8 +254,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     if example is not None:
         lines.append(f"example arc verdict: {'PASS' if ok else 'FAIL'}")
-    _emit(payload, lines, args)
-    return _verdict_exit(ok)
+    return _emit(payload, lines, args, ok)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -285,8 +278,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         "guaranteed_degree": se.guaranteed_degree(gf.h),
     }
     lines.append(f"rank_histogram={payload['rank_histogram']}")
-    _emit(payload, lines, args)
-    return 0
+    return _emit(payload, lines, args, True)
 
 
 # -- parser ------------------------------------------------------------------------

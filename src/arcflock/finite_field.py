@@ -263,7 +263,7 @@ class GF:
         """The GF(2)-linear span of the given elements (always contains 0)."""
         span = {0}
         for g in generators:
-            if not 0 <= g < self.q:
+            if not self.is_element(g):
                 raise ValueError(f"element {g!r} is outside GF(2^{self.h})")
             if g not in span:
                 span |= {g ^ s for s in span}

@@ -31,12 +31,13 @@ h the rank is), and back-substituted with right-hand side epsilon w_pos(a)
 it gives the gamma, so the valid rho = a (a + 1) / gamma, of any one.
 Counts leave out mu = 0, which gives no rho.  Each valid rho yields a
 degree-2d Mathon arc containing D, built by synthetic extension
-(construct_extension_arc), which tests each new conic pair by composition.
-search_group only counts; double_spec, the one doubling, also picks rho and
-builds the arc; search_field attaches that arc to the first record with a
-valid rho, when its line scan fits.  Surveys larger than MAX_SURVEY_SPECS
-pairs, or than MAX_SURVEY_CONDITIONS trace conditions (d - 1 per pair), are
-refused before any subgroup is enumerated.
+(construct_extension_arc), whose extend_flock tests the new plane against
+each base plane by the section trace.  search_group only counts;
+double_spec, the one doubling, also picks rho and builds the arc;
+search_field attaches that arc to the first record with a valid rho, when
+its line scan fits.  A survey whose records would list more than
+MAX_SURVEY_ELEMENTS field elements is refused before any subgroup is
+enumerated.
 """
 
 from __future__ import annotations
@@ -49,17 +50,12 @@ from .finite_field import GF, gf2_add_row, gf2_back_substitute
 from .flocks import synthetic_extension
 from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc, line_scan_fits
 
-#: largest (H, lambda_d) survey that search_field or enumerate_group_specs builds.
-#: A pair costs about 1 KB of records and output, so a survey at the bound
-#: stays near 1 GB: rank --h 8 --d 8 (661 416 pairs) runs, while
-#: rank --h 9 --d 8 (5 440 680) and rank --h 16 --d 4 (about 2.1e9) are refused.
-MAX_SURVEY_SPECS = 1 << 20
-
-#: largest number of trace conditions, d - 1 per pair, that a survey solves.
-#: At 0.4-0.7 us per condition end to end (2 us at d = 8) a survey at the bound
-#: ends within about 20 s: rank --h 8 --d 8 (4.6e6, 10 s) runs, while --h 9 --d 256
-#: (1.7e7, 6.5 s), --h 10 --d 512 and --h 11 --d 1024 (1.1e9) are refused.
-MAX_SURVEY_CONDITIONS = 1 << 23
+#: most field elements a survey's records list, |H| + 1 per (H, lambda_d) pair
+#: (its H and its lambda_d), which bounds the survey's output and the memory
+#: holding it: rank --h 8 --d 8 (661 416 pairs, 5 952 744 elements) runs, while
+#: rank --h 11 --d 4 (10 455 060), rank --h 16 --d 4 (about 1.1e10) and
+#: rank --h 11 --d 1024 (about 1.1e9) are refused.
+MAX_SURVEY_ELEMENTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         gf = self.gf
-        if any(type(x) is not int or not 0 <= x < gf.q for x in self.H):
+        if not all(map(gf.is_element, self.H)):
             raise ValueError("H contains values outside the field")
         elems = set(self.H)
         if tuple(sorted(elems)) != self.H or len(elems) != len(self.H):
@@ -88,7 +84,7 @@ class GroupSpec:
             raise ValueError("H must contain 1")
         if gf.additive_span(elems - {0}) != elems:
             raise ValueError("H must be closed under addition")
-        if type(self.lambda_d) is not int or not 0 <= self.lambda_d < gf.q:
+        if not gf.is_element(self.lambda_d):
             raise ValueError("lambda_d lies outside the field")
         if self.lambda_d in elems:
             raise ValueError("lambda_d must lie outside H")
@@ -149,15 +145,12 @@ def _eliminate(system: TraceConditionSystem) -> tuple[dict[int, tuple[int, int]]
     Returns the echelon form of the whole system, the rank of the conditions
     alone, and the number of mu (zero included) solving the conditions alone
     and the whole system: 2^(h - rank) of each, or 0 when inconsistent.
-    At rank h the rows left are skipped unless they can change the counts.
     """
     h = system.gf.h
     eps = system.epsilon
     echelon: dict[int, tuple[int, int]] = {}
     consistent = True
     for c in system.conditions:
-        if len(echelon) == h and not (consistent and eps):
-            break  # it stays inconsistent, or keeps its one solution mu = 0
         consistent &= not gf2_add_row(echelon, c, eps)
     rank = len(echelon)
     num_mu = (1 << (h - rank)) if consistent else 0
@@ -383,17 +376,14 @@ def additive_subgroups_containing_one(gf: GF, order: int) -> tuple[tuple[int, ..
 
 
 def _check_survey(gf: GF, order: int) -> None:
-    """Refuse, unbuilt, a survey above MAX_SURVEY_SPECS pairs or MAX_SURVEY_CONDITIONS."""
+    """Refuse, unbuilt, a survey whose records list more than MAX_SURVEY_ELEMENTS."""
     pairs = _survey_size(gf, order)
-    for count, unit, bound in (
-        (pairs, "(H, lambda_d) pairs", MAX_SURVEY_SPECS),
-        (pairs * (order - 1), "trace conditions", MAX_SURVEY_CONDITIONS),
-    ):
-        if count > bound:
-            raise ValueError(
-                f"a survey of |H| = {order} at h = {gf.h} has {count} {unit};"
-                f" surveys stop at {bound}"
-            )
+    elements = pairs * (order + 1)
+    if elements > MAX_SURVEY_ELEMENTS:
+        raise ValueError(
+            f"a survey of |H| = {order} at h = {gf.h} has {pairs} (H, lambda_d) pairs"
+            f" listing {elements} field elements; surveys stop at {MAX_SURVEY_ELEMENTS}"
+        )
 
 
 def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:

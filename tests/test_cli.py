@@ -681,20 +681,23 @@ def test_rank_q8(capsys):
 
 
 def test_oversized_rank_survey_exits_2(capsys):
-    # about 2.1e9 (H, lambda_d) pairs: refused before any subgroup is enumerated
-    code, out, err = run_cli(capsys, "rank", "--h", "16", "--d", "4")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: a survey of |H| = 4 at h = 16 has 2147287044 (H, lambda_d)")
+    # about 2.1e9 (H, lambda_d) pairs, and 2.1e6: refused before any subgroup is enumerated
+    for h, pairs, elements in ((16, 2147287044, 10736435220), (11, 2091012, 10455060)):
+        code, out, err = run_cli(capsys, "rank", "--h", str(h), "--d", "4")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: a survey of |H| = 4 at h = {h} has {pairs} (H, lambda_d) pairs"
+            f" listing {elements} field elements; surveys stop at 8388608\n"
+        )
 
 
 def test_rank_survey_of_too_many_trace_conditions_exits_2(capsys):
-    # 1 047 552 pairs fit the pair bound, but their 1023 conditions each do not
+    # 1 047 552 pairs are few, but each lists a 1024-element H
     code, out, err = run_cli(capsys, "rank", "--h", "11", "--d", "1024")
     assert code == 2 and out == ""
     assert err == (
-        "error: a survey of |H| = 1024 at h = 11 has 1071645696 trace conditions;"
-        " surveys stop at 8388608\n"
+        "error: a survey of |H| = 1024 at h = 11 has 1047552 (H, lambda_d) pairs"
+        " listing 1073740800 field elements; surveys stop at 8388608\n"
     )
 
 

@@ -301,6 +301,12 @@ def test_additive_span_rejects_out_of_range():
         gf.additive_span({8})
 
 
+@pytest.mark.parametrize("g", [True, 1.5, "a"])
+def test_additive_span_refuses_what_is_not_an_element(g):
+    with pytest.raises(ValueError, match=r"^element .* is outside GF\(2\^3\)$"):
+        make_field(3).additive_span([g])
+
+
 def test_gf4_worked_examples():
     # [PAPER-style worked values for GF(4) with modulus x^2+x+1: the generator
     #  w = 2 satisfies w^2 = w + 1 = 3, w * (w+1) = 1, trace(w) = 1, trace(1) = 0]

@@ -423,14 +423,18 @@ def test_enumerate_group_specs_refuses_oversized_surveys_early(monkeypatch):
         raise AssertionError("subgroups were enumerated before the refusal")
 
     monkeypatch.setattr("arcflock.search.additive_subgroups_containing_one", never)
-    # [15 choose 1]_2 * (2^16 - 4) = 32767 * 65532 pairs
-    with pytest.raises(ValueError, match="2147287044 .* pairs; surveys stop at 1048576"):
+    # [15 choose 1]_2 * (2^16 - 4) = 32767 * 65532 pairs, each listing 4 + 1 elements
+    with pytest.raises(ValueError, match="2147287044 .* pairs listing 10736435220 field elements;"
+                       " surveys stop at 8388608$"):
         enumerate_group_specs(make_field(16), 4)
-    # few enough pairs, but d - 1 trace conditions each: [10 choose 9]_2 * 1024 pairs
-    # of 1023, and [9 choose 8]_2 * 512 pairs of 511
-    with pytest.raises(ValueError, match="1071645696 trace conditions; surveys stop at 8388608"):
+    # [10 choose 1]_2 * (2^11 - 4) pairs of 5 elements: the smallest survey refused
+    with pytest.raises(ValueError, match="2091012 .* pairs listing 10455060 field elements"):
+        enumerate_group_specs(make_field(11), 4)
+    # few pairs, but each lists a large H: [10 choose 9]_2 * 1024 pairs of 1025 elements,
+    # and [9 choose 8]_2 * 512 pairs of 513
+    with pytest.raises(ValueError, match="1047552 .* pairs listing 1073740800 field elements"):
         enumerate_group_specs(make_field(11), 1024)
-    with pytest.raises(ValueError, match="133693952 trace conditions"):
+    with pytest.raises(ValueError, match="261632 .* pairs listing 134217216 field elements"):
         enumerate_group_specs(make_field(10), 512)
     with pytest.raises(ValueError, match="power of two"):
         enumerate_group_specs(make_field(16), 6)
@@ -439,7 +443,7 @@ def test_enumerate_group_specs_refuses_oversized_surveys_early(monkeypatch):
 
 
 def test_survey_size_matches_the_enumeration():
-    from arcflock.search import MAX_SURVEY_CONDITIONS, MAX_SURVEY_SPECS, _survey_size
+    from arcflock.search import MAX_SURVEY_ELEMENTS, _survey_size
 
     for h in range(1, 7):
         gf = make_field(h)
@@ -449,15 +453,32 @@ def test_survey_size_matches_the_enumeration():
                 assert _survey_size(gf, order) == expected
                 assert len(enumerate_group_specs(gf, order)) == expected
     # search --h 9 --d 4, the largest survey in the tests, CI, README and benchmark,
-    # fits, and so does rank --h 8 --d 8
-    assert _survey_size(make_field(9), 4) == 129540 <= MAX_SURVEY_SPECS
-    assert _survey_size(make_field(8), 8) == 661416 <= MAX_SURVEY_SPECS
-    assert _survey_size(make_field(9), 8) == 5440680 > MAX_SURVEY_SPECS
-    # so do their d - 1 trace conditions per pair, and those of rank --h 8 --d 128
-    # and search --h 7 --d 8
+    # fits, and so do rank --h 8 --d 8, rank --h 8 --d 128 and search --h 7 --d 8;
+    # each pair lists its H and its lambda_d
+    assert _survey_size(make_field(9), 4) == 129540
+    assert _survey_size(make_field(8), 8) * 9 == 5952744 <= MAX_SURVEY_ELEMENTS
     for h, order in ((9, 4), (8, 8), (8, 128), (7, 8)):
-        assert _survey_size(make_field(h), order) * (order - 1) <= MAX_SURVEY_CONDITIONS
-    assert _survey_size(make_field(8), 8) * 7 == 4629912
+        assert _survey_size(make_field(h), order) * (order + 1) <= MAX_SURVEY_ELEMENTS
+    assert _survey_size(make_field(9), 8) * 9 == 48966120 > MAX_SURVEY_ELEMENTS
+    assert _survey_size(make_field(11), 4) * 5 == 10455060 > MAX_SURVEY_ELEMENTS
+
+
+def test_survey_budget_decides_as_the_former_pair_and_condition_bounds():
+    # the budget of |H| + 1 listed elements per pair admits exactly the surveys of at
+    # most 2^20 pairs and 2^23 trace conditions, d - 1 per pair, for every field and order
+    from arcflock.search import _check_survey
+
+    for h in range(1, 17):
+        gf = make_field(h)
+        for d in (1 << k for k in range(1, h + 1)):
+            pairs = _gauss2(h - 1, d.bit_length() - 2) * (gf.q - d)
+            admitted = pairs <= 2**20 and pairs * (d - 1) <= 2**23
+            try:
+                _check_survey(gf, d)
+            except ValueError as exc:
+                assert not admitted, (h, d, exc)
+            else:
+                assert admitted, (h, d)
 
 
 def test_enumerate_group_specs_counts_and_order():
