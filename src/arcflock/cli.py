@@ -182,9 +182,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         payload = {"flock": flock_json, **sub}
     elif direction == "project":
         arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
-        p = fl.DEFAULT_PROJECTION_POINT
-        if args.p is not None:
-            p = pg.check_space_coords(arc.gf, _parse_elements(args.p))
+        p = fl.DEFAULT_PROJECTION_POINT if args.p is None else _parse_elements(args.p)
         F = fl.project_arc(arc, p)
         flock_json = fl.flock_to_json(F)
         sub, lines, ok = _flock_verify_payload(F, flock_json)

@@ -7,8 +7,9 @@ same way.  Unless a modulus is supplied explicitly, the lexicographically
 least irreducible polynomial of degree h (coefficient vector read as an
 integer) is chosen, which pins every numeric value this package produces.
 
-Multiplication, inversion and square roots run on log/exp tables over a
-generator of the multiplicative group; the square root of a is
+Multiplication, inversion and square roots run on log/exp tables over the
+least generator of the multiplicative group, the first g whose powers take
+q - 1 steps to return to 1; the square root of a is
 a^(2^(h-1)), one table lookup; a rotation of the exp table lists the
 multiples of one element, indexed by log.  The absolute trace
 a -> a + a^2 + ... + a^(2^(h-1)) is evaluated through a precomputed
@@ -73,15 +74,12 @@ def least_irreducible(h: int) -> int:
 
 
 def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
-    if q == 2:
-        return [1], [0, 0]
-    for g in range(2, q):
-        exp = []
-        x = 1
-        for _ in range(q - 1):
+    for g in range(1, q):
+        exp, x = [1], g
+        while x != 1 and len(exp) < q:
             exp.append(x)
             x = _polymod(_clmul(x, g), modulus)
-        if x == 1 and len(set(exp)) == q - 1:
+        if len(exp) == q - 1:
             log = [0] * q
             for i, v in enumerate(exp):
                 log[v] = i

@@ -2,9 +2,10 @@
 
 The cone K is the quadric X1 X3 = X2^2 with vertex (1,0,0,0).  A partial
 flock is a set of planes, none through the vertex, whose cone sections are
-pairwise disjoint conics.  Planes are normalized 4-tuples; a plane avoiding
-the vertex normalizes to [1, f, t, g], and two such planes have disjoint
-sections exactly when their X2-coordinates differ and
+pairwise disjoint conics.  Planes are normalized 4-tuples, checked once per
+public call by projective.check_space_coords and, for a section, one vertex
+refusal.  A vertex-avoiding plane normalizes to [1, f, t, g], and two such
+planes have disjoint sections exactly when their X2-coordinates differ and
 trace((f+f')(g+g')/(t+t')^2) = 1.  That trace test is exact for cone
 sections; a section-intersection oracle that shares nothing with it runs
 alongside it in every verification report.  The oracle reads each section
@@ -87,6 +88,14 @@ SINGULAR_PLANE: pg.Coords = (1, 0, 1, 0)
 # -- the cone and its plane sections -------------------------------------------
 
 
+def _checked_plane(gf: GF, plane: object) -> pg.Coords:
+    """A caller's plane checked and normalized, refused if it passes through the vertex."""
+    u = pg.check_space_coords(gf, plane)
+    if u[0] == 0:
+        raise ValueError(f"plane {u} passes through the cone vertex {VERTEX}")
+    return u
+
+
 def _square_logs(gf: GF) -> list[int]:
     """log_index(u^2) for each u of gf.scaled_powers(1): the field's powers, then 0.
 
@@ -123,10 +132,8 @@ def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
     log x0 from the logs of its coordinates.  Planes through the vertex
     (u0 = 0) are refused.
     """
-    if plane[0] == 0:
-        raise ValueError(f"plane {plane} passes through the cone vertex {VERTEX}")
     square_logs = _square_logs(gf)
-    column = _x0_column(gf, square_logs, pg.normalize(gf, plane))
+    column = _x0_column(gf, square_logs, _checked_plane(gf, plane))
     n = gf.q - 1
     power = gf.scaled_powers(1)[:n]  # power[k] = u of generator k; a negative k wraps mod n
     logs = list(map(gf.log_index, column))
@@ -147,11 +154,7 @@ def section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
     is equivalent to the two cone sections being disjoint; with t = t' two
     distinct sections always share a point, so no trace value applies.
     """
-    un = pg.normalize(gf, u)
-    wn = pg.normalize(gf, w)
-    if un[0] == 0 or wn[0] == 0:
-        raise ValueError("a plane through the cone vertex has no conic section")
-    return _normalized_section_trace(gf, un, wn)
+    return _normalized_section_trace(gf, _checked_plane(gf, u), _checked_plane(gf, w))
 
 
 def _normalized_section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
@@ -180,13 +183,9 @@ class PartialFlock:
     def __post_init__(self) -> None:
         if not self.planes:
             raise ValueError("a partial flock needs at least one plane")
-        gf = self.gf
-        norm = [pg.normalize(gf, pg.check_space_coords(gf, p)) for p in self.planes]
+        norm = [_checked_plane(self.gf, p) for p in self.planes]
         if list(self.planes) != sorted(set(norm)):
             raise ValueError("planes must be normalized, distinct and sorted")
-        for p in self.planes:
-            if p[0] == 0:
-                raise ValueError(f"plane {p} passes through the cone vertex {VERTEX}")
 
     @property
     def size(self) -> int:
@@ -351,7 +350,7 @@ def flock_to_arc(F: PartialFlock) -> MathonArc:
 
 def _projection_parameter(gf: GF, p: pg.Coords) -> int:
     """The y with p = (1,0,y,0); rejects points off N and the points x, n."""
-    pn = pg.normalize(gf, p)
+    pn = pg.check_space_coords(gf, p)
     if pn == VERTEX or pn == BASE_NUCLEUS:
         raise ValueError(f"cannot project from the special point {pn}")
     if pn[0] != 1 or pn[1] != 0 or pn[3] != 0:
@@ -437,11 +436,9 @@ def raw_to_additive_plane(gf: GF, u: pg.Coords) -> pg.Coords:
     lands there and phi does not apply).  Any other plane through the
     default projection point is rejected.
     """
-    w = delta_plane(pg.normalize(gf, u))
-    if w[0] == 0:
-        raise ValueError(f"plane {u} passes through the cone vertex {VERTEX}")
+    w = delta_plane(_checked_plane(gf, u))
     if w[2] == 0:
-        if pg.normalize(gf, w) == EMBEDDING_PLANE:
+        if w == EMBEDDING_PLANE:
             return EMBEDDING_PLANE
         raise ValueError(
             f"plane {u} passes through the projection point "
@@ -455,7 +452,7 @@ def additive_to_raw_plane(gf: GF, u: pg.Coords) -> pg.Coords:
 
     The plane X0 = 0 maps back to the singular plane X0 + X2 = 0.
     """
-    un = pg.normalize(gf, u)
+    un = _checked_plane(gf, u)
     if un == EMBEDDING_PLANE:
         return SINGULAR_PLANE
     w = kappa_inv_plane(gf, un)
@@ -487,6 +484,11 @@ def standardize_plane(gf: GF, u: pg.Coords) -> tuple[int, int, int]:
     Exists exactly when the X0 and X2 coefficients differ, i.e. when the
     plane avoids the default projection point (1,0,1,0).
     """
+    return _standard_form(gf, pg.check_space_coords(gf, u))
+
+
+def _standard_form(gf: GF, u: pg.Coords) -> tuple[int, int, int]:
+    """standardize_plane of a checked plane."""
     if u[0] == u[2]:
         raise ValueError(
             f"plane {u} contains the projection point {DEFAULT_PROJECTION_POINT}"
@@ -511,14 +513,13 @@ def plane_compose(gf: GF, V: pg.Coords, W: pg.Coords) -> pg.Coords:
     line, and its section projects onto the composition of the two projected
     conics.
     """
-    a1, b1, c1 = standardize_plane(gf, V)
-    a2, b2, c2 = standardize_plane(gf, W)
-    if a1 == 0 or a2 == 0:
-        raise ValueError("a plane through the cone vertex has no conic section")
+    disjoint = sections_disjoint(gf, V, W)  # the one check of V and W
+    a1, b1, c1 = _standard_form(gf, V)
+    a2, b2, c2 = _standard_form(gf, W)
     da = a1 ^ a2
     if da == 0:
         raise ValueError("composition needs distinct X0-coefficients")
-    if not sections_disjoint(gf, V, W):
+    if not disjoint:
         raise DisjointnessError(f"sections of {V} and {W} share a cone point")
     nb = gf.div(gf.mul(a1, b1) ^ gf.mul(a2, b2), da)
     nc = gf.div(gf.mul(a1, c1) ^ gf.mul(a2, c2), da)
@@ -614,15 +615,12 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     gf = F.gf
     if _flock_span(F) is None:
         raise ValueError("only an additive partial flock can be extended")
-    v = pg.normalize(gf, pg.check_space_coords(gf, V))
-    if v[0] == 0:
-        raise ValueError(f"plane {v} passes through the cone vertex {VERTEX}")
+    v = _checked_plane(gf, V)
     if v[2] == 0:
         raise ValueError(f"plane {v} passes through the base nucleus {BASE_NUCLEUS}")
     for u in F.planes:
         if _normalized_section_trace(gf, v, u) != 1:
             raise DisjointnessError(f"the section of {v} meets the section of {u}")
-    for u in F.planes:
         if u != EMBEDDING_PLANE and _normalized_section_trace(gf, EMBEDDING_PLANE, u) != 1:
             raise DisjointnessError(f"sections of {EMBEDDING_PLANE} and {u} share a cone point")
     shifted = {(1, v[1] ^ u[1], v[2] ^ u[2], v[3] ^ u[3]) for u in F.planes}
@@ -640,7 +638,8 @@ def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
         raise ValueError("conic and arc live in different fields")
     if c.lam in m.lam_values:
         raise ValueError(f"lam={c.lam} already lies in the arc's lam subgroup")
-    return flock_to_arc(extend_flock(arc_to_flock(m), _conic_plane(c)))
+    doubled = extend_flock(arc_to_flock(m), _conic_plane(c))
+    return _span_arc(m.gf, {t: (f, g) for _, f, t, g in doubled.planes})
 
 
 def denniston_closure(c1: Conic, c2: Conic) -> MathonArc:
@@ -684,7 +683,7 @@ def _flock_and_derived_json(obj: dict) -> tuple[PartialFlock, dict]:
         raise ValueError("'planes' must be a list of planes")
     planes: set[pg.Coords] = set()
     for entry in obj["planes"]:
-        p = pg.normalize(gf, pg.check_space_coords(gf, entry))
+        p = pg.check_space_coords(gf, entry)
         if p in planes:
             raise ValueError(f"plane {list(p)} is listed twice")
         planes.add(p)

@@ -206,7 +206,11 @@ def _span_arc(gf: GF, span: dict[int, tuple[int, int]]) -> MathonArc:
 
 
 def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
-    """The Denniston arc {F_{alpha,1,lam} : lam in A}; A u {0} must be a subgroup."""
+    """The Denniston arc {F_{alpha,1,lam} : lam in A}; A u {0} must be a subgroup.
+
+    That subgroup check closes the conic set: any two members compose to
+    F_{alpha,1,lam+lam'}, another member, so nothing is closed again.
+    """
     lams = sorted(set(A))
     if not lams:
         raise ValueError("A must be nonempty")
@@ -221,7 +225,7 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
         raise ValueError(f"trace(alpha) must be 1, got alpha={alpha}")
     if gf.additive_span(lams) != set(lams) | {0}:
         raise ValueError("A together with 0 must be closed under addition")
-    return close_set(Conic(gf, alpha, 1, l) for l in lams)
+    return MathonArc(gf, tuple(Conic(gf, alpha, 1, l) for l in lams))
 
 
 def arc_size(q: int, d: int) -> int:

@@ -27,7 +27,7 @@ def normalize(gf: GF, coords: Sequence[int]) -> Coords:
 
 
 def check_space_coords(gf: GF, coords: object) -> Coords:
-    """Validate outside input as the four coordinates of a PG(3,q) point or plane."""
+    """The one check of outside PG(3,q) coordinates: four field elements, not all 0, normalized."""
     if not isinstance(coords, (list, tuple)) or len(coords) != 4:
         raise ValueError(
             f"a PG(3,q) point or plane needs exactly four coordinates, got {coords!r}"
@@ -35,7 +35,7 @@ def check_space_coords(gf: GF, coords: object) -> Coords:
     for c in coords:
         if not gf.is_element(c):
             raise ValueError(f"coordinate {c!r} is not an element of GF({gf.q})")
-    return tuple(coords)
+    return normalize(gf, coords)
 
 
 def nullspace(gf: GF, rows: Sequence[Sequence[int]], n: int) -> list[Coords]:

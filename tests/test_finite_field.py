@@ -339,6 +339,40 @@ def test_multiplicative_group_is_cyclic_of_order_q_minus_one():
         assert max(orders) == gf.q - 1  # a primitive element exists
 
 
+def _prime_factors(n: int) -> set[int]:
+    factors, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.add(p)
+            n //= p
+        p += 1
+    return factors | ({n} if n > 1 else set())
+
+
+def _poly_pow(g: int, e: int, modulus: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = oracles.poly_mod(oracles.poly_mul(r, g), modulus)
+        g = oracles.poly_mod(oracles.poly_mul(g, g), modulus)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("h", range(1, MAX_H + 1))
+def test_exp_table_runs_over_the_least_generator(h):
+    # g generates the multiplicative group exactly when g^((q-1)/p) != 1 for
+    # every prime p dividing q - 1; the table's generator is the least such g
+    gf = make_field(h)
+    n = gf.q - 1
+    primes = _prime_factors(n)
+    least = next(
+        g for g in range(1, gf.q)
+        if all(_poly_pow(g, n // p, gf.modulus) != 1 for p in primes)
+    )
+    assert gf._exp[1 % n] == least  # for q = 2 the one generator is 1 = _exp[0]
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         GF(0)

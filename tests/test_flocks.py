@@ -236,6 +236,51 @@ def test_section_trace_rejects_vertex_planes():
         section_trace(gf, (0, 1, 0, 0), (1, 0, 0, 0))
 
 
+_GF8 = make_field(3)
+_ARC8 = denniston_arc(_GF8, 1, (1, 2, 3))
+_GOOD = (1, 0, 2, 0)
+
+#: every public flocks entry point that takes a caller's plane or projection point
+_PLANE_ENTRY_POINTS = {
+    "plane_section": lambda u: plane_section(_GF8, u),
+    "section_trace": lambda u: section_trace(_GF8, u, _GOOD),
+    "section_trace second": lambda u: section_trace(_GF8, _GOOD, u),
+    "sections_disjoint": lambda u: sections_disjoint(_GF8, _GOOD, u),
+    "PartialFlock": lambda u: PartialFlock(_GF8, (u,)),
+    "extend_flock": lambda u: extend_flock(arc_to_flock(_ARC8), u),
+    "raw_to_additive_plane": lambda u: raw_to_additive_plane(_GF8, u),
+    "additive_to_raw_plane": lambda u: additive_to_raw_plane(_GF8, u),
+    "plane_compose": lambda u: plane_compose(_GF8, u, _GOOD),
+    "plane_compose second": lambda u: plane_compose(_GF8, _GOOD, u),
+    "standardize_plane": lambda u: standardize_plane(_GF8, u),
+    "singular_plane": lambda u: singular_plane(_GF8, u, _GOOD),
+    "singular_plane second": lambda u: singular_plane(_GF8, _GOOD, u),
+    "project_arc": lambda p: project_arc(_ARC8, p),
+    "project_conic_to_plane": lambda p: project_conic_to_plane(_ARC8.conics[0], p),
+    "projection_singular_plane": lambda p: projection_singular_plane(_GF8, p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PLANE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, 99, 1, 0), "coordinate 99 is not an element of GF(8)"),
+        ((1, 0, 1), "a PG(3,q) point or plane needs exactly four coordinates, got (1, 0, 1)"),
+        ((1, True, 1, 0), "coordinate True is not an element of GF(8)"),
+        ((0, 0, 0, 0), "the zero vector is not a projective point"),
+    ],
+    ids=["outside the field", "three coordinates", "bool", "zero vector"],
+)
+def test_every_plane_entry_point_refuses_malformed_coordinates(entry, bad, message):
+    # projective.check_space_coords is the one entry check: no value and no
+    # IndexError; section_trace once read the trace 0 off (1, 99, 1, 0) and
+    # off (1, True, 1, 0) against (1, 0, 2, 0)
+    with pytest.raises(ValueError) as info:
+        _PLANE_ENTRY_POINTS[entry](bad)
+    assert str(info.value) == message
+
+
 # -- PartialFlock container ----------------------------------------------------------
 
 
@@ -876,6 +921,32 @@ def test_flock_doubling_and_conversion_stay_on_the_triple_span(monkeypatch, batt
     assert flock_to_arc(doubled).degree == 8
     assert synthetic_extension(base, Conic(gf, 1, 1, 4)) == doubled_arc
     assert denniston_closure(*base.conics[:2]) == base
+
+
+def test_extension_arc_spans_its_triples_once(monkeypatch):
+    # the base arc is not closed again, and the doubled arc is read off
+    # extend_flock's planes, not spanned a second time by flock_to_arc
+    calls = []
+
+    def counted(seed):
+        calls.append(1)
+        return ma.triple_span(seed)
+
+    monkeypatch.setattr(fl, "triple_span", counted)
+    spec = se.GroupSpec(make_field(5), (0, 1, 2, 3), 4)
+    assert se.construct_extension_arc(spec, 16).degree == 8
+    assert len(calls) == 1
+
+
+def test_denniston_arc_closes_nothing(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("a Denniston arc is closed by its subgroup check")
+
+    monkeypatch.setattr(ma, "close_set", no_closure)
+    monkeypatch.setattr(ma, "triple_span", no_closure)
+    gf = make_field(6)
+    arc = denniston_arc(gf, 32, (1, 2, 3, 4, 5, 6, 7))
+    assert [(c.alpha, c.beta, c.lam) for c in arc.conics] == [(32, 1, l) for l in range(1, 8)]
 
 
 def test_generic_arc_q8_has_no_extension(generic_arc_q8):
