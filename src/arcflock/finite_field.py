@@ -224,7 +224,12 @@ class GF:
         return self.mul(a, a)
 
     def sqrt(self, a: int) -> int:
-        """The unique square root a^(2^(h-1)): squaring is a field automorphism here."""
+        """The unique square root a^(2^(h-1)): squaring is a field automorphism here.
+
+        Hot arithmetic, like mul: a is not checked, and a value outside the
+        field raises IndexError or gives a meaningless result.  Callers check
+        at their entry, as mathon_arcs.quadric_points does.
+        """
         if a == 0:
             return 0
         return self._exp[(self._log[a] << (self.h - 1)) % (self.q - 1)]

@@ -31,9 +31,10 @@ trace.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import xor
+from itertools import chain
 from typing import Iterable
 
 from . import projective as pg
@@ -46,6 +47,13 @@ NUCLEUS: pg.Coords = (0, 0, 1)
 #: scan: degree 16 at h = 11 (6.3e7) and degree 4 at h = 12 (5.0e7) fit; degree
 #: 32 at h = 11 (1.3e8) does not, nor any arc above h = 12: (q + 2)(q + 1) > 2^26
 MAX_SCAN_STEPS = 1 << 26
+
+
+def _check_elements(gf: GF, **named: object) -> None:
+    """Refuse any named value that is not an element of gf."""
+    for name, v in named.items():
+        if not gf.is_element(v):
+            raise ValueError(f"{name}={v!r} is not an element of GF({gf.q})")
 
 
 class ClosureError(ValueError):
@@ -66,11 +74,7 @@ class Conic:
     lam: int
 
     def __post_init__(self) -> None:
-        q = self.gf.q
-        for name in ("alpha", "beta", "lam"):
-            v = getattr(self, name)
-            if not self.gf.is_element(v):
-                raise ValueError(f"{name}={v!r} is not an element of GF({q})")
+        _check_elements(self.gf, alpha=self.alpha, beta=self.beta, lam=self.lam)
         if self.lam == 0:
             raise ValueError("lam must be nonzero")
         if self.gf.trace(self.gf.mul(self.alpha, self.beta)) != 1:
@@ -87,8 +91,9 @@ def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:
     it meets the quadric exactly once, because squaring is a bijection: on
     (1, s, z) the equation reads l z^2 = a + s + b s^2, so
     z = (sqrt(a) + sqrt(s) + sqrt(b) s)/sqrt(l), and on (0, 1, z) it reads
-    z = sqrt(b)/sqrt(l).
+    z = sqrt(b)/sqrt(l).  The coefficients must be field elements.
     """
+    _check_elements(gf, a=a, b=b, l=l)
     if l == 0:
         raise ValueError("l must be nonzero: with l = 0 the quadric holds (0,0,1)")
     mul, sqrt = gf.mul, gf.sqrt
@@ -217,10 +222,8 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     if 0 in lams:
         raise ValueError("0 does not index a conic; A must omit it")
     for l in lams:
-        if not gf.is_element(l):
-            raise ValueError(f"lam={l!r} is not an element of GF({gf.q})")
-    if not gf.is_element(alpha):
-        raise ValueError(f"alpha={alpha!r} is not an element of GF({gf.q})")
+        _check_elements(gf, lam=l)
+    _check_elements(gf, alpha=alpha)
     if gf.trace(alpha) != 1:
         raise ValueError(f"trace(alpha) must be 1, got alpha={alpha}")
     if gf.additive_span(lams) != set(lams) | {0}:
@@ -282,6 +285,33 @@ def _add_class(hist: Counter, q: int, per_line: Counter, extra: int) -> None:
     hist[extra] += q - len(per_line)
 
 
+def _checked_plane_points(gf: GF, points: Iterable[object]) -> list[pg.Coords]:
+    """The points as listed, each a tuple of three field elements, not all 0.
+
+    They are checked before any set is built, so a malformed tuple equal to a
+    good one, such as (True, 0, 1) beside (1, 0, 1), cannot hide behind it.
+    Each check is one C-level pass; a Python loop runs only to name the first
+    offender.
+    """
+    pts = list(points)
+    if not (set(map(type, pts)) <= {tuple} and set(map(len, pts)) <= {3}):
+        bad = next(p for p in pts if type(p) is not tuple or len(p) != 3)
+        raise ValueError(f"a PG(2,q) point is a tuple of three coordinates, got {bad!r}")
+    coords = chain.from_iterable  # one pass each, no list of 3 |points| coordinates
+    ints = set(map(type, coords(pts))) <= {int}
+    if not (ints and 0 <= min(coords(pts), default=0) and max(coords(pts), default=0) < gf.q):
+        bad = next(c for c in coords(pts) if not gf.is_element(c))
+        raise ValueError(f"coordinate {bad!r} is not an element of GF({gf.q})")
+    if (0, 0, 0) in pts:
+        raise ValueError("the zero vector is not a projective point")
+    return pts
+
+
+def _packed(values: Iterable[int]) -> int:
+    """Values below 2^16 packed into one int, 16 bits each, in native byte order."""
+    return int.from_bytes(array("H", values).tobytes(), "little")
+
+
 def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalArcReport:
     """Check a point set is a degree-d maximal arc by counting its points on every line.
 
@@ -289,16 +319,21 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     for any point set.  An affine point (x, y, 1) lies on [0, 1, y] and on
     [1, b, x + b y] for every slope b: each class is one bucket count.  A
     point (x, y, 0) lies on [0, 0, 1] and on every line of the class b = x/y
-    (y != 0) or of the class [0, 1, c] (y = 0).  The product b y is read off
-    one row of gf.scaled_powers per slope, so the inner loop runs in C.  The
-    work is |points| (q + 1) steps, held to MAX_SCAN_STEPS for a degree-d arc
-    (d >= 2) before the points are read, and for the points before the scan.
+    (y != 0) or of the class [0, 1, c] (y = 0).  The values x + b y of all
+    affine points are packed into one int, 16 bits each; as b y is GF(2)-linear
+    in b, the slopes are walked in Gray-code order b = k ^ (k >> 1), and each
+    class is the previous one XOR the packed 2^j y, j the lowest set bit of k.
+    So a class costs one int XOR and one C-level Counter pass.  The work is
+    |points| (q + 1) steps, held to MAX_SCAN_STEPS for a degree-d arc (d >= 2)
+    before the points are read, and for the points before the scan.  Each
+    point must be a tuple of three field elements, not all 0; each tuple
+    counts once, as given.
     """
     q, mul, inv = gf.q, gf.mul, gf.inv
     if d < 2:
         raise ValueError(f"a maximal arc has degree at least 2, got d = {d}")
     _check_line_scan(q, arc_size(q, d))
-    pts = set(points)
+    pts = set(_checked_plane_points(gf, points))
     _check_line_scan(q, len(pts))
     xs: list[int] = []
     ys: list[int] = []
@@ -311,16 +346,19 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
             ys.append(mul(y, iz))
         elif y:
             slope_extra[gf.div(x, y)] += 1
-        elif x:
-            vertical += 1
         else:
-            raise ValueError("the zero vector is not a projective point")
+            vertical += 1
     hist: Counter = Counter()
     _add_class(hist, q, Counter(ys), vertical)
     log_ys = list(map(gf.log_index, ys))
-    for b in range(q):
-        row = gf.scaled_powers(b)
-        _add_class(hist, q, Counter(map(xor, xs, map(row.__getitem__, log_ys))), slope_extra[b])
+    steps = [_packed(map(gf.scaled_powers(1 << j).__getitem__, log_ys)) for j in range(gf.h)]
+    line, width = _packed(xs), 2 * len(xs)
+    _add_class(hist, q, Counter(xs), slope_extra[0])
+    for k in range(1, q):
+        line ^= steps[(k & -k).bit_length() - 1]
+        # to_bytes gives back the array's bytes, so cast("H") reads the packed values
+        per_line = Counter(memoryview(line.to_bytes(width, "little")).cast("H"))
+        _add_class(hist, q, per_line, slope_extra[k ^ k >> 1])
     hist[len(pts) - len(xs)] += 1  # the line z = 0
     return MaximalArcReport(
         q=q,

@@ -181,7 +181,11 @@ def rank_analysis(system: TraceConditionSystem) -> RankAnalysis:
 
 
 def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
-    """beta = (lambda_d + 1) / rho + 1 for a candidate rho."""
+    """beta = (lambda_d + 1) / rho + 1 for a candidate rho, a nonzero field element."""
+    if not gf.is_element(lambda_d):
+        raise ValueError(f"lambda_d={lambda_d!r} is not an element of GF({gf.q})")
+    if rho == 0 or not gf.is_element(rho):
+        raise ValueError("rho must be a nonzero field element")
     return gf.mul(lambda_d ^ 1, gf.inv(rho)) ^ 1
 
 
@@ -238,10 +242,8 @@ def construct_extension_arc(spec: GroupSpec, rho: int) -> MathonArc:
     trace system.
     """
     gf = spec.gf
-    if rho == 0 or not gf.is_element(rho):
-        raise ValueError("rho must be a nonzero field element")
-    base = base_denniston_arc(spec)
     beta = beta_of(gf, spec.lambda_d, rho)
+    base = base_denniston_arc(spec)
     new = Conic(gf, 1, gf.square(beta), gf.square(spec.lambda_d))
     return synthetic_extension(base, new)
 

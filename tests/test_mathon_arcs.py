@@ -79,6 +79,15 @@ def test_quadric_points_handles_degenerate_coefficients():
         quadric_points(gf, 1, 0, 0)
 
 
+def test_quadric_points_refuses_coefficients_outside_the_field():
+    # GF.sqrt stays unchecked, so the public entry checks what it hands on
+    gf = make_field(3)
+    cases = ((1, 1, 99, "l=99"), (8, 1, 1, "a=8"), (1, -1, 1, "b=-1"), (True, 1, 1, "a=True"))
+    for a, b, l, bad in cases:
+        with pytest.raises(ValueError, match=f"^{bad} is not an element of GF\\(8\\)$"):
+            quadric_points(gf, a, b, l)
+
+
 @pytest.mark.parametrize("h", (1, 2, 3))
 def test_quadric_points_against_inline_scan_for_every_triple(h):
     # degenerate triples too: b = 0, a = 0 and trace(ab) = 0
@@ -533,14 +542,18 @@ def _random_point_sets(gf, rng):
     yield {(1, 0, 0)}
     yield {(rng.randrange(1, q), 0, 0)}
     yield {point(at_infinity=True) for _ in range(3)}  # no affine point
+    # small sets, so the oracle's count per line met stays cheap at large q
     for _ in range(12):
-        yield {point(at_infinity=rng.random() < 0.2) for _ in range(rng.randrange(1, 3 * q))}
+        size = rng.randrange(1, min(3 * q, 48))
+        yield {point(at_infinity=rng.random() < 0.2) for _ in range(size)}
     # one projective point under several representatives: each tuple counts
     x, y, z = rng.randrange(q), rng.randrange(q), rng.randrange(1, q)
-    yield {(gf.mul(s, x), gf.mul(s, y), gf.mul(s, z)) for s in range(1, q)}
+    yield {(gf.mul(s, x), gf.mul(s, y), gf.mul(s, z)) for s in range(1, min(q, 48))}
 
 
-@pytest.mark.parametrize("h", (1, 2, 3, 4))
+# h = 9 reaches coordinates above 255, the high byte of the scan's 16-bit
+# packing, and walks a 9-bit Gray code over the slopes
+@pytest.mark.parametrize("h", range(1, 10))
 def test_line_scan_matches_line_histogram_on_random_sets(h):
     gf = make_field(h)
     rng = random.Random(7100 + h)
@@ -565,6 +578,29 @@ def test_line_scan_rejects_the_zero_vector():
     gf = make_field(3)
     with pytest.raises(ValueError, match="zero vector"):
         verify_maximal_arc(gf, [(1, 0, 1), (0, 0, 0)], 2)
+
+
+def test_line_scan_refuses_malformed_points():
+    gf = make_field(3)
+    cases = (
+        ((1, 99, 1), "coordinate 99 is not an element of GF\\(8\\)"),
+        ((1, -1, 1), "coordinate -1 is not an element of GF\\(8\\)"),
+        ((True, 0, 1), "coordinate True is not an element of GF\\(8\\)"),
+        ((1.0, 0, 1), "coordinate 1.0 is not an element of GF\\(8\\)"),
+        ((1, "a", 1), "coordinate 'a' is not an element of GF\\(8\\)"),
+        (("a", "b", "c"), "coordinate 'a' is not an element of GF\\(8\\)"),
+        ("abc", "point is a tuple of three coordinates, got 'abc'$"),
+        ((1, 0), "point is a tuple of three coordinates, got \\(1, 0\\)$"),
+        ((1, 0, 1, 0), "point is a tuple of three coordinates, got \\(1, 0, 1, 0\\)$"),
+        ([1, 0, 1], "point is a tuple of three coordinates, got \\[1, 0, 1\\]$"),
+    )
+    for bad, message in cases:
+        # beside (1, 0, 1), which (True, 0, 1) and (1.0, 0, 1) equal as tuples
+        with pytest.raises(ValueError, match=message):
+            verify_maximal_arc(gf, [(1, 0, 1), bad, (0, 1, 0)], 2)
+    # the largest coordinate is still an element
+    report = verify_maximal_arc(gf, [(7, 7, 7), (7, 0, 0)], 2)
+    assert report.histogram == oracles.line_histogram(gf, [(7, 7, 7), (7, 0, 0)])
 
 
 def test_line_scan_memory_stays_linear_in_q():

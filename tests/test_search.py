@@ -227,6 +227,16 @@ def test_frozen_solution_q32():
     assert beta_of(gf, 4, 16) == 3
 
 
+def test_beta_of_refuses_rho_zero_and_non_elements():
+    gf = make_field(7)
+    for rho in (0, 128, -1, True, 1.0):
+        with pytest.raises(ValueError, match="^rho must be a nonzero field element$"):
+            beta_of(gf, 4, rho)
+    with pytest.raises(ValueError, match="^lambda_d=128 is not an element of GF\\(128\\)$"):
+        beta_of(gf, 128, 16)
+    assert beta_of(gf, 127, 1) == 127
+
+
 def test_rank_analysis_json_is_frozen():
     # the per-pair payload that the benchmark's rank job digests, key order included
     spec = GroupSpec(make_field(7), tuple(range(8)), 8)
