@@ -27,13 +27,15 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import flocks as fl
-from . import mathon_arcs as ma
-from . import projective as pg
-from . import search as se
 from .finite_field import GF, make_field
+
+# Each command imports the modules it runs, so a process compiles no others.
+if TYPE_CHECKING:
+    from .flocks import PartialFlock
+    from .mathon_arcs import MathonArc
+    from .search import SearchRecord
 
 
 def _parse_elements(text: str) -> tuple[int, ...]:
@@ -99,7 +101,9 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace, ok: bool) -
     return 0 if ok else 1
 
 
-def _arc_verify_payload(arc: ma.MathonArc) -> tuple[dict, list[str], bool]:
+def _arc_verify_payload(arc: MathonArc) -> tuple[dict, list[str], bool]:
+    from . import mathon_arcs as ma
+
     report = ma.verify_maximal_arc(arc.gf, ma.arc_points(arc), arc.degree)
     hist = dict(sorted(report.histogram.items()))
     lines = [
@@ -111,7 +115,9 @@ def _arc_verify_payload(arc: ma.MathonArc) -> tuple[dict, list[str], bool]:
     return report.to_json(), lines, report.verdict
 
 
-def _flock_verify_payload(F: fl.PartialFlock, flock_json: dict) -> tuple[dict, list[str], bool]:
+def _flock_verify_payload(F: PartialFlock, flock_json: dict) -> tuple[dict, list[str], bool]:
+    from . import flocks as fl
+
     report = fl.verify_partial_flock(F)
     cls = {key: flock_json[key] for key in ("additive", "linear")}
     lines = [
@@ -129,6 +135,8 @@ def _flock_verify_payload(F: fl.PartialFlock, flock_json: dict) -> tuple[dict, l
 
 
 def _cmd_construct_denniston(args: argparse.Namespace) -> int:
+    from . import mathon_arcs as ma
+
     gf = make_field(args.h, args.modulus)
     lam_set = _span_generators(gf, _parse_elements(args.A))
     arc = ma.denniston_arc(gf, args.alpha, tuple(x for x in lam_set if x != 0))
@@ -138,6 +146,9 @@ def _cmd_construct_denniston(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
+    from . import mathon_arcs as ma
+    from . import search as se
+
     gf = make_field(args.h, args.modulus)
     spec = se.GroupSpec(gf, _span_generators(gf, _parse_elements(args.H)), args.lambda_d)
     record, rho, arc = se.double_spec(spec, args.rho)
@@ -158,9 +169,13 @@ def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     kind, obj = _unwrap(_load_input(args.input), "arc", "flock")
     if kind == "arc":
+        from . import mathon_arcs as ma
+
         report_json, lines, ok = _arc_verify_payload(ma.arc_from_json(obj))
         payload = {"kind": "arc", "report": report_json}
     else:
+        from . import flocks as fl
+
         sub, lines, ok = _flock_verify_payload(*fl._flock_and_derived_json(obj))
         payload = {"kind": "flock", **sub}
     lines.insert(0, f"kind: {kind}")
@@ -169,6 +184,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     """convert --direction ..., and project (direction "project")."""
+    from . import flocks as fl
+    from . import mathon_arcs as ma
+
     direction = args.direction
     obj = _load_input(args.input)
     if direction == "flock-to-arc":
@@ -181,6 +199,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         sub, lines, ok = _flock_verify_payload(F, flock_json)
         payload = {"flock": flock_json, **sub}
     elif direction == "project":
+        from . import projective as pg
+
         arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
         p = fl.DEFAULT_PROJECTION_POINT if args.p is None else _parse_elements(args.p)
         F = fl.project_arc(arc, p)
@@ -215,7 +235,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 # -- search / rank ------------------------------------------------------------------
 
 
-def _record_line(r: se.SearchRecord) -> str:
+def _record_line(r: SearchRecord) -> str:
     return (
         f"H={{{','.join(map(str, r.H))}}} lambda_d={r.lambda_d}"
         f" epsilon={r.epsilon} rank={r.rank}"
@@ -225,6 +245,8 @@ def _record_line(r: se.SearchRecord) -> str:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from . import search as se
+
     gf = make_field(args.h, args.modulus)
     records = se.search_field(gf, args.d)
     example = next((r.example_arc for r in records if r.example_arc), None)
@@ -256,6 +278,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from . import search as se
+
     gf = make_field(args.h, args.modulus)
     records, lines = [], [f"rank analysis q={gf.q} |H|={args.d}"]
     for r in se.search_field(gf, args.d):

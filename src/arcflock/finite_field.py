@@ -130,6 +130,8 @@ class GF:
             raise ValueError(f"extension degree must be an int in 1..{MAX_H}, got {h!r}")
         if modulus is None:
             modulus = least_irreducible(h)
+        elif type(modulus) is not int:
+            raise ValueError(f"modulus must be an int, got {modulus!r}")
         elif not is_irreducible(modulus, h):
             raise ValueError(
                 f"modulus {modulus:#b} is not an irreducible polynomial of degree {h}"

@@ -181,6 +181,8 @@ class PartialFlock:
     planes: tuple[pg.Coords, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.planes, tuple):  # a list would leave the flock unhashable
+            raise ValueError("planes must be a tuple")
         if not self.planes:
             raise ValueError("a partial flock needs at least one plane")
         norm = [_checked_plane(self.gf, p) for p in self.planes]

@@ -142,6 +142,8 @@ class MathonArc:
     conics: tuple[Conic, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.conics, tuple):  # a list would leave the arc unhashable
+            raise ValueError("conics must be a tuple")
         if not self.conics:
             raise ValueError("an arc needs at least one conic")
         lams = [c.lam for c in self.conics]
@@ -330,8 +332,8 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     counts once, as given.
     """
     q, mul, inv = gf.q, gf.mul, gf.inv
-    if d < 2:
-        raise ValueError(f"a maximal arc has degree at least 2, got d = {d}")
+    if type(d) is not int or d < 2:
+        raise ValueError(f"a maximal arc has an int degree at least 2, got d = {d!r}")
     _check_line_scan(q, arc_size(q, d))
     pts = set(_checked_plane_points(gf, points))
     _check_line_scan(q, len(pts))

@@ -298,6 +298,14 @@ def test_partial_flock_validation():
         PartialFlock(gf, ((0, 1, 0, 0),))
     with pytest.raises(ValueError, match="not an element"):
         PartialFlock(gf, ((1, 8, 0, 0),))
+
+
+def test_partial_flock_refuses_a_list_of_planes():
+    # a list would leave the frozen flock unhashable and unequal to the same flock from a tuple
+    gf = make_field(3)
+    with pytest.raises(ValueError, match="^planes must be a tuple$"):
+        PartialFlock(gf, [(1, 0, 0, 0)])
+    assert hash(PartialFlock(gf, ((1, 0, 0, 0),))) == hash(PartialFlock(gf, ((1, 0, 0, 0),)))
     with pytest.raises(ValueError, match="four coordinates"):
         PartialFlock(gf, ((1, 0, 0),))
 

@@ -9,7 +9,7 @@ import pytest
 
 from arcflock import mathon_arcs as ma
 from arcflock import search as se
-from arcflock.finite_field import make_field
+from arcflock.finite_field import MAX_H, make_field
 from arcflock.flocks import (
     arc_to_flock,
     denniston_closure,
@@ -279,6 +279,15 @@ def test_mathon_arc_requires_one_field():
     gf = make_field(3)
     with pytest.raises(ValueError, match="^conics live in different fields$"):
         MathonArc(gf, (Conic(gf, 1, 1, 1), Conic(make_field(5), 1, 1, 2)))
+
+
+def test_mathon_arc_refuses_a_list_of_conics():
+    # a list would leave the frozen arc unhashable and unequal to the same arc from a tuple
+    gf = make_field(3)
+    c = Conic(gf, 1, 1, 1)
+    with pytest.raises(ValueError, match="^conics must be a tuple$"):
+        MathonArc(gf, [c])
+    assert hash(MathonArc(gf, (c,))) == hash(MathonArc(gf, (c,)))
 
 
 # -- Denniston arcs and the verification oracle --------------------------------------
@@ -638,6 +647,23 @@ def test_line_scan_refuses_a_degree_below_2_before_reading():
     for d in (1, 0, -1):
         with pytest.raises(ValueError, match=f"degree at least 2, got d = {d}$"):
             verify_maximal_arc(make_field(13), unread(), d)
+
+
+@pytest.mark.parametrize("value", ["4", 4.0, 2.5, True], ids=repr)
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda v: verify_maximal_arc(make_field(3), [(0, 0, 1)], v),
+         "a maximal arc has an int degree at least 2, got d = "),
+        (lambda v: make_field(v), f"extension degree must be an int in 1..{MAX_H}, got "),
+        (lambda v: make_field(3, v), "modulus must be an int, got "),
+    ],
+    ids=["arc-degree", "field-degree", "field-modulus"],
+)
+def test_a_degree_or_modulus_that_is_not_an_int_is_refused(refuse, message, value):
+    with pytest.raises(ValueError) as info:
+        refuse(value)
+    assert str(info.value) == message + repr(value)
 
 
 def test_arc_points_refuses_an_arc_over_the_budget_before_listing(monkeypatch):

@@ -1,19 +1,35 @@
-"""The package holds only what it uses; the naive definitions live in tests/oracles.py.
+"""The package holds only what it uses, and its namespace loads a module on first use.
 
-Both checks read the source of src/arcflock/ with ``ast``, so a test-only
-helper that drifts back into the package fails here by name.
+The first two checks read the source of src/arcflock/ with ``ast``, so a
+test-only helper that drifts back into the package fails here by name; the
+naive definitions live in tests/oracles.py.  The rest check the lazy
+namespace of ``arcflock/__init__.py`` and, in fresh processes, which modules
+each CLI command loads.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import arcflock
+from arcflock import flocks as fl
+from arcflock import mathon_arcs as ma
+from arcflock.finite_field import make_field
 
 MODULES = {
     p.stem: ast.parse(p.read_text(encoding="utf-8"))
     for p in sorted(Path(arcflock.__file__).parent.glob("*.py"))
 }
-ENTRY_POINTS = {"cli.main"}  # the console script named in pyproject.toml
+ENTRY_POINTS = {
+    "cli.main",  # the console script named in pyproject.toml
+    # module hooks called by the import system (PEP 562)
+    "__init__.__getattr__",
+    "__init__.__dir__",
+}
 
 
 def _names_used(node: ast.AST) -> set[str]:
@@ -53,3 +69,74 @@ def test_the_package_imports_nothing_from_the_tests():
         if name.partition(".")[0] in ("tests", "oracles", "conftest")
     ]
     assert from_tests == []
+
+
+# -- the lazy namespace -------------------------------------------------------------
+
+
+def test_every_exported_name_is_the_object_its_home_module_defines():
+    for name in set(arcflock.__all__) - {"__version__"}:
+        value = getattr(arcflock, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__ == f"arcflock.{arcflock._HOME[name]}", name
+        assert getattr(home, name) is value, name
+
+
+def test_star_import_binds_every_exported_name_and_dir_lists_them():
+    namespace: dict = {}
+    exec("from arcflock import *", namespace)
+    assert set(arcflock.__all__) <= set(namespace)
+    assert dir(arcflock) == sorted(arcflock.__all__)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'arcflock' has no attribute 'cli_main'$"):
+        arcflock.cli_main
+    assert not hasattr(arcflock, "MAX_SCAN_STEPS")  # defined in mathon_arcs, not exported
+
+
+def _fresh(code: str, *argv: str, stdin: str = "") -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_a_fresh_process_reaches_submodules_through_the_package():
+    proc = _fresh("import arcflock; print(arcflock.flocks.plane_section.__name__,"
+                  " arcflock.search.enumerate_group_specs.__name__)")
+    assert proc.stdout == "plane_section enumerate_group_specs\n"
+
+
+# python -m arcflock ARGS, then the arcflock modules loaded, on stderr
+_RUN_CLI = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("arcflock.")),
+                              file=sys.stderr))
+sys.argv[0] = "arcflock"
+runpy.run_module("arcflock", run_name="__main__", alter_sys=True)
+"""
+
+_ARC = ma.denniston_arc(make_field(4), 8, (1, 2, 3))
+_ARC_JSON = json.dumps(ma.arc_to_json(_ARC))
+_FLOCK_JSON = json.dumps(fl.flock_to_json(fl.arc_to_flock(_ARC)))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, unloaded",
+    [
+        (["--help"], "", {"projective", "mathon_arcs", "flocks", "search"}),
+        (["construct", "denniston", "--h", "4", "--alpha", "8", "--A", "1,2"], "",
+         {"flocks", "search"}),
+        (["verify", "-"], _ARC_JSON, {"flocks", "search"}),
+        (["convert", "--direction", "arc-to-flock", "-"], _ARC_JSON, {"search"}),
+        (["project", "-"], _ARC_JSON, {"search"}),
+        (["verify", "-"], _FLOCK_JSON, {"search"}),
+    ],
+    ids=["help", "construct-denniston", "verify-arc", "convert", "project", "verify-flock"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, stdin, unloaded):
+    proc = _fresh(_RUN_CLI, *argv, stdin=stdin)
+    loaded = set(proc.stderr.split())
+    assert "arcflock.cli" in loaded
+    assert loaded.isdisjoint(f"arcflock.{m}" for m in unloaded), sorted(loaded)
