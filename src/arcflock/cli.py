@@ -19,6 +19,10 @@ one trailing newline, so identical inputs give byte-identical output) or a
 short text summary with --format text.  The exit status is 0 exactly when
 every verification verdict in the output is true, 1 when some verdict
 fails, and 2 for malformed inputs or arguments.
+
+Each subcommand handler writes nothing: it returns (payload, lines, ok).
+main alone writes, once, through _emit (stdout or --out), and maps ok to
+the exit status; a ValueError or OSError becomes exit 2.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def _unwrap(obj: dict, *kinds: str) -> tuple[str, dict]:
     raise ValueError(_NOT_FOUND[kinds])
 
 
-def _emit(payload: dict, lines: list[str], args: argparse.Namespace, ok: bool) -> int:
+def _emit(payload: dict, lines: list[str], ok: bool, args: argparse.Namespace) -> int:
     """Write the payload as JSON, or the lines as text; the exit status, 0 exactly when ok."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -101,7 +105,12 @@ def _emit(payload: dict, lines: list[str], args: argparse.Namespace, ok: bool) -
     return 0 if ok else 1
 
 
-def _arc_verify_payload(arc: MathonArc) -> tuple[dict, list[str], bool]:
+#: what a command hands to _emit: the JSON payload, the text lines and the verdict
+Output = tuple[dict, list[str], bool]
+
+
+def _arc_verify_payload(arc: MathonArc) -> Output:
+    """The arc block: the arc's JSON and its line-scan report."""
     from . import mathon_arcs as ma
 
     report = ma.verify_maximal_arc(arc.gf, ma.arc_points(arc), arc.degree)
@@ -112,12 +121,15 @@ def _arc_verify_payload(arc: MathonArc) -> tuple[dict, list[str], bool]:
         f"verification: size={report.size} expected={report.expected_size}"
         f" histogram={hist} verdict={'PASS' if report.verdict else 'FAIL'}",
     ]
-    return report.to_json(), lines, report.verdict
+    return {"arc": ma.arc_to_json(arc), "report": report.to_json()}, lines, report.verdict
 
 
-def _flock_verify_payload(F: PartialFlock, flock_json: dict) -> tuple[dict, list[str], bool]:
+def _flock_verify_payload(F: PartialFlock, flock_json: Optional[dict] = None) -> Output:
+    """The flock block: the flock's JSON (flock_to_json(F) if not given), report and classes."""
     from . import flocks as fl
 
+    if flock_json is None:
+        flock_json = fl.flock_to_json(F)
     report = fl.verify_partial_flock(F)
     cls = {key: flock_json[key] for key in ("additive", "linear")}
     lines = [
@@ -127,109 +139,92 @@ def _flock_verify_payload(F: PartialFlock, flock_json: dict) -> tuple[dict, list
         f"verification: sections={list(report.section_sizes)}"
         f" verdict={'PASS' if report.verdict else 'FAIL'}",
     ]
-    payload = {"report": report.to_json(), "classification": cls}
+    payload = {"flock": flock_json, "report": report.to_json(), "classification": cls}
     return payload, lines, report.verdict
 
 
 # -- construct ---------------------------------------------------------------------
 
 
-def _cmd_construct_denniston(args: argparse.Namespace) -> int:
+def _cmd_construct_denniston(args: argparse.Namespace) -> Output:
     from . import mathon_arcs as ma
 
     gf = make_field(args.h, args.modulus)
     lam_set = _span_generators(gf, _parse_elements(args.A))
     arc = ma.denniston_arc(gf, args.alpha, tuple(x for x in lam_set if x != 0))
-    report_json, lines, ok = _arc_verify_payload(arc)
-    payload = {"arc": ma.arc_to_json(arc), "report": report_json}
-    return _emit(payload, lines, args, ok)
+    return _arc_verify_payload(arc)
 
 
-def _cmd_construct_mathon_extend(args: argparse.Namespace) -> int:
-    from . import mathon_arcs as ma
+def _cmd_construct_mathon_extend(args: argparse.Namespace) -> Output:
     from . import search as se
 
     gf = make_field(args.h, args.modulus)
     spec = se.GroupSpec(gf, _span_generators(gf, _parse_elements(args.H)), args.lambda_d)
     record, rho, arc = se.double_spec(spec, args.rho)
-    report_json, lines, ok = _arc_verify_payload(arc)
-    payload = {
-        "arc": ma.arc_to_json(arc),
-        "report": report_json,
-        "rho": rho,
-        "search": record.to_json(),
-    }
+    payload, lines, ok = _arc_verify_payload(arc)
+    payload.update(rho=rho, search=record.to_json())
     lines.insert(0, f"trace system: rank={record.rank} valid_rho={record.num_rho_valid} rho={rho}")
-    return _emit(payload, lines, args, ok)
+    return payload, lines, ok
 
 
 # -- verify / convert / project -----------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     kind, obj = _unwrap(_load_input(args.input), "arc", "flock")
     if kind == "arc":
         from . import mathon_arcs as ma
 
-        report_json, lines, ok = _arc_verify_payload(ma.arc_from_json(obj))
-        payload = {"kind": "arc", "report": report_json}
+        payload, lines, ok = _arc_verify_payload(ma.arc_from_json(obj))
     else:
         from . import flocks as fl
 
-        sub, lines, ok = _flock_verify_payload(*fl._flock_and_derived_json(obj))
-        payload = {"kind": "flock", **sub}
+        payload, lines, ok = _flock_verify_payload(*fl._flock_and_derived_json(obj))
+    del payload[kind]  # the input object itself is not repeated
     lines.insert(0, f"kind: {kind}")
-    return _emit(payload, lines, args, ok)
+    return {"kind": kind, **payload}, lines, ok
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    """convert --direction ..., and project (direction "project")."""
+def _cmd_convert(args: argparse.Namespace) -> Output:
     from . import flocks as fl
     from . import mathon_arcs as ma
 
-    direction = args.direction
     obj = _load_input(args.input)
-    if direction == "flock-to-arc":
-        arc = fl.flock_to_arc(fl.flock_from_json(_unwrap(obj, "flock")[1]))
-        report_json, lines, ok = _arc_verify_payload(arc)
-        payload = {"arc": ma.arc_to_json(arc), "report": report_json}
-    elif direction == "arc-to-flock":
-        F = fl.arc_to_flock(ma.arc_from_json(_unwrap(obj, "arc")[1]))
-        flock_json = fl.flock_to_json(F)
-        sub, lines, ok = _flock_verify_payload(F, flock_json)
-        payload = {"flock": flock_json, **sub}
-    elif direction == "project":
-        from . import projective as pg
+    if args.direction == "flock-to-arc":
+        return _arc_verify_payload(fl.flock_to_arc(fl.flock_from_json(_unwrap(obj, "flock")[1])))
+    arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
+    if args.direction == "arc-to-flock":
+        return _flock_verify_payload(fl.arc_to_flock(arc))
+    # chain
+    raw = fl.project_arc(arc)
+    additive = fl.geometric_to_additive(raw)
+    algebraic = fl.arc_to_flock(arc)
+    ok = additive == algebraic
+    additive_json = fl.flock_to_json(additive)
+    payload = {
+        "raw": fl.flock_to_json(raw),
+        "additive": additive_json,
+        "algebraic": additive_json if ok else fl.flock_to_json(algebraic),
+        "chain_equals_algebraic": ok,
+    }
+    lines = [
+        f"raw planes: {[list(p) for p in raw.planes]}",
+        f"additive planes: {[list(p) for p in additive.planes]}",
+        f"chain equals algebraic: {'PASS' if ok else 'FAIL'}",
+    ]
+    return payload, lines, ok
 
-        arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
-        p = fl.DEFAULT_PROJECTION_POINT if args.p is None else _parse_elements(args.p)
-        F = fl.project_arc(arc, p)
-        flock_json = fl.flock_to_json(F)
-        sub, lines, ok = _flock_verify_payload(F, flock_json)
-        payload = {
-            "flock": flock_json,
-            "projection_point": list(pg.normalize(arc.gf, p)),
-            **sub,
-        }
-    else:  # chain
-        arc = ma.arc_from_json(_unwrap(obj, "arc")[1])
-        raw = fl.project_arc(arc)
-        additive = fl.geometric_to_additive(raw)
-        algebraic = fl.arc_to_flock(arc)
-        ok = additive == algebraic
-        additive_json = fl.flock_to_json(additive)
-        payload = {
-            "raw": fl.flock_to_json(raw),
-            "additive": additive_json,
-            "algebraic": additive_json if ok else fl.flock_to_json(algebraic),
-            "chain_equals_algebraic": ok,
-        }
-        lines = [
-            f"raw planes: {[list(p) for p in raw.planes]}",
-            f"additive planes: {[list(p) for p in additive.planes]}",
-            f"chain equals algebraic: {'PASS' if ok else 'FAIL'}",
-        ]
-    return _emit(payload, lines, args, ok)
+
+def _cmd_project(args: argparse.Namespace) -> Output:
+    from . import flocks as fl
+    from . import mathon_arcs as ma
+    from . import projective as pg
+
+    arc = ma.arc_from_json(_unwrap(_load_input(args.input), "arc")[1])
+    p = fl.DEFAULT_PROJECTION_POINT if args.p is None else _parse_elements(args.p)
+    payload, lines, ok = _flock_verify_payload(fl.project_arc(arc, p))
+    payload["projection_point"] = list(pg.normalize(arc.gf, p))
+    return payload, lines, ok
 
 
 # -- search / rank ------------------------------------------------------------------
@@ -244,7 +239,7 @@ def _record_line(r: SearchRecord) -> str:
     )
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> Output:
     from . import search as se
 
     gf = make_field(args.h, args.modulus)
@@ -252,7 +247,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     example = next((r.example_arc for r in records if r.example_arc), None)
     example_report, ok = None, True
     if example is not None:
-        example_report, _, ok = _arc_verify_payload(example)
+        block, _, ok = _arc_verify_payload(example)
+        example_report = block["report"]
     hist = Counter(str(r.rank) for r in records)
     payload = {
         "q": gf.q,
@@ -274,10 +270,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     if example is not None:
         lines.append(f"example arc verdict: {'PASS' if ok else 'FAIL'}")
-    return _emit(payload, lines, args, ok)
+    return payload, lines, ok
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> Output:
     from . import search as se
 
     gf = make_field(args.h, args.modulus)
@@ -300,7 +296,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         "guaranteed_degree": se.guaranteed_degree(gf.h),
     }
     lines.append(f"rank_histogram={payload['rank_histogram']}")
-    return _emit(payload, lines, args, True)
+    return payload, lines, True
 
 
 # -- parser ------------------------------------------------------------------------
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     proj.add_argument("input", help="path to an arc JSON file, or - for stdin")
     proj.add_argument("--p", default=None, help="projection point, e.g. 1,0,1,0")
     _add_common(proj)
-    proj.set_defaults(func=_cmd_convert, direction="project")
+    proj.set_defaults(func=_cmd_project)
 
     sea = subs.add_parser("search", help="trace-system search over all (H, lambda_d)")
     _add_field(sea)
@@ -397,7 +393,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(*args.func(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,12 +126,9 @@ class GF:
     __slots__ = ("h", "q", "modulus", "_exp", "_log", "_trace_mask", "_dual_basis")
 
     def __init__(self, h: int, modulus: Optional[int] = None):
-        if type(h) is not int or not 1 <= h <= MAX_H:
-            raise ValueError(f"extension degree must be an int in 1..{MAX_H}, got {h!r}")
+        _check_field_args(h, modulus)
         if modulus is None:
             modulus = least_irreducible(h)
-        elif type(modulus) is not int:
-            raise ValueError(f"modulus must be an int, got {modulus!r}")
         elif not is_irreducible(modulus, h):
             raise ValueError(
                 f"modulus {modulus:#b} is not an irreducible polynomial of degree {h}"
@@ -289,7 +286,28 @@ class GF:
         return make_field(h, modulus)
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: make_field(True) is not make_field(1)
+def _check_field_args(h: object, modulus: object) -> None:
+    """Refuse a degree or modulus of the wrong type, or a degree outside 1..MAX_H."""
+    if type(h) is not int or not 1 <= h <= MAX_H:
+        raise ValueError(f"extension degree must be an int in 1..{MAX_H}, got {h!r}")
+    if modulus is not None and type(modulus) is not int:
+        raise ValueError(f"modulus must be an int, got {modulus!r}")
+
+
+#: one GF per (h, modulus) argument pair; only ints and None reach it, so True is not 1
+_field = functools.lru_cache(maxsize=None)(GF)
+
+
 def make_field(h: int, modulus: Optional[int] = None) -> GF:
-    """GF(2^h) with the default (least irreducible) or a caller-chosen modulus."""
-    return GF(h, modulus)
+    """GF(2^h) with the default (least irreducible) or a caller-chosen modulus, built once."""
+    _check_field_args(h, modulus)  # before the cache hashes them
+    return _field(h, modulus)
+
+
+make_field.cache_info = _field.cache_info  # the field cache's figures, as lru_cache gives them
+
+
+def check_field(gf: object) -> None:
+    """Refuse a field argument that is not a GF, with the one message every constructor gives."""
+    if not isinstance(gf, GF):
+        raise ValueError(f"the field must be a GF, got {gf!r}")

@@ -65,7 +65,7 @@ from operator import xor
 from typing import Optional
 
 from . import projective as pg
-from .finite_field import GF
+from .finite_field import GF, check_field
 from .mathon_arcs import MAX_SCAN_STEPS, ClosureError, Conic, DisjointnessError, MathonArc
 from .mathon_arcs import _span_arc, triple_span
 
@@ -181,6 +181,7 @@ class PartialFlock:
     planes: tuple[pg.Coords, ...]
 
     def __post_init__(self) -> None:
+        check_field(self.gf)
         if not isinstance(self.planes, tuple):  # a list would leave the flock unhashable
             raise ValueError("planes must be a tuple")
         if not self.planes:

@@ -38,7 +38,7 @@ from itertools import chain
 from typing import Iterable
 
 from . import projective as pg
-from .finite_field import GF
+from .finite_field import GF, check_field
 
 #: common nucleus of every conic in the family
 NUCLEUS: pg.Coords = (0, 0, 1)
@@ -54,6 +54,13 @@ def _check_elements(gf: GF, **named: object) -> None:
     for name, v in named.items():
         if not gf.is_element(v):
             raise ValueError(f"{name}={v!r} is not an element of GF({gf.q})")
+
+
+def _check_conics(conics: Iterable[object]) -> None:
+    """Refuse any member that is not a Conic, with one message for arcs and seeds."""
+    for c in conics:
+        if not isinstance(c, Conic):
+            raise ValueError(f"a conic set holds only Conic objects, got {c!r}")
 
 
 class ClosureError(ValueError):
@@ -74,6 +81,7 @@ class Conic:
     lam: int
 
     def __post_init__(self) -> None:
+        check_field(self.gf)
         _check_elements(self.gf, alpha=self.alpha, beta=self.beta, lam=self.lam)
         if self.lam == 0:
             raise ValueError("lam must be nonzero")
@@ -146,6 +154,7 @@ class MathonArc:
             raise ValueError("conics must be a tuple")
         if not self.conics:
             raise ValueError("an arc needs at least one conic")
+        _check_conics(self.conics)
         lams = [c.lam for c in self.conics]
         if any(c.gf != self.gf for c in self.conics):
             raise ValueError("conics live in different fields")
@@ -189,6 +198,7 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
     seed = list(seed)
     if not seed:
         raise ValueError("seed must contain at least one conic")
+    _check_conics(seed)
     gf = seed[0].gf
     if any(c.gf != gf for c in seed):
         raise ValueError("seed conics live in different fields")
@@ -218,6 +228,7 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     That subgroup check closes the conic set: any two members compose to
     F_{alpha,1,lam+lam'}, another member, so nothing is closed again.
     """
+    check_field(gf)
     lams = sorted(set(A))
     if not lams:
         raise ValueError("A must be nonempty")

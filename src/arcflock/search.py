@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .finite_field import GF, gf2_add_row, gf2_back_substitute
+from .finite_field import GF, check_field, gf2_add_row, gf2_back_substitute
 from .flocks import synthetic_extension
 from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc, line_scan_fits
 
@@ -73,6 +73,7 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         gf = self.gf
+        check_field(gf)
         if not all(map(gf.is_element, self.H)):
             raise ValueError("H contains values outside the field")
         elems = set(self.H)

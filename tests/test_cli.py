@@ -12,7 +12,7 @@ import pytest
 from arcflock import flocks as fl
 from arcflock import mathon_arcs as ma
 from arcflock import search as se
-from arcflock.cli import main
+from arcflock.cli import build_parser, main
 from arcflock.finite_field import gf2_add_row, make_field
 
 
@@ -735,3 +735,173 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["q"] == 8
+
+
+# -- one writer ----------------------------------------------------------------------
+
+_FIELD = {"h": 3, "modulus": 11}
+BATTERY_INPUTS = {
+    # the degree-4 Denniston arc F_{1,1,lam}, lam in {1, 2, 3}, and its additive flock
+    "arc": {"field": _FIELD,
+            "conics": [{"alpha": 1, "beta": 1, "lambda": lam} for lam in (1, 2, 3)]},
+    "flock": {"field": _FIELD, "planes": [[1, 0, 0, 0], [1, 1, 1, 1], [1, 2, 2, 2], [1, 3, 3, 3]]},
+    # two planes whose sections share a point: the verdict fails
+    "bad_flock": {"field": _FIELD, "planes": [[1, 0, 1, 0], [1, 1, 1, 1]]},
+    "repeated_conic": {"field": _FIELD,
+                       "conics": [{"alpha": 1, "beta": 1, "lambda": 1}] * 2},
+}
+_EACH_FORMAT = [
+    "construct denniston --h 3 --alpha 1 --A 1,2",
+    "construct mathon-extend --h 5 --H 1 --lambda-d 2",
+    "verify {arc}",
+    "verify {flock}",
+    "verify {bad_flock}",
+    "convert --direction arc-to-flock {arc}",
+    "convert --direction flock-to-arc {flock}",
+    "convert --direction chain {arc}",
+    "project {arc}",
+    "project {arc} --p 1,0,2,0",
+    "search --h 5 --d 2",
+    "rank --h 5 --d 2",
+]
+# (argv, the input on stdin), each run once
+BATTERY = [(f"{argv} --format {fmt}", None) for argv in _EACH_FORMAT for fmt in ("json", "text")]
+BATTERY += [
+    ("verify -", "arc"),
+    ("project - --p 1,0,2,0 --format text", "arc"),
+    ("construct denniston --h 3 --alpha 1 --A 1,2 --out {out}", None),
+    ("convert --direction chain {arc} --format text --out {out}", None),
+    ("construct mathon-extend --h 5 --H 1,2 --lambda-d 4 --rho 3", None),
+    ("verify -", "repeated_conic"),
+    ("construct mathon-extend --h 4 --H 1 --lambda-d 2", None),
+]
+
+
+def battery_paths(tmp_path):
+    """The file path of each battery input, written there, and of --out."""
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, obj in BATTERY_INPUTS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    return paths
+
+
+def run_battery(capsys, monkeypatch, tmp_path, argv, stdin):
+    """main's exit status, the text it wrote (to stdout or to --out) and its stderr."""
+    paths = battery_paths(tmp_path)
+    if stdin is not None:
+        # the wrapper form that construct prints
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"arc": BATTERY_INPUTS[stdin]})))
+    code, out, err = run_cli(capsys, *argv.format(**paths).split())
+    if "--out" in argv:
+        assert out == ""
+        with open(paths["out"], encoding="utf-8") as fh:
+            out = fh.read()
+    return code, out, err
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EMPTY = _sha("")
+FROZEN_OUTPUT = {
+    ("construct denniston --h 3 --alpha 1 --A 1,2 --format json", None):
+        (0, "65c6417e156586961db99f39231bcb87d04bc2e2d121616b531e4245694e7729", EMPTY),
+    ("construct denniston --h 3 --alpha 1 --A 1,2 --format text", None):
+        (0, "092573c34be548afa77b4b0f4ec822b27d87c28de7ee44079acac1d6483a082b", EMPTY),
+    ("construct mathon-extend --h 5 --H 1 --lambda-d 2 --format json", None):
+        (0, "bd93e2aa926efcde3bc24faf5760c65646c38c3b7e47c82926b31d9a78628637", EMPTY),
+    ("construct mathon-extend --h 5 --H 1 --lambda-d 2 --format text", None):
+        (0, "48e5eea8340f99f7724419dd9d7e73d4421c415cd582aa5e6dbf8ff954d2176c", EMPTY),
+    ("verify {arc} --format json", None):
+        (0, "c08693ab5117d1802229ed47b480e18b0fa038c189fd89e4f50c9e276377a340", EMPTY),
+    ("verify {arc} --format text", None):
+        (0, "3702ec66561e5910aae7cece9877fe61844e42bb0666765b2eacc4450b354a91", EMPTY),
+    ("verify {flock} --format json", None):
+        (0, "1e3e5027a374c37041eaee1e4a6142976d8f5e5f2deef47a985ea2539c5b5f3e", EMPTY),
+    ("verify {flock} --format text", None):
+        (0, "28f1f6ab68f11807d477c5ff959b2721209eb6a58df8afd68649184f7f638f91", EMPTY),
+    ("verify {bad_flock} --format json", None):
+        (1, "97257d3e3cc33332f45b1c4c25ade1c771962c7cfde7e0d559d0e1350159ad74", EMPTY),
+    ("verify {bad_flock} --format text", None):
+        (1, "976a31ae938a3dfcbe9d5fd802bba544473cfde9803a29cc16ab43c321e698f4", EMPTY),
+    ("convert --direction arc-to-flock {arc} --format json", None):
+        (0, "d1c9c97b9570cc1231cc312c856fb1c68003067627e01f452d0f49731b932a35", EMPTY),
+    ("convert --direction arc-to-flock {arc} --format text", None):
+        (0, "91084114790d09a26adcc2974cb38313b28275faffc4ad06028ce555d0715043", EMPTY),
+    ("convert --direction flock-to-arc {flock} --format json", None):
+        (0, "65c6417e156586961db99f39231bcb87d04bc2e2d121616b531e4245694e7729", EMPTY),
+    ("convert --direction flock-to-arc {flock} --format text", None):
+        (0, "092573c34be548afa77b4b0f4ec822b27d87c28de7ee44079acac1d6483a082b", EMPTY),
+    ("convert --direction chain {arc} --format json", None):
+        (0, "7c6c83c5a1dac1b18979107a06f5fa3c3b411ff340413a4c3e74910573ffa265", EMPTY),
+    ("convert --direction chain {arc} --format text", None):
+        (0, "d7161c7f249b31cb2572c04042c231e984869b7a223458f65fa279db83cd99f4", EMPTY),
+    ("project {arc} --format json", None):
+        (0, "693fadfa7f155c8e78aa67fe3ca4baa90c2ef6e759560b9f9f830e15c627c0be", EMPTY),
+    ("project {arc} --format text", None):
+        (0, "0d1733c350a162ffd8c1a4aa70854a81d2353996ebca9d52edbc2299eadb595b", EMPTY),
+    ("project {arc} --p 1,0,2,0 --format json", None):
+        (0, "ac68ba994cf33ab0907b46f6d1e0dd40eb30aa0fea8874b8b2fdc9b4d99aaf65", EMPTY),
+    ("project {arc} --p 1,0,2,0 --format text", None):
+        (0, "7a80dc175d143ac694902314ae419d8a79c02c6461fc8f3aa63e59c8742ab8c9", EMPTY),
+    ("search --h 5 --d 2 --format json", None):
+        (0, "ee07a1e7af792f6aff0c383dd71b28de818df2abc3666663c7528910e258e9f8", EMPTY),
+    ("search --h 5 --d 2 --format text", None):
+        (0, "67bdb931d2b392b0804e7ea1f5e209cea36b9621a99c71d50e687ef1f9fff1e9", EMPTY),
+    ("rank --h 5 --d 2 --format json", None):
+        (0, "55e351661168f0f68adff0fc3e0ac7501366b02bb4a78a0c568d5266fdda717c", EMPTY),
+    ("rank --h 5 --d 2 --format text", None):
+        (0, "263a774f8d1389d745640dc2cb895b17ea287bde23d728ce5b05f2238b60ced7", EMPTY),
+    ("verify -", "arc"):
+        (0, "c08693ab5117d1802229ed47b480e18b0fa038c189fd89e4f50c9e276377a340", EMPTY),
+    ("project - --p 1,0,2,0 --format text", "arc"):
+        (0, "7a80dc175d143ac694902314ae419d8a79c02c6461fc8f3aa63e59c8742ab8c9", EMPTY),
+    ("construct denniston --h 3 --alpha 1 --A 1,2 --out {out}", None):
+        (0, "65c6417e156586961db99f39231bcb87d04bc2e2d121616b531e4245694e7729", EMPTY),
+    ("convert --direction chain {arc} --format text --out {out}", None):
+        (0, "d7161c7f249b31cb2572c04042c231e984869b7a223458f65fa279db83cd99f4", EMPTY),
+    ("construct mathon-extend --h 5 --H 1,2 --lambda-d 4 --rho 3", None):
+        (2, EMPTY, "f3ab627f5a62313fd3a0d1598814ddab2319714279628f2672e627f781c0278e"),
+    ("verify -", "repeated_conic"):
+        (2, EMPTY, "479c853aa21ae27247d051c5929322ee55f0009d3f1eb68783703725111e212e"),
+    ("construct mathon-extend --h 4 --H 1 --lambda-d 2", None):
+        (2, EMPTY, "4f95705111d63f5831d2562722d5bfc3207f5bd0631b448e3df7e4a002dbf2ea"),
+
+}
+
+
+@pytest.mark.parametrize("argv, stdin", BATTERY, ids=[f"{a}<{s}" if s else a for a, s in BATTERY])
+def test_cli_output_is_frozen(capsys, monkeypatch, tmp_path, argv, stdin):
+    # [FROZEN: the exit status and the sha256 of the output and of stderr, for every
+    # subcommand in both formats, stdin, --out, exit 1 and exit 2]
+    code, out, err = run_battery(capsys, monkeypatch, tmp_path, argv, stdin)
+    assert (code, _sha(out), _sha(err)) == FROZEN_OUTPUT[argv, stdin]
+
+
+# one command line per handler and per branch inside it
+HANDLER_ARGV = [
+    "construct denniston --h 3 --alpha 1 --A 1,2",
+    "construct mathon-extend --h 5 --H 1 --lambda-d 2",
+    "verify {arc}",
+    "verify {bad_flock}",
+    "convert --direction arc-to-flock {arc}",
+    "convert --direction flock-to-arc {flock}",
+    "convert --direction chain {arc}",
+    "project {arc} --p 1,0,2,0",
+    "search --h 5 --d 2",
+    "rank --h 5 --d 2",
+]
+
+
+@pytest.mark.parametrize("argv", HANDLER_ARGV)
+def test_handlers_return_their_output_and_write_nothing(capsys, tmp_path, argv):
+    # only main writes: a handler returns (payload, lines, ok) for _emit
+    args = build_parser().parse_args(argv.format(**battery_paths(tmp_path)).split())
+    result = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(result, tuple) and len(result) == 3
+    payload, lines, ok = result
+    assert isinstance(payload, dict) and isinstance(lines, list) and isinstance(ok, bool)
+    assert all(isinstance(line, str) for line in lines)

@@ -5,6 +5,9 @@ import random
 import oracles
 import pytest
 
+from arcflock import flocks as fl
+from arcflock import mathon_arcs as ma
+from arcflock import search as se
 from arcflock.finite_field import (
     GF,
     MAX_H,
@@ -386,6 +389,33 @@ def test_constructor_validation():
     assert alt.modulus == 25 and alt != make_field(4)
     for a in alt.nonzero_elements():
         assert alt.mul(a, alt.inv(a)) == 1
+
+
+_GF8 = make_field(3)
+_NOT_A_FIELD = "the field must be a GF, got None"
+_NOT_A_CONIC = "a conic set holds only Conic objects, got 'x'"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # refused before the cache hashes the list
+        (lambda: make_field([3]), f"extension degree must be an int in 1..{MAX_H}, got [3]"),
+        (lambda: make_field(3, [11]), "modulus must be an int, got [11]"),
+        (lambda: ma.Conic(None, 1, 1, 1), _NOT_A_FIELD),
+        (lambda: ma.denniston_arc(None, 1, (1,)), _NOT_A_FIELD),
+        (lambda: fl.PartialFlock(None, ((1, 0, 0, 0),)), _NOT_A_FIELD),
+        (lambda: se.GroupSpec(None, (0, 1), 2), _NOT_A_FIELD),
+        (lambda: ma.MathonArc(_GF8, ("x",)), _NOT_A_CONIC),
+        (lambda: ma.close_set(["x"]), _NOT_A_CONIC),
+    ],
+    ids=["make_field-h", "make_field-modulus", "Conic", "denniston_arc",
+         "PartialFlock", "GroupSpec", "MathonArc-member", "close_set"],
+)
+def test_constructors_refuse_malformed_arguments_with_value_error(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_bool_degree_is_refused():
