@@ -23,6 +23,10 @@ trace coordinates v_j = trace(x^j mu), and trace(c mu) = parity(c & v) for
 every c: the bits of c are the coefficients of a linear form in v.
 One GF(2) row reduction, gf2_add_row then gf2_back_substitute, inverts that
 Gram matrix and solves every trace system of the search module.
+
+The module also holds the two bases of the package's value classes, _Value
+and _FrozenValue: equality, hashing and repr are read off a class's
+__slots__, so no class is generated from source when a module loads.
 """
 
 from __future__ import annotations
@@ -311,3 +315,58 @@ def check_field(gf: object) -> None:
     """Refuse a field argument that is not a GF, with the one message every constructor gives."""
     if not isinstance(gf, GF):
         raise ValueError(f"the field must be a GF, got {gf!r}")
+
+
+# -- value classes ------------------------------------------------------------------
+
+
+class _Value:
+    """Base of a mutable value class: type-strict ==, repr and copying from its __slots__.
+
+    A subclass lists its fields as __slots__, in constructor order, and its
+    __init__ checks its arguments, then stores them.  Being mutable, it is
+    unhashable; the repr is Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # rebuilt by its constructor, so copy and pickle need no attribute store
+        return self.__class__, self._fields()
+
+
+class _FrozenValue(_Value):
+    """A _Value that hashes its field tuple and refuses assignment.
+
+    As __setattr__ refuses, __init__ stores each field through its slot's own
+    setter, listed in _setters in slot order: one C-level call, with no name
+    lookup as object.__setattr__ makes.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

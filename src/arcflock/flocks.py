@@ -60,14 +60,13 @@ import itertools
 import json
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from operator import xor
 from typing import Optional
 
 from . import projective as pg
-from .finite_field import GF, check_field
+from .finite_field import GF, _FrozenValue, _Value, check_field
 from .mathon_arcs import MAX_SCAN_STEPS, ClosureError, Conic, DisjointnessError, MathonArc
-from .mathon_arcs import _span_arc, triple_span
+from .mathon_arcs import _check_arc, _span_arc, triple_span
 
 #: vertex of the cone X1 X3 = X2^2
 VERTEX: pg.Coords = (1, 0, 0, 0)
@@ -173,26 +172,33 @@ def sections_disjoint(gf: GF, u: pg.Coords, w: pg.Coords) -> bool:
 # -- partial flocks ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialFlock:
+class PartialFlock(_FrozenValue):
     """A set of planes avoiding the cone vertex, stored in canonical order."""
 
-    gf: GF
-    planes: tuple[pg.Coords, ...]
+    __slots__ = ("gf", "planes")
 
-    def __post_init__(self) -> None:
-        check_field(self.gf)
-        if not isinstance(self.planes, tuple):  # a list would leave the flock unhashable
+    def __init__(self, gf: GF, planes: tuple[pg.Coords, ...]) -> None:
+        check_field(gf)
+        if not isinstance(planes, tuple):  # a list would leave the flock unhashable
             raise ValueError("planes must be a tuple")
-        if not self.planes:
+        if not planes:
             raise ValueError("a partial flock needs at least one plane")
-        norm = [_checked_plane(self.gf, p) for p in self.planes]
-        if list(self.planes) != sorted(set(norm)):
+        norm = [_checked_plane(gf, p) for p in planes]
+        if list(planes) != sorted(set(norm)):
             raise ValueError("planes must be normalized, distinct and sorted")
+        set_gf, set_planes = self._setters
+        set_gf(self, gf)
+        set_planes(self, planes)
 
     @property
     def size(self) -> int:
         return len(self.planes)
+
+
+def _check_flock(F: object) -> None:
+    """Refuse a flock argument that is not a PartialFlock, with one message everywhere."""
+    if not isinstance(F, PartialFlock):
+        raise ValueError(f"the flock must be a PartialFlock, got {F!r}")
 
 
 def base_representation(F: PartialFlock) -> tuple[tuple[int, int, int], ...]:
@@ -204,14 +210,17 @@ def base_representation(F: PartialFlock) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((p[2], p[1], p[3]) for p in F.planes))
 
 
-@dataclass
-class FlockReport:
+class FlockReport(_Value):
     """Pairwise trace values and section intersections of a plane set."""
 
-    q: int
-    size: int
-    section_sizes: tuple[int, ...]
-    pairs: tuple[tuple[tuple[int, int], Optional[int], int], ...]
+    __slots__ = ("q", "size", "section_sizes", "pairs")
+
+    def __init__(self, q: int, size: int, section_sizes: tuple[int, ...],
+                 pairs: tuple[tuple[tuple[int, int], Optional[int], int], ...]) -> None:
+        self.q = q
+        self.size = size
+        self.section_sizes = section_sizes
+        self.pairs = pairs
 
     @property
     def verdict(self) -> bool:
@@ -246,6 +255,7 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
     it overestimates that work; the oracle is refused on it, before any
     section is listed, when it exceeds MAX_SCAN_STEPS.
     """
+    _check_flock(F)
     gf = F.gf
     d = F.size
     if (gf.q + 1) * d * (d + 1) // 2 > MAX_SCAN_STEPS:
@@ -275,12 +285,15 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
     )
 
 
-@dataclass(frozen=True)
-class FlockClassification:
+class FlockClassification(_FrozenValue):
     """Additivity of the base representation and linearity of the plane set."""
 
-    additive: bool
-    linear: bool
+    __slots__ = ("additive", "linear")
+
+    def __init__(self, additive: bool, linear: bool) -> None:
+        set_additive, set_linear = self._setters
+        set_additive(self, additive)
+        set_linear(self, linear)
 
 
 def _flock_span(F: PartialFlock) -> Optional[dict[int, tuple[int, int]]]:
@@ -305,6 +318,7 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
     Linear: all planes share a common line, i.e. the points on every plane
     form a nullspace of dimension 2 (distinct planes meet in at most a line).
     """
+    _check_flock(F)
     linear = F.size == 1 or len(pg.nullspace(F.gf, F.planes, 4)) >= 2
     return FlockClassification(additive=_flock_span(F) is not None, linear=linear)
 
@@ -319,6 +333,7 @@ def arc_to_flock(m: MathonArc) -> PartialFlock:
     [1, alpha*lam, lam, beta*lam]; the plane X0 = 0 completes the flock, so
     the base set is the arc's lam subgroup including 0.
     """
+    _check_arc(m)
     planes = {EMBEDDING_PLANE, *map(_conic_plane, m.conics)}
     return PartialFlock(m.gf, tuple(sorted(planes)))
 
@@ -342,6 +357,7 @@ def flock_to_arc(F: PartialFlock) -> MathonArc:
     span, so nothing is closed again.  A plane whose conic is degenerate, that
     is whose section meets that of X0 = 0, raises ClosureError.
     """
+    _check_flock(F)
     span = _flock_span(F)
     if span is None:
         raise ValueError("only an additive partial flock corresponds to an arc")
@@ -567,13 +583,17 @@ def denniston_line(c1: Conic, c2: Conic) -> pg.Coords:
     )
 
 
-@dataclass(frozen=True)
-class DennistonLineReport:
+class DennistonLineReport(_FrozenValue):
     """All pairwise Denniston lines of an arc and their concurrency."""
 
-    lines: tuple[pg.Coords, ...]
-    concurrent: bool
-    common_point: Optional[pg.Coords]
+    __slots__ = ("lines", "concurrent", "common_point")
+
+    def __init__(self, lines: tuple[pg.Coords, ...], concurrent: bool,
+                 common_point: Optional[pg.Coords]) -> None:
+        set_lines, set_concurrent, set_common_point = self._setters
+        set_lines(self, lines)
+        set_concurrent(self, concurrent)
+        set_common_point(self, common_point)
 
 
 def denniston_lines_concurrent(m: MathonArc) -> DennistonLineReport:
@@ -615,6 +635,7 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     of two planes is that of their sum against X0 = 0, and each sum is in F
     or V + F.  This is the one doubling; arcs double through it.
     """
+    _check_flock(F)
     gf = F.gf
     if _flock_span(F) is None:
         raise ValueError("only an additive partial flock can be extended")

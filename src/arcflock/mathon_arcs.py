@@ -33,12 +33,12 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable
+from typing import Optional
 
 from . import projective as pg
-from .finite_field import GF, check_field
+from .finite_field import GF, _FrozenValue, _Value, check_field
 
 #: common nucleus of every conic in the family
 NUCLEUS: pg.Coords = (0, 0, 1)
@@ -63,6 +63,12 @@ def _check_conics(conics: Iterable[object]) -> None:
             raise ValueError(f"a conic set holds only Conic objects, got {c!r}")
 
 
+def _check_arc(m: object) -> None:
+    """Refuse an arc argument that is not a MathonArc, with one message everywhere."""
+    if not isinstance(m, MathonArc):
+        raise ValueError(f"the arc must be a MathonArc, got {m!r}")
+
+
 class ClosureError(ValueError):
     """A seed set cannot be completed to a closed set of conics."""
 
@@ -71,25 +77,25 @@ class DisjointnessError(ValueError):
     """Two conics that must be disjoint share a point."""
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(_FrozenValue):
     """F_{alpha,beta,lam}; requires trace(alpha*beta) = 1 and lam != 0."""
 
-    gf: GF
-    alpha: int
-    beta: int
-    lam: int
+    __slots__ = ("gf", "alpha", "beta", "lam")
 
-    def __post_init__(self) -> None:
-        check_field(self.gf)
-        _check_elements(self.gf, alpha=self.alpha, beta=self.beta, lam=self.lam)
-        if self.lam == 0:
+    def __init__(self, gf: GF, alpha: int, beta: int, lam: int) -> None:
+        check_field(gf)
+        _check_elements(gf, alpha=alpha, beta=beta, lam=lam)
+        if lam == 0:
             raise ValueError("lam must be nonzero")
-        if self.gf.trace(self.gf.mul(self.alpha, self.beta)) != 1:
+        if gf.trace(gf.mul(alpha, beta)) != 1:
             raise ValueError(
-                f"degenerate conic: trace(alpha*beta) = 0 for "
-                f"alpha={self.alpha}, beta={self.beta}"
+                f"degenerate conic: trace(alpha*beta) = 0 for alpha={alpha}, beta={beta}"
             )
+        set_gf, set_alpha, set_beta, set_lam = self._setters
+        set_gf(self, gf)
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_lam(self, lam)
 
 
 def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:
@@ -142,24 +148,25 @@ def composition_trace(c1: Conic, c2: Conic) -> int:
     return gf.trace(gf.mul(a, b))
 
 
-@dataclass(frozen=True)
-class MathonArc:
+class MathonArc(_FrozenValue):
     """A closed set of pairwise disjoint conics plus their common nucleus."""
 
-    gf: GF
-    conics: tuple[Conic, ...]
+    __slots__ = ("gf", "conics")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.conics, tuple):  # a list would leave the arc unhashable
+    def __init__(self, gf: GF, conics: tuple[Conic, ...]) -> None:
+        if not isinstance(conics, tuple):  # a list would leave the arc unhashable
             raise ValueError("conics must be a tuple")
-        if not self.conics:
+        if not conics:
             raise ValueError("an arc needs at least one conic")
-        _check_conics(self.conics)
-        lams = [c.lam for c in self.conics]
-        if any(c.gf != self.gf for c in self.conics):
+        _check_conics(conics)
+        lams = [c.lam for c in conics]
+        if any(c.gf != gf for c in conics):
             raise ValueError("conics live in different fields")
         if sorted(set(lams)) != lams:
             raise ValueError("conics must be sorted by lam with no repeats")
+        set_gf, set_conics = self._setters
+        set_gf(self, gf)
+        set_conics(self, conics)
 
     @property
     def degree(self) -> int:
@@ -195,6 +202,8 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
     a member is degenerate; else, by Mathon's theorem, the members are
     pairwise disjoint, as any two compose to a third, nondegenerate one.
     """
+    if not isinstance(seed, Iterable):
+        raise ValueError(f"a seed is an iterable of conics, got {seed!r}")
     seed = list(seed)
     if not seed:
         raise ValueError("seed must contain at least one conic")
@@ -229,7 +238,13 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     F_{alpha,1,lam+lam'}, another member, so nothing is closed again.
     """
     check_field(gf)
-    lams = sorted(set(A))
+    if not isinstance(A, Iterable):
+        raise ValueError(f"A must be an iterable of field elements, got {A!r}")
+    lams = list(A)
+    for l in lams:  # a non-int would not sort with the ints; the ints are checked below
+        if type(l) is not int:
+            _check_elements(gf, lam=l)
+    lams = sorted(set(lams))
     if not lams:
         raise ValueError("A must be nonempty")
     if 0 in lams:
@@ -262,19 +277,23 @@ def _check_line_scan(q: int, size: int) -> None:
 
 def arc_points(m: MathonArc) -> frozenset[pg.Coords]:
     """All q(d-1) + d points of the arc, the conics plus the nucleus, if their scan fits."""
+    _check_arc(m)
     _check_line_scan(m.gf.q, arc_size(m.gf.q, m.degree))
     return frozenset({NUCLEUS}).union(*map(conic_points, m.conics))
 
 
-@dataclass
-class MaximalArcReport:
-    """Line-intersection histogram of a candidate point set."""
+class MaximalArcReport(_Value):
+    """Line-intersection histogram of a candidate point set; a fresh {} by default."""
 
-    q: int
-    degree: int
-    size: int
-    expected_size: int
-    histogram: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("q", "degree", "size", "expected_size", "histogram")
+
+    def __init__(self, q: int, degree: int, size: int, expected_size: int,
+                 histogram: Optional[dict[int, int]] = None) -> None:
+        self.q = q
+        self.degree = degree
+        self.size = size
+        self.expected_size = expected_size
+        self.histogram = {} if histogram is None else histogram
 
     @property
     def verdict(self) -> bool:
@@ -342,6 +361,7 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     point must be a tuple of three field elements, not all 0; each tuple
     counts once, as given.
     """
+    check_field(gf)
     q, mul, inv = gf.q, gf.mul, gf.inv
     if type(d) is not int or d < 2:
         raise ValueError(f"a maximal arc has an int degree at least 2, got d = {d!r}")

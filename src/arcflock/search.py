@@ -43,10 +43,9 @@ enumerated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
-from .finite_field import GF, check_field, gf2_add_row, gf2_back_substitute
+from .finite_field import GF, _FrozenValue, _Value, check_field, gf2_add_row, gf2_back_substitute
 from .flocks import synthetic_extension
 from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc, line_scan_fits
 
@@ -58,8 +57,7 @@ from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc,
 MAX_SURVEY_ELEMENTS = 1 << 23
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_FrozenValue):
     """An additive subgroup H containing 1 plus a coset representative outside it.
 
     H is stored as the sorted tuple of all its elements (0 included); the
@@ -67,17 +65,14 @@ class GroupSpec:
     arc built from this spec.
     """
 
-    gf: GF
-    H: tuple[int, ...]
-    lambda_d: int
+    __slots__ = ("gf", "H", "lambda_d")
 
-    def __post_init__(self) -> None:
-        gf = self.gf
+    def __init__(self, gf: GF, H: tuple[int, ...], lambda_d: int) -> None:
         check_field(gf)
-        if not all(map(gf.is_element, self.H)):
+        if not all(map(gf.is_element, H)):
             raise ValueError("H contains values outside the field")
-        elems = set(self.H)
-        if tuple(sorted(elems)) != self.H or len(elems) != len(self.H):
+        elems = set(H)
+        if tuple(sorted(elems)) != H or len(elems) != len(H):
             raise ValueError("H must be a sorted tuple of distinct elements")
         if 0 not in elems:
             raise ValueError("H must contain 0")
@@ -85,17 +80,22 @@ class GroupSpec:
             raise ValueError("H must contain 1")
         if gf.additive_span(elems - {0}) != elems:
             raise ValueError("H must be closed under addition")
-        if not gf.is_element(self.lambda_d):
+        if not gf.is_element(lambda_d):
             raise ValueError("lambda_d lies outside the field")
-        if self.lambda_d in elems:
+        if lambda_d in elems:
             raise ValueError("lambda_d must lie outside H")
+        set_gf, set_H, set_lambda_d = self._setters
+        set_gf(self, gf)
+        set_H(self, H)
+        set_lambda_d(self, lambda_d)
 
     def _with_lambda_d(self, lambda_d: int) -> "GroupSpec":
         """This spec with another lambda_d outside H, without checking H again."""
         spec = object.__new__(GroupSpec)
-        object.__setattr__(spec, "gf", self.gf)  # as the frozen dataclass's __init__ does
-        object.__setattr__(spec, "H", self.H)
-        object.__setattr__(spec, "lambda_d", lambda_d)
+        set_gf, set_H, set_lambda_d = self._setters
+        set_gf(spec, self.gf)
+        set_H(spec, self.H)
+        set_lambda_d(spec, lambda_d)
         return spec
 
     @property
@@ -104,18 +104,21 @@ class GroupSpec:
         return len(self.H)
 
 
-@dataclass(frozen=True)
-class TraceConditionSystem:
+class TraceConditionSystem(_FrozenValue):
     """The full affine system for a GroupSpec: conditions plus target epsilon.
 
     Condition trace(c * mu) = epsilon is stored as its multiplier c, one per
     lam in group.H[1:], in that order.
     """
 
-    gf: GF
-    group: GroupSpec
-    epsilon: int
-    conditions: tuple[int, ...]
+    __slots__ = ("gf", "group", "epsilon", "conditions")
+
+    def __init__(self, gf: GF, group: GroupSpec, epsilon: int, conditions: tuple[int, ...]) -> None:
+        set_gf, set_group, set_epsilon, set_conditions = self._setters
+        set_gf(self, gf)
+        set_group(self, group)
+        set_epsilon(self, epsilon)
+        set_conditions(self, conditions)
 
 
 def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
@@ -137,38 +140,31 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
 # -- solving the system over GF(2) ---------------------------------------------
 
 
-def _eliminate(system: TraceConditionSystem) -> tuple[dict[int, tuple[int, int]], int, int, int]:
-    """One elimination: the conditions, then the row trace((lambda_d + 1) mu) = epsilon.
+def _eliminate(system: TraceConditionSystem) -> tuple[dict[int, tuple[int, int]], int]:
+    """One elimination of the conditions, each row its multiplier.
 
-    That last row is trace(beta) = 1 rewritten, since trace(beta) =
-    trace((lambda_d + 1) mu) + trace(1).  The unknowns are the trace
-    coordinates of mu, so each row is the condition's multiplier itself.
-    Returns the echelon form of the whole system, the rank of the conditions
-    alone, and the number of mu (zero included) solving the conditions alone
-    and the whole system: 2^(h - rank) of each, or 0 when inconsistent.
+    The unknowns are the trace coordinates of mu.  Returns the echelon form
+    and the number of mu (zero included) solving the conditions:
+    2^(h - rank), or 0 when they are inconsistent.
     """
-    h = system.gf.h
     eps = system.epsilon
     echelon: dict[int, tuple[int, int]] = {}
     consistent = True
     for c in system.conditions:
         consistent &= not gf2_add_row(echelon, c, eps)
-    rank = len(echelon)
-    num_mu = (1 << (h - rank)) if consistent else 0
-    if consistent and not gf2_add_row(echelon, system.group.lambda_d ^ 1, eps):
-        num_valid_mu = 1 << (h - len(echelon))
-    else:
-        num_valid_mu = 0
-    return echelon, rank, num_mu, num_valid_mu
+    return echelon, (1 << (system.gf.h - len(echelon))) if consistent else 0
 
 
-@dataclass(frozen=True)
-class RankAnalysis:
+class RankAnalysis(_FrozenValue):
     """Rank of the condition functionals and the size of the mu solution space."""
 
-    rank: int
-    solution_count: int
-    independent: bool
+    __slots__ = ("rank", "solution_count", "independent")
+
+    def __init__(self, rank: int, solution_count: int, independent: bool) -> None:
+        set_rank, set_solution_count, set_independent = self._setters
+        set_rank(self, rank)
+        set_solution_count(self, solution_count)
+        set_independent(self, independent)
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "solution_count": self.solution_count,
@@ -177,7 +173,8 @@ class RankAnalysis:
 
 def rank_analysis(system: TraceConditionSystem) -> RankAnalysis:
     """GF(2)-rank of the conditions; solution count 2^(h-rank), or 0 if inconsistent."""
-    _, rank, num_mu, _ = _eliminate(system)
+    echelon, num_mu = _eliminate(system)
+    rank = len(echelon)
     return RankAnalysis(rank, num_mu, rank == len(system.conditions))
 
 
@@ -211,9 +208,16 @@ def _valid_rho(gf: GF, echelon: dict[int, tuple[int, int]], scale: int = 1) -> f
 
 
 def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
-    """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1."""
-    echelon, _, _, num_valid_mu = _eliminate(system)
-    return _valid_rho(system.gf, echelon) if num_valid_mu else frozenset()
+    """All valid rho: the trace system holds for mu = 1/rho and trace(beta) = 1.
+
+    Validity adds the row trace((lambda_d + 1) mu) = epsilon to the conditions:
+    trace(beta) = 1 rewritten, since trace(beta) = trace((lambda_d + 1) mu) +
+    trace(1).
+    """
+    echelon, num_mu = _eliminate(system)
+    if num_mu and not gf2_add_row(echelon, system.group.lambda_d ^ 1, system.epsilon):
+        return _valid_rho(system.gf, echelon)
+    return frozenset()
 
 
 # -- arc construction ------------------------------------------------------------
@@ -252,18 +256,23 @@ def construct_extension_arc(spec: GroupSpec, rho: int) -> MathonArc:
 # -- per-pair search records -------------------------------------------------------
 
 
-@dataclass
-class SearchRecord:
+class SearchRecord(_Value):
     """Outcome of the solver for one (H, lambda_d) pair."""
 
-    q: int
-    H: tuple[int, ...]
-    lambda_d: int
-    epsilon: int
-    rank: int
-    num_rho_prefilter: int
-    num_rho_valid: int
-    example_arc: Optional[MathonArc] = None
+    __slots__ = ("q", "H", "lambda_d", "epsilon", "rank", "num_rho_prefilter", "num_rho_valid",
+                 "example_arc")
+
+    def __init__(self, q: int, H: tuple[int, ...], lambda_d: int, epsilon: int, rank: int,
+                 num_rho_prefilter: int, num_rho_valid: int,
+                 example_arc: Optional[MathonArc] = None) -> None:
+        self.q = q
+        self.H = H
+        self.lambda_d = lambda_d
+        self.epsilon = epsilon
+        self.rank = rank
+        self.num_rho_prefilter = num_rho_prefilter
+        self.num_rho_valid = num_rho_valid
+        self.example_arc = example_arc
 
     def to_json(self) -> dict:
         return {
@@ -338,7 +347,8 @@ def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecor
 
 
 def _order_log2(gf: GF, order: int) -> int:
-    """k for a subgroup order 2^k; the order must be a power of two in 2..q."""
+    """k for a subgroup order 2^k of a field; the order must be a power of two in 2..q."""
+    check_field(gf)
     if type(order) is not int or order < 2 or order & (order - 1):
         raise ValueError("order must be a power of two, at least 2")
     if order > gf.q:
@@ -352,7 +362,8 @@ def _survey_size(gf: GF, order: int) -> int:
     The subgroups of order 2^k containing 1 correspond to the (k-1)-dimensional
     subspaces of GF(2)^h / <1>, counted by the Gaussian binomial [h-1, k-1]_2.
     """
-    n, k = gf.h - 1, _order_log2(gf, order) - 1
+    k = _order_log2(gf, order) - 1
+    n = gf.h - 1
     subgroups = 1
     for i in range(k):
         subgroups = subgroups * ((1 << (n - i)) - 1) // ((1 << (i + 1)) - 1)

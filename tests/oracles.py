@@ -11,7 +11,6 @@ projection from the nuclear line, subgroups by growing every intermediate
 level, and trace systems solved by evaluating every condition at every mu.
 """
 
-import dataclasses
 import itertools
 from collections import Counter
 from typing import Iterable, Sequence
@@ -354,7 +353,7 @@ def scan_trace_system(
     """
     gf = system.gf
     top = system.group.lambda_d ^ 1
-    kernel = mu_solutions_scan(dataclasses.replace(system, epsilon=0))
+    kernel = mu_solutions_scan(se.TraceConditionSystem(gf, system.group, 0, system.conditions))
     rank = gf.h - (len(kernel).bit_length() - 1)
     nonzero = [mu for mu in mu_solutions_scan(system) if mu]
     prefilter = frozenset(gf.inv(mu) for mu in nonzero)

@@ -418,6 +418,38 @@ def test_constructors_refuse_malformed_arguments_with_value_error(build, message
     assert str(exc.value) == message
 
 
+_NOT_AN_ARC = "the arc must be a MathonArc, got None"
+_NOT_A_FLOCK = "the flock must be a PartialFlock, got None"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: se.search_field(None, 2), _NOT_A_FIELD),
+        (lambda: se.enumerate_group_specs(None, 2), _NOT_A_FIELD),
+        (lambda: se.additive_subgroups_containing_one(None, 2), _NOT_A_FIELD),
+        (lambda: ma.verify_maximal_arc(None, [], 2), _NOT_A_FIELD),
+        (lambda: ma.arc_points(None), _NOT_AN_ARC),
+        (lambda: fl.arc_to_flock(None), _NOT_AN_ARC),
+        (lambda: fl.flock_to_arc(None), _NOT_A_FLOCK),
+        (lambda: fl.verify_partial_flock(None), _NOT_A_FLOCK),
+        (lambda: fl.classify_flock(None), _NOT_A_FLOCK),
+        (lambda: fl.extend_flock(None, (1, 1, 1, 1)), _NOT_A_FLOCK),
+        (lambda: ma.denniston_arc(_GF8, 1, [1, "x"]), "lam='x' is not an element of GF(8)"),
+        (lambda: ma.denniston_arc(_GF8, 1, None),
+         "A must be an iterable of field elements, got None"),
+        (lambda: ma.close_set(None), "a seed is an iterable of conics, got None"),
+    ],
+    ids=["search_field", "enumerate_group_specs", "additive_subgroups", "verify_maximal_arc",
+         "arc_points", "arc_to_flock", "flock_to_arc", "verify_partial_flock", "classify_flock",
+         "extend_flock", "denniston_arc-member", "denniston_arc-A", "close_set"],
+)
+def test_library_entry_points_refuse_malformed_arguments_with_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_bool_degree_is_refused():
     make_field(1)  # a cached GF(2) must not answer for make_field(True)
     for build in (GF, make_field):

@@ -2,12 +2,13 @@
 
 The first two checks read the source of src/arcflock/ with ``ast``, so a
 test-only helper that drifts back into the package fails here by name; the
-naive definitions live in tests/oracles.py.  The rest check the lazy
-namespace of ``arcflock/__init__.py`` and, in fresh processes, which modules
-each CLI command loads.
+naive definitions live in tests/oracles.py.  Then come the lazy namespace of
+``arcflock/__init__.py``, which modules each CLI command loads in a fresh
+process, and the contract of the eleven value classes.
 """
 
 import ast
+import copy
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 import arcflock
 from arcflock import flocks as fl
 from arcflock import mathon_arcs as ma
+from arcflock import search as se
 from arcflock.finite_field import make_field
 
 MODULES = {
@@ -108,11 +110,11 @@ def test_a_fresh_process_reaches_submodules_through_the_package():
     assert proc.stdout == "plane_section enumerate_group_specs\n"
 
 
-# python -m arcflock ARGS, then the arcflock modules loaded, on stderr
+# python -m arcflock ARGS, then the arcflock modules and dataclasses or inspect if loaded, on stderr
 _RUN_CLI = """
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("arcflock.")),
-                              file=sys.stderr))
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith("arcflock.")
+                                      or m in ("dataclasses", "inspect")), file=sys.stderr))
 sys.argv[0] = "arcflock"
 runpy.run_module("arcflock", run_name="__main__", alter_sys=True)
 """
@@ -132,11 +134,88 @@ _FLOCK_JSON = json.dumps(fl.flock_to_json(fl.arc_to_flock(_ARC)))
         (["convert", "--direction", "arc-to-flock", "-"], _ARC_JSON, {"search"}),
         (["project", "-"], _ARC_JSON, {"search"}),
         (["verify", "-"], _FLOCK_JSON, {"search"}),
+        (["rank", "--h", "6", "--d", "4"], "", set()),
+        (["search", "--h", "7", "--d", "2"], "", set()),
+        (["construct", "mathon-extend", "--h", "7", "--H", "1,2", "--lambda-d", "5"], "", set()),
     ],
-    ids=["help", "construct-denniston", "verify-arc", "convert", "project", "verify-flock"],
+    ids=["help", "construct-denniston", "verify-arc", "convert", "project", "verify-flock",
+         "rank", "search", "construct-mathon-extend"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, stdin, unloaded):
     proc = _fresh(_RUN_CLI, *argv, stdin=stdin)
     loaded = set(proc.stderr.split())
     assert "arcflock.cli" in loaded
     assert loaded.isdisjoint(f"arcflock.{m}" for m in unloaded), sorted(loaded)
+    # the value classes are plain slotted classes: no command compiles a class generator
+    assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)
+
+
+# -- the value classes ------------------------------------------------------------
+
+_GF8 = make_field(3)
+_F8 = "GF(2^3, modulus=0b1011)"
+_CONIC = ma.Conic(_GF8, 1, 1, 1)
+_SPEC = se.GroupSpec(_GF8, (0, 1), 2)
+_MUTABLE = {ma.MaximalArcReport, fl.FlockReport, se.SearchRecord}
+_DEFAULTS = {ma.MaximalArcReport: {"histogram": {}}, se.SearchRecord: {"example_arc": None}}
+
+_VALUE_CASES = [
+    (ma.Conic, dict(gf=_GF8, alpha=1, beta=1, lam=1),
+     f"Conic(gf={_F8}, alpha=1, beta=1, lam=1)"),
+    (ma.MathonArc, dict(gf=_GF8, conics=(_CONIC,)),
+     f"MathonArc(gf={_F8}, conics=(Conic(gf={_F8}, alpha=1, beta=1, lam=1),))"),
+    (ma.MaximalArcReport, dict(q=8, degree=2, size=10, expected_size=10,
+                               histogram={0: 28, 2: 45}),
+     "MaximalArcReport(q=8, degree=2, size=10, expected_size=10, histogram={0: 28, 2: 45})"),
+    (fl.PartialFlock, dict(gf=_GF8, planes=((1, 0, 0, 0),)),
+     f"PartialFlock(gf={_F8}, planes=((1, 0, 0, 0),))"),
+    (fl.FlockReport, dict(q=8, size=2, section_sizes=(9, 9), pairs=(((0, 1), 1, 0),)),
+     "FlockReport(q=8, size=2, section_sizes=(9, 9), pairs=(((0, 1), 1, 0),))"),
+    (fl.FlockClassification, dict(additive=True, linear=False),
+     "FlockClassification(additive=True, linear=False)"),
+    (fl.DennistonLineReport, dict(lines=((1, 0, 0),), concurrent=True, common_point=None),
+     "DennistonLineReport(lines=((1, 0, 0),), concurrent=True, common_point=None)"),
+    (se.GroupSpec, dict(gf=_GF8, H=(0, 1), lambda_d=2),
+     f"GroupSpec(gf={_F8}, H=(0, 1), lambda_d=2)"),
+    (se.TraceConditionSystem, dict(gf=_GF8, group=_SPEC, epsilon=0, conditions=(5,)),
+     f"TraceConditionSystem(gf={_F8}, group=GroupSpec(gf={_F8}, H=(0, 1), lambda_d=2),"
+     " epsilon=0, conditions=(5,))"),
+    (se.RankAnalysis, dict(rank=1, solution_count=4, independent=True),
+     "RankAnalysis(rank=1, solution_count=4, independent=True)"),
+    (se.SearchRecord, dict(q=8, H=(0, 1), lambda_d=2, epsilon=0, rank=1, num_rho_prefilter=3,
+                           num_rho_valid=3, example_arc=ma.MathonArc(_GF8, (_CONIC,))),
+     f"SearchRecord(q=8, H=(0, 1), lambda_d=2, epsilon=0, rank=1, num_rho_prefilter=3,"
+     f" num_rho_valid=3, example_arc=MathonArc(gf={_F8}, conics=(Conic(gf={_F8}, alpha=1,"
+     " beta=1, lam=1),)))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", _VALUE_CASES,
+                         ids=[cls.__name__ for cls, _, _ in _VALUE_CASES])
+def test_value_class_contract(cls, fields, text):
+    """Construction, equality, hashing, assignment and repr, as the package's records promise."""
+    value = cls(**fields)
+    assert value == cls(*fields.values()) and repr(value) == text
+    assert getattr(value, next(iter(fields))) is next(iter(fields.values()))
+    # equality is type-strict: a subclass with the same fields, or the field tuple, is unequal
+    assert value != type(cls.__name__, (cls,), {})(**fields)
+    assert value != tuple(fields.values()) and value.__eq__(object()) is NotImplemented
+    assert copy.deepcopy(value) == value
+    defaults = _DEFAULTS.get(cls, {})
+    required = {k: v for k, v in fields.items() if k not in defaults}
+    first, second = cls(**required), cls(*required.values())
+    for k, v in defaults.items():  # a default dict is fresh per object
+        assert getattr(first, k) == v and (v is None or getattr(first, k) is not getattr(second, k))
+    name, other = next(iter(fields)), object()
+    if cls in _MUTABLE:
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
+        setattr(value, name, other)
+        assert getattr(value, name) is other
+    else:
+        assert hash(value) == hash(cls(*fields.values())) == hash(tuple(fields.values()))
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, other)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        assert value == cls(**fields)
