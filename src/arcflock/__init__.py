@@ -54,6 +54,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "plane_compose",
         "plane_section",
         "project_arc",
+        "project_conic_to_plane",
+        "projection_singular_plane",
         "singular_plane",
         "synthetic_extension",
         "verify_partial_flock",

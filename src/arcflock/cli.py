@@ -124,12 +124,11 @@ def _arc_verify_payload(arc: MathonArc) -> Output:
     return {"arc": ma.arc_to_json(arc), "report": report.to_json()}, lines, report.verdict
 
 
-def _flock_verify_payload(F: PartialFlock, flock_json: Optional[dict] = None) -> Output:
-    """The flock block: the flock's JSON (flock_to_json(F) if not given), report and classes."""
+def _flock_verify_payload(F: PartialFlock) -> Output:
+    """The flock block: the flock's JSON, its section-oracle report and classification."""
     from . import flocks as fl
 
-    if flock_json is None:
-        flock_json = fl.flock_to_json(F)
+    flock_json = fl.flock_to_json(F)
     report = fl.verify_partial_flock(F)
     cls = {key: flock_json[key] for key in ("additive", "linear")}
     lines = [
@@ -179,7 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
     else:
         from . import flocks as fl
 
-        payload, lines, ok = _flock_verify_payload(*fl._flock_and_derived_json(obj))
+        payload, lines, ok = _flock_verify_payload(fl.flock_from_json(obj))
     del payload[kind]  # the input object itself is not repeated
     lines.insert(0, f"kind: {kind}")
     return {"kind": kind, **payload}, lines, ok

@@ -32,9 +32,11 @@ __slots__, so no class is generated from source when a module loads.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TypeVar
 
 MAX_H = 16
+
+_T = TypeVar("_T")
 
 
 def _clmul(a: int, b: int) -> int:
@@ -71,6 +73,7 @@ def is_irreducible(poly: int, h: int) -> bool:
 
 def least_irreducible(h: int) -> int:
     """The lexicographically least irreducible polynomial of degree h."""
+    _check_field_args(h, None)
     for cand in range((1 << h) + 1, 1 << (h + 1), 2):
         if is_irreducible(cand, h):
             return cand
@@ -311,10 +314,16 @@ def make_field(h: int, modulus: Optional[int] = None) -> GF:
 make_field.cache_info = _field.cache_info  # the field cache's figures, as lru_cache gives them
 
 
-def check_field(gf: object) -> None:
-    """Refuse a field argument that is not a GF, with the one message every constructor gives."""
-    if not isinstance(gf, GF):
-        raise ValueError(f"the field must be a GF, got {gf!r}")
+def check_kind(value: object, kind: type[_T], role: str) -> _T:
+    """The value, if it is an instance of kind; else the one refusal of a wrong-kind argument.
+
+    Every entry that takes a field, conic, arc, flock or group spec checks it
+    here, e.g. check_kind(gf, GF, "field") or check_kind(spec, GroupSpec,
+    "spec").gf, so a wrong kind raises ValueError naming its role.
+    """
+    if not isinstance(value, kind):
+        raise ValueError(f"the {role} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 # -- value classes ------------------------------------------------------------------

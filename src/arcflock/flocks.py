@@ -64,9 +64,9 @@ from operator import xor
 from typing import Optional
 
 from . import projective as pg
-from .finite_field import GF, _FrozenValue, _Value, check_field
+from .finite_field import GF, _FrozenValue, _Value, check_kind
 from .mathon_arcs import MAX_SCAN_STEPS, ClosureError, Conic, DisjointnessError, MathonArc
-from .mathon_arcs import _check_arc, _span_arc, triple_span
+from .mathon_arcs import _span_arc, triple_span
 
 #: vertex of the cone X1 X3 = X2^2
 VERTEX: pg.Coords = (1, 0, 0, 0)
@@ -131,6 +131,7 @@ def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
     log x0 from the logs of its coordinates.  Planes through the vertex
     (u0 = 0) are refused.
     """
+    check_kind(gf, GF, "field")
     square_logs = _square_logs(gf)
     column = _x0_column(gf, square_logs, _checked_plane(gf, plane))
     n = gf.q - 1
@@ -178,7 +179,7 @@ class PartialFlock(_FrozenValue):
     __slots__ = ("gf", "planes")
 
     def __init__(self, gf: GF, planes: tuple[pg.Coords, ...]) -> None:
-        check_field(gf)
+        check_kind(gf, GF, "field")
         if not isinstance(planes, tuple):  # a list would leave the flock unhashable
             raise ValueError("planes must be a tuple")
         if not planes:
@@ -193,12 +194,6 @@ class PartialFlock(_FrozenValue):
     @property
     def size(self) -> int:
         return len(self.planes)
-
-
-def _check_flock(F: object) -> None:
-    """Refuse a flock argument that is not a PartialFlock, with one message everywhere."""
-    if not isinstance(F, PartialFlock):
-        raise ValueError(f"the flock must be a PartialFlock, got {F!r}")
 
 
 def base_representation(F: PartialFlock) -> tuple[tuple[int, int, int], ...]:
@@ -255,7 +250,7 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
     it overestimates that work; the oracle is refused on it, before any
     section is listed, when it exceeds MAX_SCAN_STEPS.
     """
-    _check_flock(F)
+    check_kind(F, PartialFlock, "flock")
     gf = F.gf
     d = F.size
     if (gf.q + 1) * d * (d + 1) // 2 > MAX_SCAN_STEPS:
@@ -318,7 +313,7 @@ def classify_flock(F: PartialFlock) -> FlockClassification:
     Linear: all planes share a common line, i.e. the points on every plane
     form a nullspace of dimension 2 (distinct planes meet in at most a line).
     """
-    _check_flock(F)
+    check_kind(F, PartialFlock, "flock")
     linear = F.size == 1 or len(pg.nullspace(F.gf, F.planes, 4)) >= 2
     return FlockClassification(additive=_flock_span(F) is not None, linear=linear)
 
@@ -333,7 +328,7 @@ def arc_to_flock(m: MathonArc) -> PartialFlock:
     [1, alpha*lam, lam, beta*lam]; the plane X0 = 0 completes the flock, so
     the base set is the arc's lam subgroup including 0.
     """
-    _check_arc(m)
+    check_kind(m, MathonArc, "arc")
     planes = {EMBEDDING_PLANE, *map(_conic_plane, m.conics)}
     return PartialFlock(m.gf, tuple(sorted(planes)))
 
@@ -357,7 +352,7 @@ def flock_to_arc(F: PartialFlock) -> MathonArc:
     span, so nothing is closed again.  A plane whose conic is degenerate, that
     is whose section meets that of X0 = 0, raises ClosureError.
     """
-    _check_flock(F)
+    check_kind(F, PartialFlock, "flock")
     span = _flock_span(F)
     if span is None:
         raise ValueError("only an additive partial flock corresponds to an arc")
@@ -379,7 +374,12 @@ def _projection_parameter(gf: GF, p: pg.Coords) -> int:
 
 def projection_singular_plane(gf: GF, p: pg.Coords) -> pg.Coords:
     """The plane through p whose projection collapses onto the line z = 0."""
-    y = _projection_parameter(gf, p)
+    check_kind(gf, GF, "field")
+    return _singular_projection_plane(gf, _projection_parameter(gf, p))
+
+
+def _singular_projection_plane(gf: GF, y: int) -> pg.Coords:
+    """projection_singular_plane from the checked point (1,0,y,0)."""
     return pg.normalize(gf, (y, 0, 1, 0))
 
 
@@ -394,8 +394,12 @@ def project_conic_to_plane(
     sqrt(beta) X3.  So the plane is [y sqrt(lam), sqrt(alpha), sqrt(lam)+1,
     sqrt(beta)].
     """
-    gf = c.gf
-    y = _projection_parameter(gf, p)
+    gf = check_kind(c, Conic, "conic").gf
+    return _projected_conic_plane(gf, _projection_parameter(gf, p), c)
+
+
+def _projected_conic_plane(gf: GF, y: int, c: Conic) -> pg.Coords:
+    """project_conic_to_plane from the checked point (1,0,y,0)."""
     sl = gf.sqrt(c.lam)
     plane = (gf.mul(y, sl), gf.sqrt(c.alpha), sl ^ 1, gf.sqrt(c.beta))
     return pg.normalize(gf, plane)
@@ -409,11 +413,13 @@ def project_arc(
     The result is a genuine partial flock (its sections project bijectively
     onto the disjoint conics and the external line z = 0) but in general it
     is not additive; the coefficient chain in geometric_to_additive rewrites
-    it into the additive flock of the same arc.
+    it into the additive flock of the same arc.  The arc and p are checked once.
     """
-    planes = {project_conic_to_plane(c, p) for c in m.conics}
-    planes.add(projection_singular_plane(m.gf, p))
-    return PartialFlock(m.gf, tuple(sorted(planes)))
+    gf = check_kind(m, MathonArc, "arc").gf
+    y = _projection_parameter(gf, p)
+    planes = {_projected_conic_plane(gf, y, c) for c in m.conics}
+    planes.add(_singular_projection_plane(gf, y))
+    return PartialFlock(gf, tuple(sorted(planes)))
 
 
 # -- the coefficient chain between the raw and the additive picture -----------------
@@ -480,7 +486,7 @@ def additive_to_raw_plane(gf: GF, u: pg.Coords) -> pg.Coords:
 
 def geometric_to_additive(F: PartialFlock) -> PartialFlock:
     """Rewrite a raw projection flock into the additive flock of its arc."""
-    gf = F.gf
+    gf = check_kind(F, PartialFlock, "flock").gf
     return PartialFlock(
         gf, tuple(sorted(raw_to_additive_plane(gf, p) for p in F.planes))
     )
@@ -488,7 +494,7 @@ def geometric_to_additive(F: PartialFlock) -> PartialFlock:
 
 def additive_to_geometric(F: PartialFlock) -> PartialFlock:
     """Rewrite an additive flock into the raw picture of the default projection."""
-    gf = F.gf
+    gf = check_kind(F, PartialFlock, "flock").gf
     return PartialFlock(
         gf, tuple(sorted(additive_to_raw_plane(gf, p) for p in F.planes))
     )
@@ -532,6 +538,7 @@ def plane_compose(gf: GF, V: pg.Coords, W: pg.Coords) -> pg.Coords:
     line, and its section projects onto the composition of the two projected
     conics.
     """
+    check_kind(gf, GF, "field")
     disjoint = sections_disjoint(gf, V, W)  # the one check of V and W
     a1, b1, c1 = _standard_form(gf, V)
     a2, b2, c2 = _standard_form(gf, W)
@@ -551,6 +558,7 @@ def singular_plane(gf: GF, V: pg.Coords, W: pg.Coords) -> pg.Coords:
     Computed as the coefficientwise sum of the two standard equations.  Its
     trace in X0 = 0 is the Denniston line of the two projected conics.
     """
+    check_kind(gf, GF, "field")
     a1, b1, c1 = standardize_plane(gf, V)
     a2, b2, c2 = standardize_plane(gf, W)
     if a1 == a2:
@@ -568,6 +576,8 @@ def denniston_line(c1: Conic, c2: Conic) -> pg.Coords:
     [sqrt(alpha+alpha'), sqrt(beta+beta'), sqrt(lam+lam')]; all three conic
     pairs of a degree-4 closed set give the same line.
     """
+    check_kind(c1, Conic, "conic")
+    check_kind(c2, Conic, "conic")
     if c1.gf != c2.gf:
         raise ValueError("conics live in different fields")
     if (c1.alpha, c1.beta, c1.lam) == (c2.alpha, c2.beta, c2.lam):
@@ -598,6 +608,7 @@ class DennistonLineReport(_FrozenValue):
 
 def denniston_lines_concurrent(m: MathonArc) -> DennistonLineReport:
     """Collect the Denniston line of every conic pair and test concurrency."""
+    check_kind(m, MathonArc, "arc")
     if m.degree < 4:
         raise ValueError("Denniston lines need an arc of degree at least 4")
     gf = m.gf
@@ -635,7 +646,7 @@ def extend_flock(F: PartialFlock, V: pg.Coords) -> PartialFlock:
     of two planes is that of their sum against X0 = 0, and each sum is in F
     or V + F.  This is the one doubling; arcs double through it.
     """
-    _check_flock(F)
+    check_kind(F, PartialFlock, "flock")
     gf = F.gf
     if _flock_span(F) is None:
         raise ValueError("only an additive partial flock can be extended")
@@ -658,6 +669,8 @@ def synthetic_extension(m: MathonArc, c: Conic) -> MathonArc:
     plane (extend_flock), which names the planes of a meeting pair and
     refuses a base that is not closed, and the arc is read back off it.
     """
+    check_kind(m, MathonArc, "arc")
+    check_kind(c, Conic, "conic")
     if c.gf != m.gf:
         raise ValueError("conic and arc live in different fields")
     if c.lam in m.lam_values:
@@ -671,6 +684,8 @@ def denniston_closure(c1: Conic, c2: Conic) -> MathonArc:
 
     It is the doubling of the one-conic arc {c1} by c2; conics with equal lam meet.
     """
+    check_kind(c1, Conic, "conic")
+    check_kind(c2, Conic, "conic")
     if c1.lam == c2.lam:
         raise DisjointnessError(f"{c1} and {c2} share a point")
     return synthetic_extension(MathonArc(c1.gf, (c1,)), c2)
@@ -680,6 +695,7 @@ def denniston_closure(c1: Conic, c2: Conic) -> MathonArc:
 
 
 def flock_to_json(F: PartialFlock) -> dict:
+    check_kind(F, PartialFlock, "flock")
     triples = base_representation(F)
     cls = classify_flock(F)
     return {
@@ -695,11 +711,6 @@ def flock_to_json(F: PartialFlock) -> dict:
 
 def flock_from_json(obj: dict) -> PartialFlock:
     """Rebuild a flock from JSON; any declared derived field must match as JSON."""
-    return _flock_and_derived_json(obj)[0]
-
-
-def _flock_and_derived_json(obj: dict) -> tuple[PartialFlock, dict]:
-    """flock_from_json, and the flock_to_json of the flock that it checked the object against."""
     if not isinstance(obj, dict) or "field" not in obj or "planes" not in obj:
         raise ValueError("flock object must have 'field' and 'planes' keys")
     gf = GF.from_json(obj["field"])
@@ -716,4 +727,4 @@ def _flock_and_derived_json(obj: dict) -> tuple[PartialFlock, dict]:
     for key in ("B", "f", "g", "additive", "linear"):
         if key in obj and json.dumps(obj[key]) != json.dumps(derived[key]):
             raise ValueError(f"declared {key!r} does not match the planes")
-    return F, derived
+    return F

@@ -35,10 +35,12 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import projective as pg
-from .finite_field import GF, _FrozenValue, _Value, check_field
+from .finite_field import GF, _FrozenValue, _Value, check_kind
+
+if TYPE_CHECKING:  # pg.Coords only annotates here, so the arc commands never load projective
+    from . import projective as pg
 
 #: common nucleus of every conic in the family
 NUCLEUS: pg.Coords = (0, 0, 1)
@@ -56,19 +58,6 @@ def _check_elements(gf: GF, **named: object) -> None:
             raise ValueError(f"{name}={v!r} is not an element of GF({gf.q})")
 
 
-def _check_conics(conics: Iterable[object]) -> None:
-    """Refuse any member that is not a Conic, with one message for arcs and seeds."""
-    for c in conics:
-        if not isinstance(c, Conic):
-            raise ValueError(f"a conic set holds only Conic objects, got {c!r}")
-
-
-def _check_arc(m: object) -> None:
-    """Refuse an arc argument that is not a MathonArc, with one message everywhere."""
-    if not isinstance(m, MathonArc):
-        raise ValueError(f"the arc must be a MathonArc, got {m!r}")
-
-
 class ClosureError(ValueError):
     """A seed set cannot be completed to a closed set of conics."""
 
@@ -83,7 +72,7 @@ class Conic(_FrozenValue):
     __slots__ = ("gf", "alpha", "beta", "lam")
 
     def __init__(self, gf: GF, alpha: int, beta: int, lam: int) -> None:
-        check_field(gf)
+        check_kind(gf, GF, "field")
         _check_elements(gf, alpha=alpha, beta=beta, lam=lam)
         if lam == 0:
             raise ValueError("lam must be nonzero")
@@ -120,10 +109,13 @@ def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:
 
 def conic_points(c: Conic) -> frozenset[pg.Coords]:
     """The q + 1 points of a conic; none of them lies on z = 0."""
+    check_kind(c, Conic, "conic")
     return quadric_points(c.gf, c.alpha, c.beta, c.lam)
 
 
 def _compose_params(c1: Conic, c2: Conic) -> tuple[int, int, int]:
+    check_kind(c1, Conic, "conic")
+    check_kind(c2, Conic, "conic")
     if c1.gf != c2.gf:
         raise ValueError("conics live in different fields")
     if c1.lam == c2.lam:
@@ -138,13 +130,14 @@ def _compose_params(c1: Conic, c2: Conic) -> tuple[int, int, int]:
 
 def compose(c1: Conic, c2: Conic) -> Conic:
     """Mathon composition: lam-weighted average of coefficients."""
-    return Conic(c1.gf, *_compose_params(c1, c2))
+    a, b, lam = _compose_params(c1, c2)
+    return Conic(c1.gf, a, b, lam)
 
 
 def composition_trace(c1: Conic, c2: Conic) -> int:
     """trace(alpha'' * beta'') of the composition; 1 guarantees disjointness."""
-    gf = c1.gf
     a, b, _ = _compose_params(c1, c2)
+    gf = c1.gf
     return gf.trace(gf.mul(a, b))
 
 
@@ -158,7 +151,8 @@ class MathonArc(_FrozenValue):
             raise ValueError("conics must be a tuple")
         if not conics:
             raise ValueError("an arc needs at least one conic")
-        _check_conics(conics)
+        for c in conics:
+            check_kind(c, Conic, "conic")
         lams = [c.lam for c in conics]
         if any(c.gf != gf for c in conics):
             raise ValueError("conics live in different fields")
@@ -207,7 +201,8 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
     seed = list(seed)
     if not seed:
         raise ValueError("seed must contain at least one conic")
-    _check_conics(seed)
+    for c in seed:
+        check_kind(c, Conic, "conic")
     gf = seed[0].gf
     if any(c.gf != gf for c in seed):
         raise ValueError("seed conics live in different fields")
@@ -237,7 +232,7 @@ def denniston_arc(gf: GF, alpha: int, A: Iterable[int]) -> MathonArc:
     That subgroup check closes the conic set: any two members compose to
     F_{alpha,1,lam+lam'}, another member, so nothing is closed again.
     """
-    check_field(gf)
+    check_kind(gf, GF, "field")
     if not isinstance(A, Iterable):
         raise ValueError(f"A must be an iterable of field elements, got {A!r}")
     lams = list(A)
@@ -277,7 +272,7 @@ def _check_line_scan(q: int, size: int) -> None:
 
 def arc_points(m: MathonArc) -> frozenset[pg.Coords]:
     """All q(d-1) + d points of the arc, the conics plus the nucleus, if their scan fits."""
-    _check_arc(m)
+    check_kind(m, MathonArc, "arc")
     _check_line_scan(m.gf.q, arc_size(m.gf.q, m.degree))
     return frozenset({NUCLEUS}).union(*map(conic_points, m.conics))
 
@@ -361,7 +356,7 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     point must be a tuple of three field elements, not all 0; each tuple
     counts once, as given.
     """
-    check_field(gf)
+    check_kind(gf, GF, "field")
     q, mul, inv = gf.q, gf.mul, gf.inv
     if type(d) is not int or d < 2:
         raise ValueError(f"a maximal arc has an int degree at least 2, got d = {d!r}")
@@ -403,6 +398,7 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
 
 
 def arc_to_json(m: MathonArc) -> dict:
+    check_kind(m, MathonArc, "arc")
     return {
         "field": m.gf.to_json(),
         "conics": [

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .finite_field import GF, _FrozenValue, _Value, check_field, gf2_add_row, gf2_back_substitute
+from .finite_field import GF, _FrozenValue, _Value, check_kind, gf2_add_row, gf2_back_substitute
 from .flocks import synthetic_extension
 from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc, line_scan_fits
 
@@ -68,7 +68,7 @@ class GroupSpec(_FrozenValue):
     __slots__ = ("gf", "H", "lambda_d")
 
     def __init__(self, gf: GF, H: tuple[int, ...], lambda_d: int) -> None:
-        check_field(gf)
+        check_kind(gf, GF, "field")
         if not all(map(gf.is_element, H)):
             raise ValueError("H contains values outside the field")
         elems = set(H)
@@ -246,7 +246,7 @@ def construct_extension_arc(spec: GroupSpec, rho: int) -> MathonArc:
     the new conic's plane against each base plane; nothing here trusts the
     trace system.
     """
-    gf = spec.gf
+    gf = check_kind(spec, GroupSpec, "spec").gf
     beta = beta_of(gf, spec.lambda_d, rho)
     base = base_denniston_arc(spec)
     new = Conic(gf, 1, gf.square(beta), gf.square(spec.lambda_d))
@@ -325,6 +325,7 @@ def _first_rho(gf: GF, echelon: dict[int, tuple[int, int]], first: SearchRecord)
 
 def search_group(spec: GroupSpec) -> SearchRecord:
     """Rank and rho counts for one spec, read off its coset's elimination; no arc."""
+    check_kind(spec, GroupSpec, "spec")
     return _solve_coset(spec.gf, spec.H, spec.lambda_d)[0][0]
 
 
@@ -334,6 +335,7 @@ def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecor
     The record's counts and the valid rho come from one elimination.  A given
     rho must be valid; without one the least valid rho is taken.
     """
+    check_kind(spec, GroupSpec, "spec")
     records, echelon = _solve_coset(spec.gf, spec.H, spec.lambda_d)
     record = records[0]
     valid = _first_rho(spec.gf, echelon, record) if record.num_rho_valid else frozenset()
@@ -348,7 +350,7 @@ def double_spec(spec: GroupSpec, rho: Optional[int] = None) -> tuple[SearchRecor
 
 def _order_log2(gf: GF, order: int) -> int:
     """k for a subgroup order 2^k of a field; the order must be a power of two in 2..q."""
-    check_field(gf)
+    check_kind(gf, GF, "field")
     if type(order) is not int or order < 2 or order & (order - 1):
         raise ValueError("order must be a power of two, at least 2")
     if order > gf.q:

@@ -393,7 +393,7 @@ def test_constructor_validation():
 
 _GF8 = make_field(3)
 _NOT_A_FIELD = "the field must be a GF, got None"
-_NOT_A_CONIC = "a conic set holds only Conic objects, got 'x'"
+_NOT_A_CONIC = "the conic must be a Conic, got 'x'"
 
 
 @pytest.mark.parametrize(
@@ -420,6 +420,10 @@ def test_constructors_refuse_malformed_arguments_with_value_error(build, message
 
 _NOT_AN_ARC = "the arc must be a MathonArc, got None"
 _NOT_A_FLOCK = "the flock must be a PartialFlock, got None"
+_NO_CONIC = "the conic must be a Conic, got None"
+_NOT_A_SPEC = "the spec must be a GroupSpec, got None"
+_CONIC8 = ma.Conic(_GF8, 1, 1, 1)
+_PLANES8 = ((1, 0, 0, 0), (1, 1, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -439,10 +443,39 @@ _NOT_A_FLOCK = "the flock must be a PartialFlock, got None"
         (lambda: ma.denniston_arc(_GF8, 1, None),
          "A must be an iterable of field elements, got None"),
         (lambda: ma.close_set(None), "a seed is an iterable of conics, got None"),
+        (lambda: least_irreducible(None),
+         f"extension degree must be an int in 1..{MAX_H}, got None"),
+        (lambda: ma.conic_points(None), _NO_CONIC),
+        (lambda: ma.compose(_CONIC8, None), _NO_CONIC),
+        (lambda: ma.composition_trace(None, _CONIC8), _NO_CONIC),
+        (lambda: ma.arc_to_json(None), _NOT_AN_ARC),
+        (lambda: fl.project_arc(None), _NOT_AN_ARC),
+        (lambda: fl.project_conic_to_plane(None), _NO_CONIC),
+        (lambda: fl.projection_singular_plane(None, fl.DEFAULT_PROJECTION_POINT), _NOT_A_FIELD),
+        (lambda: fl.denniston_line(None, _CONIC8), _NO_CONIC),
+        (lambda: fl.denniston_lines_concurrent(None), _NOT_AN_ARC),
+        (lambda: fl.synthetic_extension(None, _CONIC8), _NOT_AN_ARC),
+        (lambda: fl.synthetic_extension(ma.MathonArc(_GF8, (_CONIC8,)), None), _NO_CONIC),
+        (lambda: fl.denniston_closure(None, _CONIC8), _NO_CONIC),
+        (lambda: fl.flock_to_json(None), _NOT_A_FLOCK),
+        (lambda: fl.geometric_to_additive(None), _NOT_A_FLOCK),
+        (lambda: fl.additive_to_geometric(None), _NOT_A_FLOCK),
+        (lambda: fl.plane_section(None, _PLANES8[1]), _NOT_A_FIELD),
+        (lambda: fl.plane_compose(None, *_PLANES8), _NOT_A_FIELD),
+        (lambda: fl.singular_plane(None, *_PLANES8), _NOT_A_FIELD),
+        (lambda: se.construct_extension_arc(None, 1), _NOT_A_SPEC),
+        (lambda: se.search_group(None), _NOT_A_SPEC),
+        (lambda: se.double_spec(None), _NOT_A_SPEC),
     ],
     ids=["search_field", "enumerate_group_specs", "additive_subgroups", "verify_maximal_arc",
          "arc_points", "arc_to_flock", "flock_to_arc", "verify_partial_flock", "classify_flock",
-         "extend_flock", "denniston_arc-member", "denniston_arc-A", "close_set"],
+         "extend_flock", "denniston_arc-member", "denniston_arc-A", "close_set",
+         "least_irreducible", "conic_points", "compose", "composition_trace", "arc_to_json",
+         "project_arc", "project_conic_to_plane", "projection_singular_plane", "denniston_line",
+         "denniston_lines_concurrent", "synthetic_extension-arc", "synthetic_extension-conic",
+         "denniston_closure", "flock_to_json", "geometric_to_additive", "additive_to_geometric",
+         "plane_section", "plane_compose", "singular_plane", "construct_extension_arc",
+         "search_group", "double_spec"],
 )
 def test_library_entry_points_refuse_malformed_arguments_with_value_error(call, message):
     with pytest.raises(ValueError) as exc:

@@ -1,10 +1,12 @@
 """The package holds only what it uses, and its namespace loads a module on first use.
 
-The first two checks read the source of src/arcflock/ with ``ast``, so a
-test-only helper that drifts back into the package fails here by name; the
-naive definitions live in tests/oracles.py.  Then come the lazy namespace of
-``arcflock/__init__.py``, which modules each CLI command loads in a fresh
-process, and the contract of the eleven value classes.
+The first checks read the source of src/arcflock/ with ``ast``, so a
+test-only helper that drifts back into the package fails here by name (the
+naive definitions live in tests/oracles.py), as does a second kind check
+beside finite_field.check_kind or a CLI reach into a private name.  Then
+come the lazy namespace of ``arcflock/__init__.py``, which modules each CLI
+command loads in a fresh process, and the contract of the eleven value
+classes.
 """
 
 import ast
@@ -61,6 +63,42 @@ def _imported(tree: ast.Module):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield node.module or ""  # "from . import x" names no module
+
+
+#: every class the package defines: GF, the value classes and the errors
+CLASSES = {node.name for tree in MODULES.values() for node in ast.walk(tree)
+           if isinstance(node, ast.ClassDef)}
+
+
+def _kind_checks(node: ast.AST, scope: str):
+    """The enclosing scope of each isinstance call under node that names a package class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _kind_checks(child, f"{scope}.{child.name}")
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance" and _names_used(child.args[1]) & CLASSES):
+            yield scope
+        yield from _kind_checks(child, scope)
+
+
+def test_one_helper_decides_how_an_argument_of_the_wrong_kind_is_refused():
+    # every entry calls finite_field.check_kind; GF.__eq__ compares, it refuses nothing
+    sites = {site for mod, tree in MODULES.items() for site in _kind_checks(tree, mod)}
+    assert sites <= {"finite_field.check_kind", "finite_field.GF.__eq__"}, sorted(sites)
+
+
+def test_the_cli_reaches_no_private_name_of_another_module():
+    cli = MODULES["cli"]
+    imported = [node for node in ast.walk(cli) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in imported if node.module is None
+               for alias in node.names}
+    private = [f"{node.module}.{alias.name}" for node in imported for alias in node.names
+               if alias.name.startswith("_")]
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(cli)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
 
 
 def test_the_package_imports_nothing_from_the_tests():
@@ -129,8 +167,8 @@ _FLOCK_JSON = json.dumps(fl.flock_to_json(fl.arc_to_flock(_ARC)))
     [
         (["--help"], "", {"projective", "mathon_arcs", "flocks", "search"}),
         (["construct", "denniston", "--h", "4", "--alpha", "8", "--A", "1,2"], "",
-         {"flocks", "search"}),
-        (["verify", "-"], _ARC_JSON, {"flocks", "search"}),
+         {"projective", "flocks", "search"}),
+        (["verify", "-"], _ARC_JSON, {"projective", "flocks", "search"}),
         (["convert", "--direction", "arc-to-flock", "-"], _ARC_JSON, {"search"}),
         (["project", "-"], _ARC_JSON, {"search"}),
         (["verify", "-"], _FLOCK_JSON, {"search"}),
