@@ -27,10 +27,10 @@ and arcs: classify_flock decides additivity by it, flock_to_arc reads one
 conic off each nonzero t, and extend_flock, the one doubling, doubles it by
 XOR: synthetic_extension and denniston_closure double an arc through it, by
 the new conic's plane.  The trace test of two planes u, w is that of u + w
-against X0 = 0, so an additive plane set is a partial flock exactly when
-every other plane's section misses that of X0 = 0: the flock analogue of
-Mathon's theorem, by which extend_flock tests V and the planes of F against
-X0 = 0 alone.
+against X0 = 0, mathon_arcs._triple_trace of its triple, so an additive
+plane set is a partial flock exactly when every other plane's section misses
+that of X0 = 0: the flock analogue of Mathon's theorem, by which extend_flock
+tests V and the planes of F against X0 = 0 alone.
 
 Independently, the arc's plane PG(2,q) embeds into X0 = 0 via
 (x,y,z) -> (0,x,z,y), and projecting the cone from a point p = (1,0,y,0)
@@ -66,7 +66,7 @@ from typing import Optional
 from . import projective as pg
 from .finite_field import GF, _FrozenValue, _Value, check_kind
 from .mathon_arcs import MAX_SCAN_STEPS, ClosureError, Conic, DisjointnessError, MathonArc
-from .mathon_arcs import _span_arc, triple_span
+from .mathon_arcs import _span_arc, _triple, _triple_trace, triple_span
 
 #: vertex of the cone X1 X3 = X2^2
 VERTEX: pg.Coords = (1, 0, 0, 0)
@@ -160,14 +160,7 @@ def section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
 def _normalized_section_trace(gf: GF, u: pg.Coords, w: pg.Coords) -> Optional[int]:
     """section_trace of two planes already normalized to [1, f, t, g]."""
     dt = u[2] ^ w[2]
-    if dt == 0:
-        return None
-    return gf.trace(gf.div(gf.mul(u[1] ^ w[1], u[3] ^ w[3]), gf.square(dt)))
-
-
-def sections_disjoint(gf: GF, u: pg.Coords, w: pg.Coords) -> bool:
-    """Whether two vertex-avoiding planes cut disjoint cone sections."""
-    return section_trace(gf, u, w) == 1
+    return _triple_trace(gf, dt, u[1] ^ w[1], u[3] ^ w[3]) if dt else None
 
 
 # -- partial flocks ---------------------------------------------------------------
@@ -335,8 +328,8 @@ def arc_to_flock(m: MathonArc) -> PartialFlock:
 
 def _conic_plane(c: Conic) -> pg.Coords:
     """The flock plane [1, alpha*lam, lam, beta*lam] of the conic F_{alpha,beta,lam}."""
-    gf = c.gf
-    return (1, gf.mul(c.alpha, c.lam), c.lam, gf.mul(c.beta, c.lam))
+    lam, A, B = _triple(c)
+    return (1, A, lam, B)
 
 
 def is_denniston_type(m: MathonArc) -> bool:
@@ -539,7 +532,7 @@ def plane_compose(gf: GF, V: pg.Coords, W: pg.Coords) -> pg.Coords:
     conics.
     """
     check_kind(gf, GF, "field")
-    disjoint = sections_disjoint(gf, V, W)  # the one check of V and W
+    disjoint = section_trace(gf, V, W) == 1  # the one check of V and W
     a1, b1, c1 = _standard_form(gf, V)
     a2, b2, c2 = _standard_form(gf, W)
     da = a1 ^ a2
@@ -723,8 +716,9 @@ def flock_from_json(obj: dict) -> PartialFlock:
             raise ValueError(f"plane {list(p)} is listed twice")
         planes.add(p)
     F = PartialFlock(gf, tuple(sorted(planes)))
-    derived = flock_to_json(F)
-    for key in ("B", "f", "g", "additive", "linear"):
-        if key in obj and json.dumps(obj[key]) != json.dumps(derived[key]):
+    declared = [key for key in ("B", "f", "g", "additive", "linear") if key in obj]
+    derived = flock_to_json(F) if declared else {}  # a bare flock is not classified here
+    for key in declared:
+        if json.dumps(obj[key]) != json.dumps(derived[key]):
             raise ValueError(f"declared {key!r} does not match the planes")
     return F

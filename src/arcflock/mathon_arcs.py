@@ -7,25 +7,25 @@ The building blocks are conics
 with trace(alpha beta) = 1 and lam != 0.  Every such conic has nucleus
 (0,0,1) and is disjoint from the line z = 0.  Its points are read off the
 nucleus pencil: each of the q + 1 lines through (0,0,1) meets it once, at a
-point given by square roots alone.  Two conics with distinct lam
-compose to a third one by a lam-weighted average of their coefficients,
-which is plain XOR on the triples (lam, alpha lam, beta lam) (the flock
-plane [1, alpha lam, lam, beta lam] of flocks.arc_to_flock); a set of
-conics closed under this composition, i.e. whose triples span a GF(2)-space
-with one member per lam, together with the common nucleus, is a maximal arc
-of degree |set| + 1 (Mathon's construction).  triple_span grows that space,
-for close_set and for the flocks module, and _span_arc reads the arc off it:
-the closed conic set and the additive partial flock are one space of triples
-(Hamilton-Thas), so arcs double through flocks.extend_flock.
-Denniston arcs are the special case alpha constant, beta = 1, with the lam
-values ranging over an additive subgroup minus 0.
+point given by square roots alone.  A conic is its triple (lam, alpha lam,
+beta lam) (_triple, _triple_conic), the (t, f, g) of its flock plane
+[1, alpha lam, lam, beta lam] (flocks.arc_to_flock), and two conics with
+distinct lam compose, by a lam-weighted average of coefficients, to the XOR
+of their triples; a set of conics closed under it, i.e. whose triples span a
+GF(2)-space with one member per lam, together with the common nucleus, is a
+maximal arc of degree |set| + 1 (Mathon's construction).  triple_span
+grows that space, for close_set and for the flocks module, and _span_arc
+reads the arc off it: the closed conic set and the additive partial flock
+are one space of triples (Hamilton-Thas), so arcs double through
+flocks.extend_flock.  Denniston arcs are the special case alpha constant,
+beta = 1, with the lam values ranging over an additive subgroup minus 0.
 
 By Mathon's theorem two conics with distinct lam are disjoint exactly when
-their composition is nondegenerate, trace(alpha'' beta'') = 1
-(composition_trace), so a span whose members are all conics is pairwise
-disjoint, and no construction lists points.  Point sets feed only the line
-scan: arc_points lists them for verify_maximal_arc, which never consults the
-trace.
+their composition (lam'', A, B) has trace(A B / lam''^2) = 1 (_triple_trace,
+which is also the flocks' one trace test), so a span whose members are all
+conics is pairwise disjoint, and no construction lists points.  Point sets
+feed only the line scan: arc_points lists them for verify_maximal_arc, which
+never consults the trace.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from itertools import chain
+from operator import xor
 from typing import TYPE_CHECKING, Optional
 
 from .finite_field import GF, _FrozenValue, _Value, check_kind
@@ -113,36 +114,46 @@ def conic_points(c: Conic) -> frozenset[pg.Coords]:
     return quadric_points(c.gf, c.alpha, c.beta, c.lam)
 
 
-def _compose_params(c1: Conic, c2: Conic) -> tuple[int, int, int]:
+def _triple(c: Conic) -> tuple[int, int, int]:
+    """The triple (lam, alpha lam, beta lam) of F_{alpha,beta,lam}, its flock plane's (t, f, g)."""
+    return c.lam, c.gf.mul(c.alpha, c.lam), c.gf.mul(c.beta, c.lam)
+
+
+def _triple_conic(gf: GF, lam: int, A: int, B: int) -> Conic:
+    """The conic F_{A/lam, B/lam, lam} of a triple with lam != 0; ValueError if degenerate."""
+    return Conic(gf, gf.div(A, lam), gf.div(B, lam), lam)
+
+
+def _triple_trace(gf: GF, lam: int, A: int, B: int) -> int:
+    """trace(A B / lam^2) of a triple with lam != 0: 1 exactly when its conic is nondegenerate."""
+    return gf.trace(gf.div(gf.mul(A, B), gf.square(lam)))
+
+
+def _composed(c1: Conic, c2: Conic) -> tuple[GF, int, int, int]:
+    """The field and triple of the composition of two conics with distinct lam: XOR of theirs."""
     check_kind(c1, Conic, "conic")
     check_kind(c2, Conic, "conic")
     if c1.gf != c2.gf:
         raise ValueError("conics live in different fields")
     if c1.lam == c2.lam:
         raise ValueError("composition requires distinct lam values")
-    gf = c1.gf
-    dl = c1.lam ^ c2.lam
-    inv_dl = gf.inv(dl)
-    a = gf.mul(inv_dl, gf.mul(c1.alpha, c1.lam) ^ gf.mul(c2.alpha, c2.lam))
-    b = gf.mul(inv_dl, gf.mul(c1.beta, c1.lam) ^ gf.mul(c2.beta, c2.lam))
-    return a, b, dl
+    return (c1.gf, *map(xor, _triple(c1), _triple(c2)))
 
 
 def compose(c1: Conic, c2: Conic) -> Conic:
-    """Mathon composition: lam-weighted average of coefficients."""
-    a, b, lam = _compose_params(c1, c2)
-    return Conic(c1.gf, a, b, lam)
+    """Mathon composition: lam-weighted average of coefficients, XOR of the triples."""
+    return _triple_conic(*_composed(c1, c2))
 
 
 def composition_trace(c1: Conic, c2: Conic) -> int:
     """trace(alpha'' * beta'') of the composition; 1 guarantees disjointness."""
-    a, b, _ = _compose_params(c1, c2)
-    gf = c1.gf
-    return gf.trace(gf.mul(a, b))
+    return _triple_trace(*_composed(c1, c2))
 
 
 class MathonArc(_FrozenValue):
-    """A closed set of pairwise disjoint conics plus their common nucleus."""
+    """Conics of one field, sorted by distinct lam, plus their nucleus; nothing else is checked.
+
+    Closed, disjoint conic sets come from close_set, arc_from_json, denniston_arc and _span_arc."""
 
     __slots__ = ("gf", "conics")
 
@@ -206,8 +217,7 @@ def close_set(seed: Iterable[Conic]) -> MathonArc:
     gf = seed[0].gf
     if any(c.gf != gf for c in seed):
         raise ValueError("seed conics live in different fields")
-    span = triple_span((c, c.lam, gf.mul(c.alpha, c.lam), gf.mul(c.beta, c.lam)) for c in seed)
-    return _span_arc(gf, span)
+    return _span_arc(gf, triple_span((c, *_triple(c)) for c in seed))
 
 
 def _span_arc(gf: GF, span: dict[int, tuple[int, int]]) -> MathonArc:
@@ -217,10 +227,8 @@ def _span_arc(gf: GF, span: dict[int, tuple[int, int]]) -> MathonArc:
     """
     closed = []
     for l in sorted(span)[1:]:  # every key but 0
-        a, b = span[l]
-        inv_l = gf.inv(l)
         try:
-            closed.append(Conic(gf, gf.mul(a, inv_l), gf.mul(b, inv_l), l))
+            closed.append(_triple_conic(gf, l, *span[l]))
         except ValueError as exc:
             raise ClosureError(f"the closure's member on lam={l} is not a conic: {exc}") from exc
     return MathonArc(gf, tuple(closed))

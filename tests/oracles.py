@@ -5,10 +5,11 @@ field arithmetic as polynomials over GF(2), every point of PG(2,q) and
 PG(3,q), incidence as a dot product, joins and meets as a nullspace, the
 pencil of a point and the line histogram of a point set line by line, conic
 and cone points by scanning, the disjointness of two conics by their point
-sets, the closure of a conic set by composing pairs until nothing new
-appears, the additivity of a plane set by XOR of every pair, the pointwise
-projection from the nuclear line, subgroups by growing every intermediate
-level, and trace systems solved by evaluating every condition at every mu.
+sets, Mathon's composition as the weighted average of coefficients, the
+closure of a conic set by composing pairs until nothing new appears, the
+additivity of a plane set by XOR of every pair, the pointwise projection
+from the nuclear line, subgroups by growing every intermediate level, and
+trace systems solved by evaluating every condition at every mu.
 """
 
 import itertools
@@ -163,8 +164,25 @@ def conics_disjoint(c1: Conic, c2: Conic) -> bool:
     return ma.conic_points(c1).isdisjoint(ma.conic_points(c2))
 
 
+def compose_by_average(c1: Conic, c2: Conic) -> tuple[int, int, int]:
+    """Mathon's composition by definition, the lam-weighted average of the coefficients.
+
+    Returns (alpha'', beta'', lam'') with lam'' = lam + lam' and
+    alpha'' = (alpha lam + alpha' lam')/lam'', likewise beta''; no conic is
+    built, so a degenerate composition, trace(alpha'' beta'') = 0, is returned too.
+    """
+    gf = c1.gf
+    dl = c1.lam ^ c2.lam
+    inv_dl = gf.inv(dl)
+    a = gf.mul(inv_dl, gf.mul(c1.alpha, c1.lam) ^ gf.mul(c2.alpha, c2.lam))
+    b = gf.mul(inv_dl, gf.mul(c1.beta, c1.lam) ^ gf.mul(c2.beta, c2.lam))
+    return a, b, dl
+
+
 def close_by_composition(seed: Iterable[Conic]) -> ma.MathonArc:
     """Close a seed set by definition: compose every pair until nothing new appears.
+
+    Pairs compose by compose_by_average, not by the package's XOR of triples.
 
     Raises ClosureError when two conics share a lam or a composition is
     degenerate, and DisjointnessError when two closed conics share a point.
@@ -183,7 +201,7 @@ def close_by_composition(seed: Iterable[Conic]) -> ma.MathonArc:
         cs = sorted(by_lam.values(), key=lambda c: c.lam)
         for c1, c2 in itertools.combinations(cs, 2):
             try:
-                new = ma.compose(c1, c2)
+                new = Conic(c1.gf, *compose_by_average(c1, c2))
             except ValueError as exc:
                 raise ma.ClosureError(f"{c1} and {c2} compose to no conic: {exc}") from exc
             old = by_lam.get(new.lam)

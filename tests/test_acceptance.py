@@ -55,7 +55,7 @@ from arcflock.flocks import (
     is_denniston_type,
     plane_compose,
     project_arc,
-    sections_disjoint,
+    section_trace,
     singular_plane,
     standardize_plane,
     verify_partial_flock,
@@ -260,7 +260,7 @@ def test_criterion_05_pencil_plane_identities():
             s1, s2 = rng.randrange(1, q), rng.randrange(1, q)
             V = tuple(gf.mul(s1, x) for x in (a1, b1, a1 ^ 1, c1))
             W = tuple(gf.mul(s2, x) for x in (a2, b2, a2 ^ 1, c2))
-            if not sections_disjoint(gf, V, W):
+            if section_trace(gf, V, W) != 1:
                 continue
             accepted += 1
             composed = plane_compose(gf, V, W)

@@ -507,9 +507,10 @@ def test_each_flock_is_classified_once_per_command(capsys, monkeypatch, arc_file
 
     monkeypatch.setattr(fl, "classify_flock", counted)
     for argv, flocks, code in (
-        # verify classifies its one flock twice: in flock_from_json, then for the report
+        # verify classifies a flock with declared B, f, g, additive, linear twice: in
+        # flock_from_json, to check them, then for the report; a bare flock once
         (["verify", str(flock_file)], 2, 0),
-        (["verify", str(bare_file)], 2, 0),
+        (["verify", str(bare_file)], 1, 0),
         (["convert", "--direction", "arc-to-flock", arc_file], 1, 0),
         (["convert", "--direction", "flock-to-arc", str(flock_file)], 1, 0),
         (["convert", "--direction", "flock-to-arc", str(raw_file)], 1, 2),  # not additive

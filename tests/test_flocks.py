@@ -43,7 +43,6 @@ from arcflock.flocks import (
     projection_singular_plane,
     raw_to_additive_plane,
     section_trace,
-    sections_disjoint,
     singular_plane,
     standard_to_plane,
     standardize_plane,
@@ -213,7 +212,6 @@ def test_section_trace_matches_oracle_exhaustively_q4():
             assert u[2] == w[2] and shared > 0
         else:
             assert (tr == 1) == (shared == 0)
-            assert sections_disjoint(gf, u, w) == (shared == 0)
 
 
 def test_section_trace_matches_oracle_sampled_q8():
@@ -245,7 +243,6 @@ _PLANE_ENTRY_POINTS = {
     "plane_section": lambda u: plane_section(_GF8, u),
     "section_trace": lambda u: section_trace(_GF8, u, _GOOD),
     "section_trace second": lambda u: section_trace(_GF8, _GOOD, u),
-    "sections_disjoint": lambda u: sections_disjoint(_GF8, _GOOD, u),
     "PartialFlock": lambda u: PartialFlock(_GF8, (u,)),
     "extend_flock": lambda u: extend_flock(arc_to_flock(_ARC8), u),
     "raw_to_additive_plane": lambda u: raw_to_additive_plane(_GF8, u),
@@ -664,7 +661,7 @@ def test_plane_compose_mirrors_conic_composition(h):
             continue
         V = project_conic_to_plane(c1)
         W = project_conic_to_plane(c2)
-        if not sections_disjoint(gf, V, W):
+        if section_trace(gf, V, W) != 1:
             continue
         checked += 1
         composed = plane_compose(gf, V, W)
@@ -683,7 +680,7 @@ def test_plane_compose_errors():
     with pytest.raises(ValueError, match="vertex"):
         plane_compose(gf, (0, 1, 1, 1), V)
     W_meets = project_conic_to_plane(Conic(gf, 1, 3, 2))
-    assert not sections_disjoint(gf, V, W_meets)
+    assert section_trace(gf, V, W_meets) != 1
     with pytest.raises(DisjointnessError):
         plane_compose(gf, V, W_meets)
 
@@ -817,7 +814,7 @@ def _extension_cases(gf, F):
     for t in range(1, gf.q):
         for f, g in itertools.product(range(gf.q), repeat=2):
             V = (1, f, t, g)
-            if all(sections_disjoint(gf, V, u) for u in F.planes):
+            if all(section_trace(gf, V, u) == 1 for u in F.planes):
                 yield V
 
 
@@ -1010,7 +1007,7 @@ def test_extend_flock_rejects_every_additive_non_flock_of_two_planes(h):
     gf = make_field(h)
     cases = 0
     for u in _vertex_avoiding_planes(gf):
-        if u[2] == 0 or sections_disjoint(gf, EMBEDDING_PLANE, u):
+        if u[2] == 0 or section_trace(gf, EMBEDDING_PLANE, u) == 1:
             continue
         F = PartialFlock(gf, (EMBEDDING_PLANE, u))
         for V in _extension_cases(gf, F):

@@ -11,10 +11,12 @@ from arcflock import mathon_arcs as ma
 from arcflock import search as se
 from arcflock.finite_field import MAX_H, make_field
 from arcflock.flocks import (
+    EMBEDDING_PLANE,
     arc_to_flock,
     denniston_closure,
     flock_to_arc,
     is_denniston_type,
+    section_trace,
     synthetic_extension,
 )
 from arcflock.mathon_arcs import (
@@ -170,6 +172,38 @@ def test_composition_trace_decides_disjointness_exhaustively(h, pairs):
             assert (composition_trace(c1, c2) == 1) == oracles.conics_disjoint(c1, c2), (c1, c2)
             seen += 1
     assert seen == pairs
+
+
+@pytest.mark.parametrize("h", (3, 4, 5, 6))
+def test_composition_matches_the_weighted_average_and_the_flock_trace(h):
+    # compose and composition_trace read the XOR of two triples; the oracle
+    # averages the coefficients.  The trace test of the conics' two flock
+    # planes is the same number.  Every pair with distinct lam at h = 3, 300
+    # sampled pairs above.
+    gf = make_field(h)
+    conics = oracles.all_conics(gf)
+    if h == 3:
+        pairs = [(c1, c2) for c1, c2 in itertools.combinations(conics, 2) if c1.lam != c2.lam]
+        assert len(pairs) == 16464
+    else:
+        rng = random.Random(2700 + h)
+        pairs = [p for p in (rng.sample(conics, 2) for _ in range(400)) if p[0].lam != p[1].lam]
+        assert len(pairs) >= 300
+    plane = {}
+    for c in {c for pair in pairs for c in pair}:
+        (plane[c],) = set(arc_to_flock(MathonArc(gf, (c,))).planes) - {EMBEDDING_PLANE}
+    for c1, c2 in pairs:
+        a, b, lam = oracles.compose_by_average(c1, c2)
+        tr = gf.trace(gf.mul(a, b))
+        assert composition_trace(c1, c2) == tr, (c1, c2)
+        assert section_trace(gf, plane[c1], plane[c2]) == tr, (c1, c2)
+        if tr == 1:
+            assert compose(c1, c2) == Conic(gf, a, b, lam), (c1, c2)
+        else:
+            message = f"degenerate conic: trace(alpha*beta) = 0 for alpha={a}, beta={b}"
+            with pytest.raises(ValueError) as info:
+                compose(c1, c2)
+            assert str(info.value) == message
 
 
 def test_trace_zero_pair_meets():
