@@ -9,7 +9,7 @@ integer) is chosen, which pins every numeric value this package produces.
 
 Multiplication, inversion and square roots run on log/exp tables over the
 least generator of the multiplicative group, the first g whose powers take
-q - 1 steps to return to 1; the square root of a is
+q - 1 steps to return to 1, walked by byte tables; the square root of a is
 a^(2^(h-1)), one table lookup; a rotation of the exp table lists the
 multiples of one element, indexed by log.  The absolute trace
 a -> a + a^2 + ... + a^(2^(h-1)) is evaluated through a precomputed
@@ -37,17 +37,6 @@ from typing import Iterable, Optional, TypeVar
 MAX_H = 16
 
 _T = TypeVar("_T")
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials encoded as ints."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
 
 
 def _polymod(a: int, m: int) -> int:
@@ -81,11 +70,21 @@ def least_irreducible(h: int) -> int:
 
 
 def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
+    """exp and log over the least generator g; x -> g x is GF(2)-linear: two byte-table lookups."""
+    def times_bytes(c: int) -> list[int]:
+        table = [0]
+        for j in range(8):
+            cj = _polymod(c << j, modulus)
+            table += [v ^ cj for v in table]
+        return table
+
     for g in range(1, q):
+        # an element is one or two bytes: below q = 2^8 the high byte is 0
+        low, high = times_bytes(g), times_bytes(_polymod(g << 8, modulus)) if q > 256 else [0]
         exp, x = [1], g
         while x != 1 and len(exp) < q:
             exp.append(x)
-            x = _polymod(_clmul(x, g), modulus)
+            x = low[x & 255] ^ high[x >> 8]
         if len(exp) == q - 1:
             log = [0] * q
             for i, v in enumerate(exp):

@@ -26,6 +26,24 @@ which is also the flocks' one trace test), so a span whose members are all
 conics is pairwise disjoint, and no construction lists points.  Point sets
 feed only the line scan: arc_points lists them for verify_maximal_arc, which
 never consults the trace.
+
+The line scan rests on a pair count in PG(2,q).  Let n affine tuples give
+the affine points P, m_P tuples each, and let a_L count the tuples on the
+affine line L.  Then sum_L a_L^2 counts the ordered pairs of tuples (a tuple
+with itself included) with a line L through both: a pair giving one point
+has q + 1 such lines, any other pair exactly one, so
+
+    sum_L a_L^2 = n^2 + q sum_P m_P^2,  which is n(n + q) for distinct points.
+
+The affine lines fall into q + 1 parallel classes of q lines, each tuple on
+one line of each class.  A class whose tuples meet k of its lines has
+sum a_L^2 >= n^2/k over them (Cauchy-Schwarz), with equality exactly when
+each met line holds n/k tuples.  For distinct points the bounds add up to
+
+    sum floor(n/k) <= sum n/k <= n + q,
+
+so when the floors sum to n + q both are equalities: each k divides n and
+every class is uniform, its k alone giving its lines' counts.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import xor
 from typing import TYPE_CHECKING, Optional
@@ -347,55 +365,91 @@ def _packed(values: Iterable[int]) -> int:
     return int.from_bytes(array("H", values).tobytes(), "little")
 
 
-def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalArcReport:
-    """Check a point set is a degree-d maximal arc by counting its points on every line.
+def _affine_coordinates(gf: GF, affine: list[pg.Coords]) -> list[list[int]]:
+    """[x/z, ...] and [y/z, ...] of the points (x, y, z) with z != 0, read off the log tables."""
+    power = gf.scaled_powers(1)[: gf.q - 1]  # power[k] = g^k; a negative k wraps mod q - 1
+    log = gf.log_index
+    log_zs = [log(p[2]) for p in affine]
+    return [[power[log(p[i]) - l] if p[i] else 0 for p, l in zip(affine, log_zs)] for i in (0, 1)]
 
-    The lines are taken one parallel class at a time, so memory stays O(q)
-    for any point set.  An affine point (x, y, 1) lies on [0, 1, y] and on
-    [1, b, x + b y] for every slope b: each class is one bucket count.  A
-    point (x, y, 0) lies on [0, 0, 1] and on every line of the class b = x/y
-    (y != 0) or of the class [0, 1, c] (y = 0).  The values x + b y of all
-    affine points are packed into one int, 16 bits each; as b y is GF(2)-linear
-    in b, the slopes are walked in Gray-code order b = k ^ (k >> 1), and each
-    class is the previous one XOR the packed 2^j y, j the lowest set bit of k.
-    So a class costs one int XOR and one C-level Counter pass.  The work is
-    |points| (q + 1) steps, held to MAX_SCAN_STEPS for a degree-d arc (d >= 2)
-    before the points are read, and for the points before the scan.  Each
-    point must be a tuple of three field elements, not all 0; each tuple
-    counts once, as given.
+
+def _line_classes(gf: GF, xs: list[int], ys: list[int]) -> Iterator[memoryview]:
+    """The line each affine point lies on, one parallel class at a time.
+
+    The point (x, y, 1) lies on [0, 1, y] and on [1, b, x + b y] for every
+    slope b, so the classes are y, then x + b y for b = k ^ (k >> 1),
+    k = 0, ..., q - 1 (Gray-code order).  The values are packed into one
+    int, 16 bits each; as b y is GF(2)-linear in b, each slope's int is the
+    previous one XOR the packed 2^j y, j the lowest set bit of k.
+    """
+    width = 2 * len(xs)
+
+    def unpacked(line: int) -> memoryview:
+        # to_bytes gives back the array's bytes, so cast("H") reads the packed values
+        return memoryview(line.to_bytes(width, "little")).cast("H")
+
+    yield unpacked(_packed(ys))
+    log_ys = list(map(gf.log_index, ys))
+    steps = [_packed(map(gf.scaled_powers(1 << j).__getitem__, log_ys)) for j in range(gf.h)]
+    line = _packed(xs)
+    yield unpacked(line)
+    for k in range(1, gf.q):
+        line ^= steps[(k & -k).bit_length() - 1]
+        yield unpacked(line)
+
+
+def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalArcReport:
+    """Check a point set is a degree-d maximal arc by its points on every line.
+
+    The lines are taken one parallel class at a time (_line_classes), so
+    memory stays O(q) for any point set.  A point (x, y, 0) lies on [0, 0, 1]
+    and on every line of the class b = x/y (y != 0) or of the class [0, 1, c]
+    (y = 0).  An affine point is normalized to (x, y, 1) by log tables, and
+    each class costs one int XOR and one C-level pass over its values.
+
+    That pass is k = len(set(values)), the class's number of met lines.  If
+    the n affine tuples are n points (no two agree once scaled to the
+    canonical form, first nonzero coordinate 1, which arc_points lists
+    already) and the n // k sum to n + q, the pair-count identity in the
+    module docstring makes every class uniform: k lines of n/k affine points
+    and q - k lines of none, plus the class's points at infinity on each.
+    Every maximal arc passes; any other set, such as one listing a point
+    twice under two representatives, is counted line by line (one Counter per
+    class) by a second walk.
+
+    The work is |points| (q + 1) steps, held to MAX_SCAN_STEPS for a
+    degree-d arc (d >= 2) before the points are read, and for the points
+    before the scan.  Each point must be a tuple of three field elements, not
+    all 0; each tuple counts once, as given.
     """
     check_kind(gf, GF, "field")
-    q, mul, inv = gf.q, gf.mul, gf.inv
+    q = gf.q
     if type(d) is not int or d < 2:
         raise ValueError(f"a maximal arc has an int degree at least 2, got d = {d!r}")
     _check_line_scan(q, arc_size(q, d))
     pts = set(_checked_plane_points(gf, points))
     _check_line_scan(q, len(pts))
-    xs: list[int] = []
-    ys: list[int] = []
-    vertical = 0
-    slope_extra: Counter = Counter()
-    for x, y, z in pts:
-        if z:
-            iz = inv(z)
-            xs.append(mul(x, iz))
-            ys.append(mul(y, iz))
-        elif y:
-            slope_extra[gf.div(x, y)] += 1
-        else:
-            vertical += 1
+    at_infinity = [0] * (q + 1)  # on every line of the class b = x/y, or [0, 1, c] at index q
+    for x, y, _ in (p for p in pts if not p[2]):
+        at_infinity[gf.div(x, y) if y else q] += 1
+    # the tuples are distinct points unless some are not canonical (first
+    # nonzero coordinate 1) and, made canonical, meet each other or the set
+    moved = [tuple(gf.div(v, c) for v in p)
+             for p in pts if p[2] and (c := p[0] or p[1] or p[2]) != 1]
+    distinct = len(set(moved)) == len(moved) and pts.isdisjoint(moved)
+    xs, ys = _affine_coordinates(gf, [p for p in pts if p[2]])
+    n = len(xs)
+    extras = [at_infinity[q], *(at_infinity[k ^ k >> 1] for k in range(q))]
+    ks = list(map(len, map(set, _line_classes(gf, xs, ys))))
     hist: Counter = Counter()
-    _add_class(hist, q, Counter(ys), vertical)
-    log_ys = list(map(gf.log_index, ys))
-    steps = [_packed(map(gf.scaled_powers(1 << j).__getitem__, log_ys)) for j in range(gf.h)]
-    line, width = _packed(xs), 2 * len(xs)
-    _add_class(hist, q, Counter(xs), slope_extra[0])
-    for k in range(1, q):
-        line ^= steps[(k & -k).bit_length() - 1]
-        # to_bytes gives back the array's bytes, so cast("H") reads the packed values
-        per_line = Counter(memoryview(line.to_bytes(width, "little")).cast("H"))
-        _add_class(hist, q, per_line, slope_extra[k ^ k >> 1])
-    hist[len(pts) - len(xs)] += 1  # the line z = 0
+    if n and distinct and sum(n // k for k in ks) == n + q:
+        for extra, k in zip(extras, ks):
+            hist[extra] += q - k
+            hist[extra + n // k] += k
+    else:
+        for extra, values in zip(extras, _line_classes(gf, xs, ys)):
+            _add_class(hist, q, Counter(values), extra)
+    hist[len(pts) - n] += 1  # the line z = 0
     return MaximalArcReport(
         q=q,
         degree=d,

@@ -376,6 +376,37 @@ def test_exp_table_runs_over_the_least_generator(h):
     assert gf._exp[1 % n] == least  # for q = 2 the one generator is 1 = _exp[0]
 
 
+def _check_tables(gf: GF) -> None:
+    """_exp lists the powers of its g by the polynomial oracle, and _log inverts it."""
+    n, exp = gf.q - 1, gf._exp
+    g = exp[1 % n]
+    assert len(exp) == n and exp[0] == 1
+    for i, (x, y) in enumerate(zip(exp, exp[1:] + exp[:1])):
+        assert y == oracles.poly_mod(oracles.poly_mul(x, g), gf.modulus), (gf, i)
+    assert sorted(exp) == list(gf.nonzero_elements())  # so g has order n
+    assert [gf._log[v] for v in exp] == list(range(n))
+
+
+@pytest.mark.parametrize("h", range(1, MAX_H + 1))
+def test_tables_are_the_powers_of_their_generator(h):
+    _check_tables(make_field(h))
+
+
+@pytest.mark.parametrize("h", range(1, 9))
+def test_tables_of_every_irreducible_modulus(h):
+    n = (1 << h) - 1
+    # odd: the constructor refuses x itself at h = 1
+    moduli = [m for m in range((1 << h) + 1, 1 << (h + 1), 2) if oracles.poly_irreducible(m, h)]
+    assert moduli and moduli[0] == FROZEN_MODULI[h]
+    for m in moduli:
+        gf = make_field(h, m)
+        _check_tables(gf)
+        # the least generator: every smaller element has order below n
+        least = next(g for g in range(1, gf.q)
+                     if all(_poly_pow(g, n // p, m) != 1 for p in _prime_factors(n)))
+        assert gf._exp[1 % n] == least, m
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         GF(0)

@@ -36,6 +36,7 @@ from arcflock.mathon_arcs import (
     quadric_points,
     verify_maximal_arc,
 )
+from arcflock.projective import normalize
 
 import oracles
 from conftest import BATTERY_ALPHA, battery_specs
@@ -615,6 +616,104 @@ def test_line_scan_matches_line_histogram_on_the_battery(
         pts = arc_points(arc)
         report = verify_maximal_arc(arc.gf, pts, arc.degree)
         assert report.histogram == oracles.line_histogram(arc.gf, pts)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """What the line scan builds a Counter from: nothing unless it counts line by line."""
+    built = []
+
+    class Spy(Counter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if args:
+                built.append(args[0])
+
+    monkeypatch.setattr(ma, "Counter", Spy)
+    return built
+
+
+def test_line_scan_certifies_every_arc_without_counting_lines(
+    battery_arcs, generic_arc_q8, extension_arc_q32, counted
+):
+    for arc in [*battery_arcs.values(), generic_arc_q8, extension_arc_q32]:
+        pts = arc_points(arc)
+        report = verify_maximal_arc(arc.gf, pts, arc.degree)
+        assert report.verdict
+        assert report.histogram == oracles.line_histogram(arc.gf, pts)
+        # the same points with z = 1, not the canonical form, are certified too
+        gf = arc.gf
+        rescaled = {(gf.div(x, z), gf.div(y, z), 1) for x, y, z in pts}
+        assert verify_maximal_arc(gf, rescaled, arc.degree) == report
+        assert counted == [], (arc.gf.q, arc.degree)
+    # an arc short of one point fails the identity, and is counted class by class
+    pts = set(arc_points(battery_arcs[(8, 4)])) - {NUCLEUS}
+    assert not verify_maximal_arc(make_field(3), pts, 4).verdict
+    assert len(counted) >= 9
+
+
+def _class_counts(gf, pts):
+    """Tuples per line in each of the q + 1 affine parallel classes, by the oracle's pencils."""
+    classes = [Counter() for _ in range(gf.q + 1)]
+    for p in pts:
+        if p[2]:  # lines_through2 lists [0, 1, c] first, then [1, b, c] for b = 0, ..., q - 1
+            for per_line, line in zip(classes, oracles.lines_through2(gf, p)):
+                per_line[line] += 1
+    return classes
+
+
+def _uncertified_sets(gf):
+    """Point sets the pair-count identity must not certify, or that have no affine point."""
+    q = gf.q
+    alpha = next(a for a in gf.nonzero_elements() if gf.trace(a) == 1)
+    arc = arc_points(denniston_arc(gf, alpha, (1, 2, 3)))
+    x, y, z = max(arc)  # an affine point: its z is nonzero
+    twice = (gf.mul(2, x), gf.mul(2, y), gf.mul(2, z))
+    yield "second representative", arc | {twice}
+    # all q^2 affine points but q that are not collinear: every class meets all
+    # q of its lines, and q divides q^2 - q, yet two of the q share a line
+    missing = {(i, 0, 1) for i in range(1, q)} | {(0, 1, 1)}
+    yield "k divides n", {(i, j, 1) for i in range(q) for j in range(q)} - missing
+    yield "at infinity only", {(1, b, 0) for b in range(q)} | {(0, 1, 0)}
+
+
+@pytest.mark.parametrize("h", range(2, 7))
+def test_line_scan_matches_line_histogram_on_edge_sets(h, counted):
+    gf = make_field(h)
+    for name, pts in _uncertified_sets(gf):
+        del counted[:]
+        report = verify_maximal_arc(gf, pts, 2)
+        assert report.histogram == oracles.line_histogram(gf, pts), name
+        assert counted, name  # counted line by line
+        if name == "k divides n":
+            classes = _class_counts(gf, pts)
+            assert all(len(c) == gf.q for c in classes) and len(pts) % gf.q == 0
+            assert any(len(set(c.values())) > 1 for c in classes)  # not uniform
+    # one affine point is uniform in every class, whatever lies at infinity
+    for at_infinity in (set(), {(1, 1, 0), (1, 0, 0)}):
+        del counted[:]
+        pts = {(gf.q - 1, 1, gf.q - 1)} | at_infinity
+        assert verify_maximal_arc(gf, pts, 2).histogram == oracles.line_histogram(gf, pts)
+        assert counted == []
+
+
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical-base", "z-base"])
+def test_line_scan_needs_the_points_distinct(canonical, counted):
+    # five affine points of PG(2,4) plus a second representative of (2, 3, 1):
+    # every class meets 3 lines, 3 divides n = 6, and the n/k sum to n + q =
+    # 10, so the identity alone, without distinct points, would certify it.
+    # The repeated point is given canonically and as (2, 3, 1), or as
+    # (2, 3, 1) and 2 (2, 3, 1), neither canonical.
+    gf = make_field(2)
+    base = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 3, 1)]
+    twice = (2, 3, 1) if canonical else (gf.mul(2, 2), gf.mul(2, 3), 2)
+    pts = {normalize(gf, p) if canonical else p for p in base} | {twice}
+    n, classes = len(pts), _class_counts(gf, pts)
+    ks = [len(c) for c in classes]
+    assert n == 6 and ks == [3] * 5 and sum(n // k for k in ks) == n + gf.q
+    assert any(len(set(c.values())) > 1 for c in classes)
+    assert verify_maximal_arc(gf, pts, 2).histogram == oracles.line_histogram(gf, pts)
+    assert counted
 
 
 def test_line_scan_rejects_the_zero_vector():
