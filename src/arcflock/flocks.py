@@ -13,10 +13,11 @@ off the cone's parametrisation: every cone point other than the vertex is
 (x0, s^2, s u, u^2) for (s:u) in PG(1,q) and x0 in GF(q), so the plane
 [1, f, t, g] meets each of the q + 1 generators in one point, at
 x0 = f + t u + g u^2 on (1, u, u^2) and at x0 = g on (0, 0, 1).  A section
-is that column of q + 1 values, one x0 per generator, listed in O(q) from
-rotated exp tables with no multiplication and no scan of PG(3,q); two
-sections share a point exactly where their columns agree, so the oracle
-compares d sections generator by generator in O(d q).
+is that column of q + 1 values, one x0 per generator, listed in O(q) with
+no multiplication and no scan of PG(3,q) by mathon_arcs._quadratic_column
+(here _x0_column), which lists conic points too; two sections share a point
+exactly where their columns agree, so the oracle compares d sections
+generator by generator in O(d q).
 
 A Mathon arc with conics F_{alpha,beta,lam} corresponds to the additive
 partial flock with planes [1, alpha*lam, lam, beta*lam] plus the plane
@@ -58,15 +59,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from array import array
 from collections import Counter, defaultdict
-from operator import xor
 from typing import Optional
 
 from . import projective as pg
 from .finite_field import GF, _FrozenValue, _Value, check_kind
 from .mathon_arcs import MAX_SCAN_STEPS, ClosureError, Conic, DisjointnessError, MathonArc
-from .mathon_arcs import _span_arc, _triple, _triple_trace, triple_span
+from .mathon_arcs import _quadratic_column as _x0_column
+from .mathon_arcs import _span_arc, _square_logs, _triple, _triple_trace, triple_span
 
 #: vertex of the cone X1 X3 = X2^2
 VERTEX: pg.Coords = (1, 0, 0, 0)
@@ -95,33 +95,6 @@ def _checked_plane(gf: GF, plane: object) -> pg.Coords:
     return u
 
 
-def _square_logs(gf: GF) -> list[int]:
-    """log_index(u^2) for each u of gf.scaled_powers(1): the field's powers, then 0.
-
-    Squaring doubles the log, so this index list reads g u^2 off the row
-    scaled_powers(g) in the order in which scaled_powers(t) lists t u.
-    """
-    n = gf.q - 1
-    return [2 * k % n for k in range(n)] + [n]
-
-
-def _x0_column(gf: GF, square_logs: list[int], plane: pg.Coords) -> array:
-    """Where a normalized plane [1, f, t, g] meets each of the q + 1 cone generators.
-
-    Entry k < q is x0 = f + t u + g u^2 on the generator (1, u, u^2), u the
-    k-th entry of gf.scaled_powers(1); entry q is x0 = g on (0, 0, 1).  The
-    products t u and g u^2 are read off the rows scaled_powers(t) and
-    scaled_powers(g), with square_logs from _square_logs, so no entry costs a
-    multiplication.  The column is an array of machine words, not a list of
-    int objects, which at h = 16 would take about four times the memory.
-    """
-    _, f, t, g = plane
-    g_u2 = map(gf.scaled_powers(g).__getitem__, square_logs)
-    column = array("L", map(f.__xor__, map(xor, gf.scaled_powers(t), g_u2)))
-    column.append(g)
-    return column
-
-
 def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
     """The q + 1 cone points on a plane [u0, u1, u2, u3] avoiding the vertex.
 
@@ -133,7 +106,7 @@ def plane_section(gf: GF, plane: pg.Coords) -> frozenset[pg.Coords]:
     """
     check_kind(gf, GF, "field")
     square_logs = _square_logs(gf)
-    column = _x0_column(gf, square_logs, _checked_plane(gf, plane))
+    column = _x0_column(gf, square_logs, *_checked_plane(gf, plane)[1:])
     n = gf.q - 1
     power = gf.scaled_powers(1)[:n]  # power[k] = u of generator k; a negative k wraps mod n
     logs = list(map(gf.log_index, column))
@@ -252,7 +225,7 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
             f" (q + 1) * d * (d + 1) / 2 = {gf.q + 1} * {d} * {d + 1} / 2"
         )
     square_logs = _square_logs(gf)
-    columns = [_x0_column(gf, square_logs, p) for p in F.planes]
+    columns = [_x0_column(gf, square_logs, *p[1:]) for p in F.planes]
     shared: Counter = Counter()
     for x0s in zip(*columns):
         if len(set(x0s)) < d:

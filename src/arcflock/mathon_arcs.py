@@ -6,19 +6,21 @@ The building blocks are conics
 
 with trace(alpha beta) = 1 and lam != 0.  Every such conic has nucleus
 (0,0,1) and is disjoint from the line z = 0.  Its points are read off the
-nucleus pencil: each of the q + 1 lines through (0,0,1) meets it once, at a
-point given by square roots alone.  A conic is its triple (lam, alpha lam,
-beta lam) (_triple, _triple_conic), the (t, f, g) of its flock plane
-[1, alpha lam, lam, beta lam] (flocks.arc_to_flock), and two conics with
-distinct lam compose, by a lam-weighted average of coefficients, to the XOR
-of their triples; a set of conics closed under it, i.e. whose triples span a
-GF(2)-space with one member per lam, together with the common nucleus, is a
-maximal arc of degree |set| + 1 (Mathon's construction).  triple_span
-grows that space, for close_set and for the flocks module, and _span_arc
-reads the arc off it: the closed conic set and the additive partial flock
-are one space of triples (Hamilton-Thas), so arcs double through
-flocks.extend_flock.  Denniston arcs are the special case alpha constant,
-beta = 1, with the lam values ranging over an additive subgroup minus 0.
+nucleus pencil: with r = 1/sqrt(lam), ra = sqrt(alpha) r, rb = sqrt(beta) r,
+the line (1, u^2, .) meets it at z = ra + r u + rb u^2 and (0, 1, .) at rb,
+the column that _quadratic_column also lists for a flock plane's cone
+section.  A conic is its triple (lam, alpha lam, beta lam) (_triple,
+_triple_conic), the (t, f, g) of its flock plane [1, alpha lam, lam, beta lam]
+(flocks.arc_to_flock), and two conics with distinct lam compose, by a
+lam-weighted average of coefficients, to the XOR of their triples; a set of
+conics closed under it, i.e. whose triples span a GF(2)-space with one member
+per lam, together with the common nucleus, is a maximal arc of degree
+|set| + 1 (Mathon's construction).  triple_span grows that space, for
+close_set and for the flocks module, and _span_arc reads the arc off it: the
+closed conic set and the additive partial flock are one space of triples
+(Hamilton-Thas), so arcs double through flocks.extend_flock.  Denniston arcs
+are the special case alpha constant, beta = 1, with the lam values ranging
+over an additive subgroup minus 0.
 
 By Mathon's theorem two conics with distinct lam are disjoint exactly when
 their composition (lam'', A, B) has trace(A B / lam''^2) = 1 (_triple_trace,
@@ -52,7 +54,7 @@ import json
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, repeat
 from operator import xor
 from typing import TYPE_CHECKING, Optional
 
@@ -106,24 +108,50 @@ class Conic(_FrozenValue):
         set_lam(self, lam)
 
 
+def _square_logs(gf: GF) -> list[int]:
+    """log_index(u^2) for each u of gf.scaled_powers(1): the field's powers, then 0.
+
+    Squaring doubles the log, so this index list reads c u^2 off the row
+    scaled_powers(c) in the order in which scaled_powers(b) lists b u; 2k
+    mod the odd q - 1 runs over the even logs, then the odd ones.
+    """
+    n = gf.q - 1
+    return [*range(0, n, 2), *range(1, n, 2), n]
+
+
+def _quadratic_column(gf: GF, square_logs: list[int], a: int, b: int, c: int) -> array:
+    """The values a + b u + c u^2, one per u of gf.scaled_powers(1), then c (u infinite).
+
+    The products b u and c u^2 are read off the rows scaled_powers(b) and
+    scaled_powers(c), with square_logs from _square_logs, so no entry costs a
+    multiplication.  The column is an array of machine words, not a list of
+    int objects, which at h = 16 would take about four times the memory.
+    """
+    c_u2 = map(gf.scaled_powers(c).__getitem__, square_logs)
+    column = array("L", map(a.__xor__, map(xor, gf.scaled_powers(b), c_u2)))
+    column.append(c)
+    return column
+
+
 def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:
     """Zero set of a x^2 + x y + b y^2 + l z^2 for any a, b and l != 0.
 
     The point (0,0,1) is off the quadric, and each of the q + 1 lines through
     it meets the quadric exactly once, because squaring is a bijection: on
-    (1, s, z) the equation reads l z^2 = a + s + b s^2, so
-    z = (sqrt(a) + sqrt(s) + sqrt(b) s)/sqrt(l), and on (0, 1, z) it reads
-    z = sqrt(b)/sqrt(l).  The coefficients must be field elements.
+    (1, u^2, z) the equation reads l z^2 = a + u^2 + b u^4, so z = ra + r u +
+    rb u^2 with r = 1/sqrt(l), ra = sqrt(a) r and rb = sqrt(b) r: the column
+    of (ra, r, rb), whose last entry rb is z on (0, 1, z).  The coefficients
+    must be field elements.
     """
     _check_elements(gf, a=a, b=b, l=l)
     if l == 0:
         raise ValueError("l must be nonzero: with l = 0 the quadric holds (0,0,1)")
     mul, sqrt = gf.mul, gf.sqrt
     r = gf.inv(sqrt(l))
-    ra, rb = mul(sqrt(a), r), mul(sqrt(b), r)
-    pts = [(1, s, ra ^ mul(sqrt(s), r) ^ mul(rb, s)) for s in range(gf.q)]
-    pts.append((0, 1, rb))
-    return frozenset(pts)
+    square_logs = _square_logs(gf)
+    column = _quadratic_column(gf, square_logs, mul(sqrt(a), r), r, mul(sqrt(b), r))
+    squares = map(gf.scaled_powers(1).__getitem__, square_logs)
+    return frozenset(chain(zip(repeat(1), squares, column), [(0, 1, column[gf.q])]))
 
 
 def conic_points(c: Conic) -> frozenset[pg.Coords]:
@@ -331,13 +359,6 @@ class MaximalArcReport(_Value):
         }
 
 
-def _add_class(hist: Counter, q: int, per_line: Counter, extra: int) -> None:
-    """Add one parallel class of q lines: bucket counts plus extra points on every line."""
-    for k, v in Counter(per_line.values()).items():
-        hist[k + extra] += v
-    hist[extra] += q - len(per_line)
-
-
 def _checked_plane_points(gf: GF, points: Iterable[object]) -> list[pg.Coords]:
     """The points as listed, each a tuple of three field elements, not all 0.
 
@@ -448,7 +469,10 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
             hist[extra + n // k] += k
     else:
         for extra, values in zip(extras, _line_classes(gf, xs, ys)):
-            _add_class(hist, q, Counter(values), extra)
+            per_line = Counter(values)  # points on each met line, plus extra on every line
+            for k, v in Counter(per_line.values()).items():
+                hist[k + extra] += v
+            hist[extra] += q - len(per_line)
     hist[len(pts) - n] += 1  # the line z = 0
     return MaximalArcReport(
         q=q,

@@ -91,7 +91,7 @@ def test_quadric_points_refuses_coefficients_outside_the_field():
             quadric_points(gf, a, b, l)
 
 
-@pytest.mark.parametrize("h", (1, 2, 3))
+@pytest.mark.parametrize("h", (1, 2, 3, 4))
 def test_quadric_points_against_inline_scan_for_every_triple(h):
     # degenerate triples too: b = 0, a = 0 and trace(ab) = 0
     gf = make_field(h)
@@ -100,6 +100,36 @@ def test_quadric_points_against_inline_scan_for_every_triple(h):
             assert quadric_points(gf, a, b, l) == oracles.quadric_scan(gf, a, b, l)
         with pytest.raises(ValueError, match="l must be nonzero"):
             quadric_points(gf, a, b, 0)
+
+
+def _degenerate_and_random_triples(gf, rng, count):
+    """a = 0, b = 0 and trace(ab) = 0 among the triples, then random ones; l != 0."""
+    ab0 = next(b for b in gf.nonzero_elements() if gf.trace(b) == 0)
+    fixed = [(0, 0), (0, rng.randrange(gf.q)), (rng.randrange(gf.q), 0), (1, ab0)]
+    rand = [(rng.randrange(gf.q), rng.randrange(gf.q)) for _ in range(count)]
+    return [(a, b, rng.randrange(1, gf.q)) for a, b in fixed + rand]
+
+
+@pytest.mark.parametrize("h", (5, 6, 7, 8))
+def test_quadric_points_against_inline_scan_on_a_sample(h):
+    gf = make_field(h)
+    for a, b, l in _degenerate_and_random_triples(gf, random.Random(9100 + h), 4):
+        assert quadric_points(gf, a, b, l) == oracles.quadric_scan(gf, a, b, l)
+
+
+@pytest.mark.parametrize("h", range(9, MAX_H + 1))
+def test_quadric_points_meet_each_nucleus_line_once_up_to_max_h(h):
+    # the column reads the high-byte exp tables here; a scan of PG(2,q) would not fit
+    gf = make_field(h)
+    mul, sq = gf.mul, gf.square
+    for a, b, l in _degenerate_and_random_triples(gf, random.Random(9200 + h), 1):
+        pts = quadric_points(gf, a, b, l)
+        assert len(pts) == gf.q + 1
+        assert sorted(p[1] for p in pts if p[0] == 1) == list(range(gf.q))
+        assert [p[:2] for p in pts if p[0] != 1] == [(0, 1)]
+        assert all(
+            mul(a, sq(x)) ^ mul(x, y) ^ mul(b, sq(y)) ^ mul(l, sq(z)) == 0 for x, y, z in pts
+        )
 
 
 # -- composition ---------------------------------------------------------------------
@@ -484,6 +514,9 @@ def test_constructions_list_no_points(monkeypatch, extension_arc_q32):
         raise AssertionError("a construction listed conic points")
 
     monkeypatch.setattr(ma, "quadric_points", no_points)
+    # nor the column kernel that lists conic points and cone sections, on either side
+    monkeypatch.setattr(ma, "_quadratic_column", no_points)
+    monkeypatch.setattr("arcflock.flocks._x0_column", no_points)
     gf = make_field(5)
     d4 = denniston_arc(gf, 1, (1, 2, 3))
     assert close_set(d4.conics[:2]) == d4
