@@ -9,7 +9,8 @@ integer) is chosen, which pins every numeric value this package produces.
 
 Multiplication, inversion and square roots run on log/exp tables over the
 least generator of the multiplicative group, the first g whose powers take
-q - 1 steps to return to 1, walked by byte tables; the square root of a is
+q - 1 steps to return to 1, found by the order test g^((q-1)/p) != 1 for
+each prime p dividing q - 1 and walked by byte tables; the square root of a is
 a^(2^(h-1)), one table lookup; a rotation of the exp table lists the
 multiples of one element, indexed by log.  The absolute trace
 a -> a + a^2 + ... + a^(2^(h-1)) is evaluated through a precomputed
@@ -69,8 +70,33 @@ def least_irreducible(h: int) -> int:
     raise AssertionError(f"no irreducible polynomial of degree {h}")
 
 
+def _polypow(g: int, e: int, m: int) -> int:
+    """g^e modulo m in GF(2)[x], by square and multiply."""
+    r = 1
+    for bit in bin(e)[2:]:
+        r = _polymod(_polymul(r, r), m)
+        if bit == "1":
+            r = _polymod(_polymul(r, g), m)
+    return r
+
+
+def _polymul(a: int, b: int) -> int:
+    """The product of a and b in GF(2)[x] (carry-less)."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
 def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
-    """exp and log over the least generator g; x -> g x is GF(2)-linear: two byte-table lookups."""
+    """exp and log over the least generator g; x -> g x is GF(2)-linear: two byte-table lookups.
+
+    g generates the multiplicative group exactly when g^((q-1)/p) != 1 for
+    every prime p dividing q - 1, so only g's own cycle is walked.
+    """
     def times_bytes(c: int) -> list[int]:
         table = [0]
         for j in range(8):
@@ -78,19 +104,28 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
             table += [v ^ cj for v in table]
         return table
 
-    for g in range(1, q):
-        # an element is one or two bytes: below q = 2^8 the high byte is 0
-        low, high = times_bytes(g), times_bytes(_polymod(g << 8, modulus)) if q > 256 else [0]
-        exp, x = [1], g
-        while x != 1 and len(exp) < q:
-            exp.append(x)
-            x = low[x & 255] ^ high[x >> 8]
-        if len(exp) == q - 1:
-            log = [0] * q
-            for i, v in enumerate(exp):
-                log[v] = i
-            return exp, log
-    raise ValueError("multiplicative group is not cyclic; modulus is not irreducible")
+    n = rest = q - 1
+    primes, p = [], 2  # the primes dividing n, by trial division
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    primes += [rest] * (rest > 1)
+    g = next((g for g in range(1, q) if all(_polypow(g, n // p, modulus) != 1 for p in primes)), 0)
+    # an element is one or two bytes: below q = 2^8 the high byte is 0
+    low, high = times_bytes(g), times_bytes(_polymod(g << 8, modulus)) if q > 256 else [0]
+    exp, x = [1], g
+    while x != 1 and len(exp) < q:
+        exp.append(x)
+        x = low[x & 255] ^ high[x >> 8]
+    if len(exp) != n:
+        raise ValueError("multiplicative group is not cyclic; modulus is not irreducible")
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log
 
 
 def gf2_add_row(echelon: dict[int, tuple[int, int]], row: int, b: int) -> int:

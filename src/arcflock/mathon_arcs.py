@@ -381,9 +381,9 @@ def _checked_plane_points(gf: GF, points: Iterable[object]) -> list[pg.Coords]:
     return pts
 
 
-def _packed(values: Iterable[int]) -> int:
-    """Values below 2^16 packed into one int, 16 bits each, in native byte order."""
-    return int.from_bytes(array("H", values).tobytes(), "little")
+def _packed(values: Iterable[int], typecode: str) -> int:
+    """Values packed into one int, one array item of typecode ("B" or "H") each, in native byte order."""
+    return int.from_bytes(array(typecode, values).tobytes(), "little")
 
 
 def _affine_coordinates(gf: GF, affine: list[pg.Coords]) -> list[list[int]]:
@@ -394,25 +394,30 @@ def _affine_coordinates(gf: GF, affine: list[pg.Coords]) -> list[list[int]]:
     return [[power[log(p[i]) - l] if p[i] else 0 for p, l in zip(affine, log_zs)] for i in (0, 1)]
 
 
-def _line_classes(gf: GF, xs: list[int], ys: list[int]) -> Iterator[memoryview]:
+def _line_classes(gf: GF, xs: list[int], ys: list[int]) -> Iterator[bytes | memoryview]:
     """The line each affine point lies on, one parallel class at a time.
 
     The point (x, y, 1) lies on [0, 1, y] and on [1, b, x + b y] for every
     slope b, so the classes are y, then x + b y for b = k ^ (k >> 1),
     k = 0, ..., q - 1 (Gray-code order).  The values are packed into one
-    int, 16 bits each; as b y is GF(2)-linear in b, each slope's int is the
-    previous one XOR the packed 2^j y, j the lowest set bit of k.
+    int, one byte each at q <= 256 and 16 bits each above; as b y is
+    GF(2)-linear in b, each slope's int is the previous one XOR the packed
+    2^j y, j the lowest set bit of k.  A class comes back as bytes at
+    q <= 256 and as a memoryview of 16-bit values above.
     """
-    width = 2 * len(xs)
+    typecode = "B" if gf.q <= 256 else "H"
+    width = array(typecode).itemsize * len(xs)
 
-    def unpacked(line: int) -> memoryview:
+    def unpacked(line: int) -> bytes | memoryview:
         # to_bytes gives back the array's bytes, so cast("H") reads the packed values
-        return memoryview(line.to_bytes(width, "little")).cast("H")
+        raw = line.to_bytes(width, "little")
+        return raw if typecode == "B" else memoryview(raw).cast("H")
 
-    yield unpacked(_packed(ys))
+    yield unpacked(_packed(ys, typecode))
     log_ys = list(map(gf.log_index, ys))
-    steps = [_packed(map(gf.scaled_powers(1 << j).__getitem__, log_ys)) for j in range(gf.h)]
-    line = _packed(xs)
+    steps = [_packed(map(gf.scaled_powers(1 << j).__getitem__, log_ys), typecode)
+             for j in range(gf.h)]
+    line = _packed(xs, typecode)
     yield unpacked(line)
     for k in range(1, gf.q):
         line ^= steps[(k & -k).bit_length() - 1]
@@ -428,15 +433,17 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     (y = 0).  An affine point is normalized to (x, y, 1) by log tables, and
     each class costs one int XOR and one C-level pass over its values.
 
-    That pass is k = len(set(values)), the class's number of met lines.  If
-    the n affine tuples are n points (no two agree once scaled to the
-    canonical form, first nonzero coordinate 1, which arc_points lists
-    already) and the n // k sum to n + q, the pair-count identity in the
-    module docstring makes every class uniform: k lines of n/k affine points
-    and q - k lines of none, plus the class's points at infinity on each.
-    Every maximal arc passes; any other set, such as one listing a point
-    twice under two representatives, is counted line by line (one Counter per
-    class) by a second walk.
+    That pass gives k, the class's number of met lines: at q <= 256, where a
+    class is bytes, q less the length of every value 0..q-1 with the class's
+    values deleted by bytes.translate; above, len(set(values)).  If the n
+    affine tuples are n points (no two agree once scaled to the canonical
+    form, first nonzero coordinate 1, which arc_points lists already) and the
+    n // k sum to n + q, the pair-count identity in the module docstring
+    makes every class uniform: k lines of n/k affine points and q - k lines
+    of none, plus the class's points at infinity on each.  Every maximal arc
+    passes; any other set, such as one listing a point twice under two
+    representatives, is counted line by line (one Counter per class) by a
+    second walk, which starts as soon as a class's k does not divide n.
 
     The work is |points| (q + 1) steps, held to MAX_SCAN_STEPS for a
     degree-d arc (d >= 2) before the points are read, and for the points
@@ -461,9 +468,22 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     xs, ys = _affine_coordinates(gf, [p for p in pts if p[2]])
     n = len(xs)
     extras = [at_infinity[q], *(at_infinity[k ^ k >> 1] for k in range(q))]
-    ks = list(map(len, map(set, _line_classes(gf, xs, ys))))
+    every = bytes(range(min(q, 256)))
+
+    def met(values: bytes | memoryview) -> int:
+        if q <= 256:  # _line_classes gives bytes: delete the class's values from all q at once
+            return q - len(every.translate(None, values))
+        return len(set(values))
+
+    ks: list[int] = []
+    if n and distinct:
+        for values in _line_classes(gf, xs, ys):
+            k = met(values)
+            if n % k:  # the n // k can sum to n + q only if every k divides n
+                break
+            ks.append(k)
     hist: Counter = Counter()
-    if n and distinct and sum(n // k for k in ks) == n + q:
+    if len(ks) == q + 1 and sum(n // k for k in ks) == n + q:
         for extra, k in zip(extras, ks):
             hist[extra] += q - k
             hist[extra + n // k] += k

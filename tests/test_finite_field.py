@@ -376,6 +376,16 @@ def test_exp_table_runs_over_the_least_generator(h):
     assert gf._exp[1 % n] == least  # for q = 2 the one generator is 1 = _exp[0]
 
 
+# the least generator of each default field, as the tables have always used it
+FROZEN_GENERATORS = {1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 3,
+                     9: 7, 10: 2, 11: 2, 12: 3, 13: 2, 14: 7, 15: 2, 16: 3}
+
+
+def test_generators_match_frozen_table():
+    fields = {h: make_field(h) for h in FROZEN_GENERATORS}
+    assert {h: gf._exp[1 % (gf.q - 1)] for h, gf in fields.items()} == FROZEN_GENERATORS
+
+
 def _check_tables(gf: GF) -> None:
     """_exp lists the powers of its g by the polynomial oracle, and _log inverts it."""
     n, exp = gf.q - 1, gf._exp
