@@ -210,19 +210,19 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
     sections share a point exactly where their columns agree, so the shared
     points are counted generator by generator: a generator whose d values
     are distinct costs one set, and only a value met by several planes adds
-    to their pairs' counts.  The work is d (q + 1) values plus one count per
-    shared point.  The step bound charges (q + 1) d (d + 1) / 2 steps, the
-    cost of listing d point sets and intersecting C(d, 2) pairs of them, so
-    it overestimates that work; the oracle is refused on it, before any
-    section is listed, when it exceeds MAX_SCAN_STEPS.
+    to their pairs' counts.  The work is d (q + 1) values, one count per
+    shared point (at most 2 per pair: two planes meet in a line, which meets
+    the cone at most twice) and one trace test per pair, so the step bound
+    charges d (q + 1) + C(d, 2) steps; the oracle is refused on it, before
+    any section is listed, when it exceeds MAX_SCAN_STEPS.
     """
     check_kind(F, PartialFlock, "flock")
     gf = F.gf
     d = F.size
-    if (gf.q + 1) * d * (d + 1) // 2 > MAX_SCAN_STEPS:
+    if d * (gf.q + 1) + d * (d - 1) // 2 > MAX_SCAN_STEPS:
         raise ValueError(
             f"the flock section oracle stops at {MAX_SCAN_STEPS} steps, got"
-            f" (q + 1) * d * (d + 1) / 2 = {gf.q + 1} * {d} * {d + 1} / 2"
+            f" d * (q + 1) + d * (d - 1) / 2 = {d} * {gf.q + 1} + {d} * {d - 1} / 2"
         )
     square_logs = _square_logs(gf)
     columns = [_x0_column(gf, square_logs, *p[1:]) for p in F.planes]

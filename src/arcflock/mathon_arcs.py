@@ -54,8 +54,8 @@ import json
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat
-from operator import xor
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, not_, xor
 from typing import TYPE_CHECKING, Optional
 
 from .finite_field import GF, _FrozenValue, _Value, check_kind
@@ -359,26 +359,55 @@ class MaximalArcReport(_Value):
         }
 
 
-def _checked_plane_points(gf: GF, points: Iterable[object]) -> list[pg.Coords]:
-    """The points as listed, each a tuple of three field elements, not all 0.
+def _checked_plane_points(gf: GF, points: Iterable[object]) -> list[list[int]]:
+    """The x, y and z columns of the points, each listed tuple once.
 
-    They are checked before any set is built, so a malformed tuple equal to a
-    good one, such as (True, 0, 1) beside (1, 0, 1), cannot hide behind it.
-    Each check is one C-level pass; a Python loop runs only to name the first
-    offender.
+    Each point must be a tuple of three field elements, not all 0.  The
+    points are checked as listed, before any set is built, so a malformed
+    tuple equal to a good one, such as (True, 0, 1) beside (1, 0, 1), cannot
+    hide behind it.  Each check is one C-level pass over the tuples or over one
+    coordinate column; a Python loop runs only to name the first offender.  A
+    set or frozenset of points needs no second set to drop repeated tuples.
     """
     pts = list(points)
     if not (set(map(type, pts)) <= {tuple} and set(map(len, pts)) <= {3}):
         bad = next(p for p in pts if type(p) is not tuple or len(p) != 3)
         raise ValueError(f"a PG(2,q) point is a tuple of three coordinates, got {bad!r}")
-    coords = chain.from_iterable  # one pass each, no list of 3 |points| coordinates
-    ints = set(map(type, coords(pts))) <= {int}
-    if not (ints and 0 <= min(coords(pts), default=0) and max(coords(pts), default=0) < gf.q):
-        bad = next(c for c in coords(pts) if not gf.is_element(c))
-        raise ValueError(f"coordinate {bad!r} is not an element of GF({gf.q})")
-    if (0, 0, 0) in pts:
+    columns = [list(map(itemgetter(i), pts)) for i in range(3)]
+    for column in columns:
+        if not (set(map(type, column)) <= {int} and 0 <= min(column, default=0)
+                and max(column, default=0) < gf.q):
+            bad = next(c for c in chain.from_iterable(pts) if not gf.is_element(c))
+            raise ValueError(f"coordinate {bad!r} is not an element of GF({gf.q})")
+    distinct = points if type(points) in (set, frozenset) else set(pts)
+    if (0, 0, 0) in distinct:
         raise ValueError("the zero vector is not a projective point")
-    return pts
+    if len(distinct) < len(pts):  # a tuple listed twice
+        columns = [list(map(itemgetter(i), distinct)) for i in range(3)]
+    return columns
+
+
+def _log_tables(gf: GF) -> tuple[list[int], list[int]]:
+    """A log row and a doubled power table with a zero tail, off gf.scaled_powers(1).
+
+    log holds log v at each index v != 0 and 2(q - 1) at 0; powers holds
+    g^(k mod (q - 1)) at each k < 2(q - 1), then q zeros.  So
+    c v = powers[log[c] + log[v]] and v / z = powers[log[v] + q - 1 - log[z]]
+    for c, z != 0, and the log of 0 reads the zero tail.
+    """
+    n = gf.q - 1
+    powers = gf.scaled_powers(1)
+    log = [2 * n] * gf.q
+    any(map(log.__setitem__, powers, range(n)))  # log[g^k] = k; a store gives None
+    return log, powers[:n] * 2 + [0] * gf.q
+
+
+def _quotients(log: list[int], powers: list[int], columns: Iterable[Iterable[int]],
+               zs: Iterable[int]) -> list[list[int]]:
+    """Each column divided entrywise by the nonzero zs, in map passes over log and powers."""
+    minus_log_z = list(map((len(log) - 1).__sub__, map(log.__getitem__, zs)))
+    return [list(map(powers.__getitem__, map(add, map(log.__getitem__, vs), minus_log_z)))
+            for vs in columns]
 
 
 def _packed(values: Iterable[int], typecode: str) -> int:
@@ -386,15 +415,8 @@ def _packed(values: Iterable[int], typecode: str) -> int:
     return int.from_bytes(array(typecode, values).tobytes(), "little")
 
 
-def _affine_coordinates(gf: GF, affine: list[pg.Coords]) -> list[list[int]]:
-    """[x/z, ...] and [y/z, ...] of the points (x, y, z) with z != 0, read off the log tables."""
-    power = gf.scaled_powers(1)[: gf.q - 1]  # power[k] = g^k; a negative k wraps mod q - 1
-    log = gf.log_index
-    log_zs = [log(p[2]) for p in affine]
-    return [[power[log(p[i]) - l] if p[i] else 0 for p, l in zip(affine, log_zs)] for i in (0, 1)]
-
-
-def _line_classes(gf: GF, xs: list[int], ys: list[int]) -> Iterator[bytes | memoryview]:
+def _line_classes(gf: GF, log: list[int], powers: list[int],
+                  xs: list[int], ys: list[int]) -> Iterator[bytes | memoryview]:
     """The line each affine point lies on, one parallel class at a time.
 
     The point (x, y, 1) lies on [0, 1, y] and on [1, b, x + b y] for every
@@ -402,7 +424,10 @@ def _line_classes(gf: GF, xs: list[int], ys: list[int]) -> Iterator[bytes | memo
     k = 0, ..., q - 1 (Gray-code order).  The values are packed into one
     int, one byte each at q <= 256 and 16 bits each above; as b y is
     GF(2)-linear in b, each slope's int is the previous one XOR the packed
-    2^j y, j the lowest set bit of k.  A class comes back as bytes at
+    2^j y, j the lowest set bit of k.  Those h steps are built first, off
+    log and powers (_log_tables): at q <= 256 each is one bytes.translate of
+    the ys by the table of v -> 2^j v, above it a _packed map pass.  Then
+    each class costs one XOR and one to_bytes, and comes back as bytes at
     q <= 256 and as a memoryview of 16-bit values above.
     """
     typecode = "B" if gf.q <= 256 else "H"
@@ -414,9 +439,14 @@ def _line_classes(gf: GF, xs: list[int], ys: list[int]) -> Iterator[bytes | memo
         return raw if typecode == "B" else memoryview(raw).cast("H")
 
     yield unpacked(_packed(ys, typecode))
-    log_ys = list(map(gf.log_index, ys))
-    steps = [_packed(map(gf.scaled_powers(1 << j).__getitem__, log_ys), typecode)
-             for j in range(gf.h)]
+    rows = [powers[log[1 << j]:] for j in range(gf.h)]  # 2^j v at index log v
+    if typecode == "B":
+        y_bytes = bytes(ys)
+        tables = (bytes(map(row.__getitem__, log)).ljust(256, b"\0") for row in rows)
+        steps = [int.from_bytes(y_bytes.translate(table), "little") for table in tables]
+    else:
+        log_ys = list(map(log.__getitem__, ys))
+        steps = [_packed(map(row.__getitem__, log_ys), typecode) for row in rows]
     line = _packed(xs, typecode)
     yield unpacked(line)
     for k in range(1, gf.q):
@@ -430,20 +460,26 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     The lines are taken one parallel class at a time (_line_classes), so
     memory stays O(q) for any point set.  A point (x, y, 0) lies on [0, 0, 1]
     and on every line of the class b = x/y (y != 0) or of the class [0, 1, c]
-    (y = 0).  An affine point is normalized to (x, y, 1) by log tables, and
-    each class costs one int XOR and one C-level pass over its values.
+    (y = 0).  An affine point is normalized to (x, y, 1), and each class
+    costs one int XOR and one C-level pass over its values.
 
     That pass gives k, the class's number of met lines: at q <= 256, where a
     class is bytes, q less the length of every value 0..q-1 with the class's
     values deleted by bytes.translate; above, len(set(values)).  If the n
-    affine tuples are n points (no two agree once scaled to the canonical
-    form, first nonzero coordinate 1, which arc_points lists already) and the
-    n // k sum to n + q, the pair-count identity in the module docstring
-    makes every class uniform: k lines of n/k affine points and q - k lines
-    of none, plus the class's points at infinity on each.  Every maximal arc
-    passes; any other set, such as one listing a point twice under two
-    representatives, is counted line by line (one Counter per class) by a
-    second walk, which starts as soon as a class's k does not divide n.
+    affine tuples are n points and the n // k sum to n + q, the pair-count
+    identity in the module docstring makes every class uniform: k lines of
+    n/k affine points and q - k lines of none, plus the class's points at
+    infinity on each.  Every maximal arc passes; any other set, such as one
+    listing a point twice under two representatives, is counted line by
+    line (one Counter per class) by a second walk, which starts as soon as a
+    class's k does not divide n.
+
+    No step before the walk runs a Python call per point.  The points are
+    checked and split column by column; x/z and y/z, and x/y at infinity,
+    are map passes over a log row and a doubled power table (_quotients);
+    the tuples are n points if each is canonical (first nonzero coordinate
+    1, as arc_points lists them), else if no two (x/z, y/z) agree; and the
+    walk's h step ints are bytes.translate passes at q <= 256.
 
     The work is |points| (q + 1) steps, held to MAX_SCAN_STEPS for a
     degree-d arc (d >= 2) before the points are read, and for the points
@@ -455,19 +491,23 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
     if type(d) is not int or d < 2:
         raise ValueError(f"a maximal arc has an int degree at least 2, got d = {d!r}")
     _check_line_scan(q, arc_size(q, d))
-    pts = set(_checked_plane_points(gf, points))
-    _check_line_scan(q, len(pts))
-    at_infinity = [0] * (q + 1)  # on every line of the class b = x/y, or [0, 1, c] at index q
-    for x, y, _ in (p for p in pts if not p[2]):
-        at_infinity[gf.div(x, y) if y else q] += 1
-    # the tuples are distinct points unless some are not canonical (first
-    # nonzero coordinate 1) and, made canonical, meet each other or the set
-    moved = [tuple(gf.div(v, c) for v in p)
-             for p in pts if p[2] and (c := p[0] or p[1] or p[2]) != 1]
-    distinct = len(set(moved)) == len(moved) and pts.isdisjoint(moved)
-    xs, ys = _affine_coordinates(gf, [p for p in pts if p[2]])
-    n = len(xs)
-    extras = [at_infinity[q], *(at_infinity[k ^ k >> 1] for k in range(q))]
+    xs, ys, zs = _checked_plane_points(gf, points)
+    size = len(zs)
+    _check_line_scan(q, size)
+    log, powers = _log_tables(gf)
+    # (x, y, 0) is on every line of the class b = x/y, or of [0, 1, c] when y = 0
+    at_infinity = list(map(not_, zs))
+    xi, yi = list(compress(xs, at_infinity)), list(compress(ys, at_infinity))
+    (slopes,) = _quotients(log, powers, [compress(xi, yi)], compress(yi, yi))
+    extras = [yi.count(0), *map(slopes.count, (k ^ k >> 1 for k in range(q)))]
+    if xi:  # keep the affine points
+        xs, ys, zs = [list(compress(c, zs)) for c in (xs, ys, zs)]
+    n = len(zs)
+    at_x0 = list(map(not_, xs))  # canonical: x = 1, or x = 0 and y = 1, or (0, 0, 1)
+    ys0, zs0 = list(compress(ys, at_x0)), list(compress(zs, at_x0))
+    canonical = xs.count(1) + ys0.count(1) + list(compress(zs0, map(not_, ys0))).count(1)
+    xs, ys = _quotients(log, powers, (xs, ys), zs)
+    distinct = canonical == n or len(set(zip(xs, ys))) == n
     every = bytes(range(min(q, 256)))
 
     def met(values: bytes | memoryview) -> int:
@@ -477,7 +517,7 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
 
     ks: list[int] = []
     if n and distinct:
-        for values in _line_classes(gf, xs, ys):
+        for values in _line_classes(gf, log, powers, xs, ys):
             k = met(values)
             if n % k:  # the n // k can sum to n + q only if every k divides n
                 break
@@ -488,16 +528,16 @@ def verify_maximal_arc(gf: GF, points: Iterable[pg.Coords], d: int) -> MaximalAr
             hist[extra] += q - k
             hist[extra + n // k] += k
     else:
-        for extra, values in zip(extras, _line_classes(gf, xs, ys)):
+        for extra, values in zip(extras, _line_classes(gf, log, powers, xs, ys)):
             per_line = Counter(values)  # points on each met line, plus extra on every line
             for k, v in Counter(per_line.values()).items():
                 hist[k + extra] += v
             hist[extra] += q - len(per_line)
-    hist[len(pts) - n] += 1  # the line z = 0
+    hist[size - n] += 1  # the line z = 0
     return MaximalArcReport(
         q=q,
         degree=d,
-        size=len(pts),
+        size=size,
         expected_size=arc_size(q, d),
         histogram={k: v for k, v in sorted(hist.items()) if v},
     )

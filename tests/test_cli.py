@@ -152,9 +152,9 @@ def test_high_degree_arc_above_the_step_ceiling_exits_2_within_seconds():
 
 
 def test_flock_above_the_step_ceiling_exits_2_within_seconds():
-    # a degree-256 arc at h = 16 is built and converted, then its flock's
-    # 256 * 65 537 section points are refused before any is listed
-    arc = ma.denniston_arc(make_field(16), 2048, range(1, 256))
+    # a degree-1024 arc at h = 16 is built and converted, then its flock's
+    # 1024 * 65 537 section values are refused before any is listed
+    arc = ma.denniston_arc(make_field(16), 2048, range(1, 1024))
     inputs = {
         ("convert", "--direction", "arc-to-flock", "-"): ma.arc_to_json(arc),
         ("verify", "-"): fl.flock_to_json(fl.arc_to_flock(arc)),
@@ -170,7 +170,7 @@ def test_flock_above_the_step_ceiling_exits_2_within_seconds():
         assert proc.stdout == ""
         assert proc.stderr == (
             f"error: the flock section oracle stops at {ma.MAX_SCAN_STEPS} steps,"
-            " got (q + 1) * d * (d + 1) / 2 = 65537 * 256 * 257 / 2\n"
+            " got d * (q + 1) + d * (d - 1) / 2 = 1024 * 65537 + 1024 * 1023 / 2\n"
         )
         assert elapsed < 2
 

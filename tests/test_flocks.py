@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import oracles
@@ -428,21 +429,32 @@ def test_flock_report_json_shape(battery_arcs):
 
 
 def test_flock_oracle_refuses_too_many_steps_before_listing(monkeypatch):
-    # a degree-256 flock at h = 16 would list 256 * 65 537 section points
+    # a degree-1024 flock at h = 16 would list 1024 * 65 537 > 2^26 section values
     gf = make_field(16)
-    F = arc_to_flock(denniston_arc(gf, 2048, range(1, 256)))
-    assert F.size == 256
+    F = arc_to_flock(denniston_arc(gf, 2048, range(1, 1024)))
+    assert F.size == 1024
 
     def no_listing(*args):
         raise AssertionError("a section was listed before the refusal")
 
     monkeypatch.setattr("arcflock.flocks.plane_section", no_listing)
     monkeypatch.setattr("arcflock.flocks._x0_column", no_listing)
-    refusal = f"stops at {MAX_SCAN_STEPS} steps.* 65537 \\* 256 \\* 257 / 2"
-    with pytest.raises(ValueError, match=refusal):
+    refusal = (f"the flock section oracle stops at {MAX_SCAN_STEPS} steps, got"
+               " d * (q + 1) + d * (d - 1) / 2 = 1024 * 65537 + 1024 * 1023 / 2")
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         verify_partial_flock(F)
-    # the bench's largest flocks and a degree-4 flock at h = 16 stay below
-    assert 65 * 32 * 33 // 2 <= MAX_SCAN_STEPS and 65537 * 4 * 5 // 2 <= MAX_SCAN_STEPS
+    # the charge is d (q + 1) + C(d, 2): at h = 16 it takes 1016 planes, not
+    # 1017, so degree 512 is the largest arc whose flock passes
+    assert 1016 * 65537 + 1016 * 1015 // 2 <= MAX_SCAN_STEPS < 1017 * 65537 + 1017 * 1016 // 2
+
+
+def test_flock_oracle_verifies_a_256_plane_flock_at_h11():
+    # refused by the former charge (q + 1) d (d + 1) / 2 = 6.7e7 > 2^26
+    gf = make_field(11)
+    assert 2049 * 256 * 257 // 2 > MAX_SCAN_STEPS
+    report = verify_partial_flock(arc_to_flock(denniston_arc(gf, 512, range(1, 256))))
+    assert report.verdict
+    assert report.section_sizes == (2049,) * 256 and len(report.pairs) == 256 * 255 // 2
 
 
 def test_bad_flock_report_fails():

@@ -755,10 +755,65 @@ def test_line_scan_needs_the_points_distinct(canonical, counted):
     assert counted
 
 
+def test_line_scan_needs_the_points_distinct_at_the_origin(counted):
+    # the set above moved by (x, y) -> (y + 3, x + 2), which maps parallel
+    # classes to parallel classes: the repeated point is now (0, 0, 1), listed
+    # canonically and as (0, 0, 2), and no other point has x = 0
+    gf = make_field(2)
+    base = [(3, 2, 1), (3, 3, 1), (2, 3, 1), (2, 0, 1), (0, 0, 1)]
+    pts = {normalize(gf, p) for p in base} | {(0, 0, 2)}
+    n, classes = len(pts), _class_counts(gf, pts)
+    ks = [len(c) for c in classes]
+    assert n == 6 and ks == [3] * 5 and sum(n // k for k in ks) == n + gf.q
+    assert verify_maximal_arc(gf, pts, 2).histogram == oracles.line_histogram(gf, pts)
+    assert counted
+
+
+def _random_plane_points(gf, rng, count):
+    """Random nonzero tuples, mostly not canonical: a quarter each with x = 0, y = 0 and z = 0."""
+    pts = set()
+    while len(pts) < count:
+        p = [rng.randrange(gf.q) for _ in range(3)]
+        kind = rng.randrange(4)
+        if kind < 3:
+            p[kind] = 0
+        if any(p):
+            pts.add(tuple(p))
+    return pts
+
+
+# h <= 8 packs the classes one byte per point, h = 9 and 10 sixteen bits
+@pytest.mark.parametrize("h", range(2, 11))
+def test_line_scan_normalizes_points_as_per_point_division(h):
+    gf = make_field(h)
+    rng = random.Random(3100 + h)
+    pts = _random_plane_points(gf, rng, min(150, gf.q ** 3 // 2))
+    affine = [p for p in pts if p[2]]
+    sloped = [p for p in pts if not p[2] and p[1]]  # at infinity, off the class [0, 1, c]
+    assert affine and sloped
+    assert any(not x for x, _, _ in affine) and any(not y for _, y, _ in affine)
+    log, powers = ma._log_tables(gf)
+    columns = [[p[i] for p in affine] for i in range(3)]
+    xs, ys = ma._quotients(log, powers, columns[:2], columns[2])
+    assert xs == [gf.div(x, z) for x, _, z in affine]
+    assert ys == [gf.div(y, z) for _, y, z in affine]
+    slopes = ma._quotients(log, powers, [[x for x, _, _ in sloped]], [y for _, y, _ in sloped])
+    assert slopes == [[gf.div(x, y) for x, y, _ in sloped]]
+    # y, then x + b y for the slopes b in Gray-code order, as the scan packs them
+    classes = [list(c) for c in ma._line_classes(gf, log, powers, xs, ys)]
+    gray = [k ^ k >> 1 for k in range(gf.q)]
+    assert classes == [ys, *([x ^ gf.mul(b, y) for x, y in zip(xs, ys)] for b in gray)]
+    # the whole scan, on the set and on a listing that repeats some tuples
+    listed = [*pts, *rng.sample(sorted(pts), 20)]
+    for points in (pts, listed):
+        assert verify_maximal_arc(gf, points, 2).histogram == oracles.line_histogram(gf, pts)
+
+
 def test_line_scan_rejects_the_zero_vector():
     gf = make_field(3)
-    with pytest.raises(ValueError, match="zero vector"):
-        verify_maximal_arc(gf, [(1, 0, 1), (0, 0, 0)], 2)
+    for points in ([(1, 0, 1), (0, 0, 0)], frozenset({(1, 0, 1), (0, 0, 0)})):
+        with pytest.raises(ValueError, match="zero vector"):
+            verify_maximal_arc(gf, points, 2)
 
 
 def test_line_scan_refuses_malformed_points():
