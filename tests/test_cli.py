@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from collections.abc import Iterable
 
 import pytest
 
@@ -900,11 +901,27 @@ HANDLER_ARGV = [
 
 @pytest.mark.parametrize("argv", HANDLER_ARGV)
 def test_handlers_return_their_output_and_write_nothing(capsys, tmp_path, argv):
-    # only main writes: a handler returns (payload, lines, ok) for _emit
+    # only main writes: a handler returns (payload, lines, ok) for _emit, its
+    # lines any iterable of str, and reading them writes nothing either
     args = build_parser().parse_args(argv.format(**battery_paths(tmp_path)).split())
     result = args.func(args)
     assert capsys.readouterr() == ("", "")
     assert isinstance(result, tuple) and len(result) == 3
     payload, lines, ok = result
-    assert isinstance(payload, dict) and isinstance(lines, list) and isinstance(ok, bool)
-    assert all(isinstance(line, str) for line in lines)
+    assert isinstance(payload, dict) and isinstance(ok, bool)
+    assert isinstance(lines, Iterable) and not isinstance(lines, str)
+    lines = list(lines)
+    assert capsys.readouterr() == ("", "")
+    assert lines and all(isinstance(line, str) for line in lines)
+
+
+@pytest.mark.parametrize("argv", ["search --h 5 --d 2 --format json", "rank --h 5 --d 2 --format json"])
+def test_json_surveys_format_no_text_line(capsys, monkeypatch, tmp_path, argv):
+    # a JSON run never reads its text lines: formatting a survey row would raise
+    def refuse(row):
+        raise AssertionError("a JSON run formatted a text line")
+
+    monkeypatch.setattr("arcflock.cli._record_line", refuse)
+    monkeypatch.setattr("arcflock.cli._rank_line", refuse)
+    code, out, err = run_battery(capsys, monkeypatch, tmp_path, argv, None)
+    assert (code, _sha(out), _sha(err)) == FROZEN_OUTPUT[argv, None]
