@@ -202,6 +202,47 @@ def test_rank_analysis_counts_solutions(h):
             assert analysis.independent == (analysis.rank == len(system.conditions))
 
 
+def test_reference_matches_the_scan_on_every_pair_of_the_h6_rank_survey():
+    # the 8680 pairs of h = 6, |H| = 8: each multiplier against its literal
+    # formula, and rank_analysis against the exhaustive mu scan
+    gf = make_field(6)
+    specs = enumerate_group_specs(gf, 8)
+    assert len(specs) == 8680
+    for spec in specs:
+        ld = spec.lambda_d
+        system = build_trace_system(spec)
+        assert system.conditions == tuple(
+            gf.div(gf.mul(lam, ld ^ 1), ld ^ lam) for lam in spec.H[1:]
+        ), spec
+        rank, _, _ = oracles.scan_trace_system(system)
+        analysis = rank_analysis(system)
+        assert (analysis.rank, analysis.solution_count) == (
+            rank, len(oracles.mu_solutions_scan(system))
+        ), spec
+        assert analysis.independent == (rank == 7)
+
+
+def _survey_counts(h, order):
+    """(H, lambda_d) -> (rank, prefilter, valid) over every pair of one survey."""
+    return {(r.H, r.lambda_d): (r.rank, r.num_rho_prefilter, r.num_rho_valid)
+            for r in search_field(make_field(h), order)}
+
+
+@pytest.mark.parametrize("h, orders", [(h, range(1, h)) for h in range(3, 7)] + [(7, (1, 2, 3))])
+def test_survey_counts_are_invariant_under_frobenius_and_scaling(h, orders):
+    # the pairs (H^2, lambda_d^2) and (H / h0, lambda_d / h0), h0 in H nonzero,
+    # have the same system up to a change of mu, so the same record counts
+    gf = make_field(h)
+    for k in orders:
+        counts = _survey_counts(h, 1 << k)
+        for (H, ld), value in counts.items():
+            image = (tuple(sorted(gf.square(x) for x in H)), gf.square(ld))
+            assert counts[image] == value, (H, ld)
+            for h0 in H[1:]:
+                image = (tuple(sorted(gf.div(x, h0) for x in H)), gf.div(ld, h0))
+                assert counts[image] == value, (H, ld, h0)
+
+
 def test_condition_value_squared_is_equivalent():
     gf = make_field(5)
     spec = GroupSpec(gf, (0, 1, 2, 3), 4)
