@@ -22,8 +22,8 @@ trace(x^j d_i) = [i = j]; it is the inverse of the Gram matrix
 trace(x^(i+j)) over GF(2), computed once per field.  An element mu then has
 trace coordinates v_j = trace(x^j mu), and trace(c mu) = parity(c & v) for
 every c: the bits of c are the coefficients of a linear form in v.
-One GF(2) row reduction, gf2_add_row then gf2_back_substitute, inverts that
-Gram matrix and solves every trace system of the search module.
+One GF(2) row reduction of equations packed one per int, gf2_add_rows then
+gf2_back_substitute, inverts that Gram matrix and solves every trace system.
 
 The module also holds the two bases of the package's value classes, _Value
 and _FrozenValue: equality, hashing and repr are read off a class's
@@ -33,7 +33,7 @@ __slots__, so no class is generated from source when a module loads.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional, TypeVar
+from typing import Iterable, Optional, Sequence, TypeVar
 
 MAX_H = 16
 
@@ -128,37 +128,38 @@ def _build_log_exp(q: int, modulus: int) -> tuple[list[int], list[int]]:
     return exp, log
 
 
-def gf2_add_row(echelon: dict[int, tuple[int, int]], row: int, b: int) -> int:
-    """Add the equation parity(row & x) = b to an echelon form, in place.
+def gf2_add_rows(echelon: list[int], eqs: Iterable[int], width: int) -> int:
+    """Add equations parity(row & x) = b, each the int row << width | b, to an echelon.
 
-    Entries map each pivot, the leading bit of its row, to (row, rhs); stored
-    rows are never changed.  An rhs of several bits carries one system per
-    bit.  A row that adds a pivot returns 0; one that reduces to zero returns
-    what is left of b, nonzero exactly when it contradicts the rows present
-    (with one rhs bit per row, the rows that sum to zero).
+    A b of several bits is one system per bit.  The echelon, k + width + 1
+    entries for k unknowns, holds at index n 0 or the stored equation of bit
+    length n, which never changes.  Returns the OR of what is left of b where a
+    row reduces to zero: nonzero exactly when an equation contradicts those
+    before; with b = 1 << i on row i, the rows that sum to zero, row i included.
     """
-    while row:
-        pb = row.bit_length() - 1
-        if pb not in echelon:
-            echelon[pb] = (row, b)
-            return 0
-        pr, pbv = echelon[pb]
-        row ^= pr
-        b ^= pbv
-    return b
+    top, left = 1 << width, 0
+    for e in eqs:
+        while e >= top:
+            p = echelon[n := e.bit_length()]
+            if not p:
+                echelon[n] = e
+                break
+            e ^= p
+        else:
+            left |= e
+    return left
 
 
-def gf2_back_substitute(echelon: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """The reduced row echelon form of an echelon: (pivot, row, rhs), pivots ascending."""
-    reduced: list[tuple[int, int, int]] = []
-    for pb in sorted(echelon):
-        row, b = echelon[pb]
-        for qb, qr, qbv in reduced:
-            if row >> qb & 1:
-                row ^= qr
-                b ^= qbv
-        reduced.append((pb, row, b))
-    return reduced
+def gf2_back_substitute(echelon: list[int], width: int) -> list[tuple[int, int, int]]:
+    """The reduced row echelon form of an echelon: (pivot, row, b), pivots ascending."""
+    reduced: list[tuple[int, int]] = []
+    for e in filter(None, echelon):  # pivots ascending: lower ones leave e's bit length
+        for m, p in reduced:
+            if e >> m & 1:
+                e ^= p
+        reduced.append((e.bit_length() - 1, e))
+    low = (1 << width) - 1
+    return [(m - width, e >> width, e & low) for m, e in reduced]
 
 
 class GF:
@@ -199,17 +200,14 @@ class GF:
         return mask
 
     def _build_dual_basis(self) -> tuple[int, ...]:
-        # row j of the Gram matrix trace(x^(i+j)) with right-hand side 1 << j:
-        # reduced to the identity, pivot i carries row i of the inverse, whose
-        # bits are the polynomial coefficients of d_i
-        h = self.h
-        echelon: dict[int, tuple[int, int]] = {}
-        for j in range(h):
-            row = sum(self.trace(self.mul(1 << i, 1 << j)) << i for i in range(h))
-            # the right-hand sides are independent, so a row adding no pivot contradicts
-            if gf2_add_row(echelon, row, 1 << j):
-                raise AssertionError("the trace form is degenerate")
-        return tuple(b for _, _, b in gf2_back_substitute(echelon))
+        # row j of the Gram matrix trace(x^(i+j)) above b = 1 << j, reduced to the identity:
+        # pivot i carries row i of the inverse, the coefficients of d_i; none may contradict
+        h, echelon = self.h, [0] * (2 * self.h + 1)
+        gram = [sum(self.trace(self.mul(1 << i, 1 << j)) << i for i in range(h)) << h | 1 << j
+                for j in range(h)]
+        if gf2_add_rows(echelon, gram, h):
+            raise AssertionError("the trace form is degenerate")
+        return tuple(b for _, _, b in gf2_back_substitute(echelon, h))
 
     # -- identity -------------------------------------------------------------
 
@@ -253,12 +251,14 @@ class GF:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def div_many(self, a: int, bs: list[int]) -> list[int]:
-        """[div(a, b) for b in bs]: log a - log b indexes exp, a negative index wrapping."""
-        if 0 in bs:
+    def div_many(self, a: int, bs: Sequence[int], shift: int = 0, plus: int = 0) -> list[int]:
+        """[plus ^ div(a, b ^ shift) for b in bs]: log a - log(b ^ shift) indexes exp, wrapping."""
+        if shift in bs:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        exp, log, k = self._exp, self._log, self._log[a]
-        return [exp[k - log[b]] for b in bs] if a else [0] * len(bs)
+        exp, log, k, out = self._exp, self._log, self._log[a], []
+        for b in bs:  # a loop, as a comprehension would read these through cells
+            out.append(plus ^ exp[k - log[b ^ shift]])
+        return out if a else [plus] * len(bs)
 
     def square(self, a: int) -> int:
         return self.mul(a, a)

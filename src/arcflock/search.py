@@ -22,13 +22,16 @@ Let M be the d x h matrix of rows u_x, r its rank and C its column space
 r - [1 in C] and, zero included, num_mu = 2^(h-r) (1 + [1 in C]) and
 num_valid_mu = 2^(h-r) at odd h, num_mu = 2^(h-r) ([e_a in C] + [1 + e_a in
 C]) and num_valid_mu = 2^(h-r) [e_a in C] at even h.  Eliminating M with
-right-hand side the bit pos(x) on row u_x (finite_field.gf2_add_row) leaves
-a dependency w per row that adds no pivot, and these span M's left kernel:
-1 in C iff every w is even, e_a in C iff no w has bit pos(a), 1 + e_a in C
-iff parity(w) = w_pos(a) for every w.  So one elimination gives the record
-of every lambda_d in the coset (at odd h all counts are the coset's, at even
-h the rank is), and back-substituted with right-hand side epsilon w_pos(a)
-it gives the gamma, so the valid rho = a (a + 1) / gamma, of any one.
+right-hand side the bit pos(x) on row u_x leaves a dependency w per row that
+adds no pivot, and these span M's left kernel: 1 in C iff every w is even,
+e_a in C iff no w has bit pos(a), 1 + e_a in C iff parity(w) = w_pos(a) for
+every w.  With (e_pos(x), 1 + e_pos(x), 1) on row u_x instead, such a row
+leaves (w, w + parity(w) 1, parity(w)); the OR of these, which one
+finite_field.gf2_add_rows call returns, decides all three.  So one
+elimination gives the record of every lambda_d in the coset (at odd h all
+counts are the coset's, at even h the rank is), and back-substituted with
+right-hand side epsilon w_pos(a) it gives the gamma, so the valid rho =
+a (a + 1) / gamma, of any one.
 Counts leave out mu = 0, which gives no rho.  Each valid rho yields a
 degree-2d Mathon arc containing D, built by synthetic extension
 (construct_extension_arc), whose extend_flock tests the new plane against
@@ -45,7 +48,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .finite_field import GF, _FrozenValue, _Value, check_kind, gf2_add_row, gf2_back_substitute
+from .finite_field import GF, _FrozenValue, _Value, check_kind, gf2_add_rows, gf2_back_substitute
 from .flocks import synthetic_extension
 from .mathon_arcs import Conic, MathonArc, arc_size, arc_to_json, denniston_arc, line_scan_fits
 
@@ -127,32 +130,31 @@ def build_trace_system(spec: GroupSpec) -> TraceConditionSystem:
     The multiplier for lam is c_lam = lam * (lambda_d + 1) / (lambda_d + lam);
     both factors are nonzero because lambda_d lies outside H, so no condition
     degenerates.  It is computed as top + top * lambda_d / (lambda_d + lam)
-    with top = lambda_d + 1, the same value by one multiplication less.  The
-    common right-hand side is epsilon = 1 + trace(1).
+    with top = lambda_d + 1, in one div_many pass.  The common right-hand side
+    is epsilon = 1 + trace(1), where trace(1) = h mod 2.
     """
-    gf = spec.gf
-    ld = spec.lambda_d
-    top = ld ^ 1
-    quotients = gf.div_many(gf.mul(top, ld), [ld ^ l for l in spec.H[1:]])
-    return TraceConditionSystem(gf, spec, 1 ^ gf.trace(1), tuple([top ^ x for x in quotients]))
+    gf, ld, top = spec.gf, spec.lambda_d, spec.lambda_d ^ 1
+    conditions = tuple(gf.div_many(gf.mul(top, ld), spec.H[1:], ld, top))
+    return TraceConditionSystem(gf, spec, 1 ^ gf.h & 1, conditions)
 
 
 # -- solving the system over GF(2) ---------------------------------------------
 
 
-def _eliminate(system: TraceConditionSystem) -> tuple[dict[int, tuple[int, int]], int]:
-    """One elimination of the conditions, each row its multiplier.
+def _eliminate(system: TraceConditionSystem) -> tuple[list[int], int, int]:
+    """One elimination of the conditions, each row its multiplier above epsilon.
 
-    The unknowns are the trace coordinates of mu.  Returns the echelon form
-    and the number of mu (zero included) solving the conditions:
-    2^(h - rank), or 0 when they are inconsistent.
+    The unknowns are the trace coordinates of mu.  Returns the echelon form,
+    its rank and the number of mu (zero included) solving the conditions:
+    2^(h - rank), or 0 when some condition contradicts the others.
     """
-    eps = system.epsilon
-    echelon: dict[int, tuple[int, int]] = {}
-    consistent = True
-    for c in system.conditions:
-        consistent &= not gf2_add_row(echelon, c, eps)
-    return echelon, (1 << (system.gf.h - len(echelon))) if consistent else 0
+    eps, h, eqs = system.epsilon, system.gf.h, []
+    for c in system.conditions:  # a loop: a comprehension would read eps through a cell
+        eqs.append(c << 1 | eps)
+    echelon = [0] * (h + 2)
+    left = gf2_add_rows(echelon, eqs, 1)
+    rank = h + 2 - echelon.count(0)
+    return echelon, rank, 0 if left else 1 << (h - rank)
 
 
 class RankAnalysis(_FrozenValue):
@@ -173,8 +175,7 @@ class RankAnalysis(_FrozenValue):
 
 def rank_analysis(system: TraceConditionSystem) -> RankAnalysis:
     """GF(2)-rank of the conditions; solution count 2^(h-rank), or 0 if inconsistent."""
-    echelon, num_mu = _eliminate(system)
-    rank = len(echelon)
+    _, rank, num_mu = _eliminate(system)
     return RankAnalysis(rank, num_mu, rank == len(system.conditions))
 
 
@@ -187,19 +188,19 @@ def beta_of(gf: GF, lambda_d: int, rho: int) -> int:
     return gf.mul(lambda_d ^ 1, gf.inv(rho)) ^ 1
 
 
-def _valid_rho(gf: GF, echelon: dict[int, tuple[int, int]], scale: int = 1) -> frozenset[int]:
-    """The rho = scale/mu, mu != 0, of a consistent system in echelon form.
+def _valid_rho(gf: GF, echelon: list, width: int, scale: int = 1, mask: int = 1) -> frozenset:
+    """The rho = scale/mu, mu != 0, of a consistent echelon form with right-hand sides b & mask.
 
     Back-substituted, its solutions are a particular solution plus the span of
     a null basis, in trace coordinates; each is mapped back to mu once, and as
     that map is linear the span is listed in mu directly: 2^(h - rank) field
     divisions; counting alone needs no listing.
     """
-    reduced = gf2_back_substitute(echelon)
-    shift = gf.from_trace_coordinates(sum(bv << pb for pb, _, bv in reduced))
+    reduced = gf2_back_substitute(echelon, width)
+    shift = gf.from_trace_coordinates(sum((b & mask) << pb for pb, _, b in reduced))
     basis = []
     for fb in range(gf.h):
-        if fb not in echelon:  # free: each pivot whose row holds fb follows it
+        if not echelon[fb + width + 1]:  # free: each pivot whose row holds fb follows it
             v = sum(1 << pb for pb, row, _ in reduced if row >> fb & 1)
             basis.append(gf.from_trace_coordinates(v | 1 << fb))
     mus = {shift ^ mu for mu in gf.additive_span(basis)}
@@ -214,9 +215,10 @@ def solve_trace_system(system: TraceConditionSystem) -> frozenset[int]:
     trace(beta) = 1 rewritten, since trace(beta) = trace((lambda_d + 1) mu) +
     trace(1).
     """
-    echelon, num_mu = _eliminate(system)
-    if num_mu and not gf2_add_row(echelon, system.group.lambda_d ^ 1, system.epsilon):
-        return _valid_rho(system.gf, echelon)
+    echelon, _, num_mu = _eliminate(system)
+    validity = (system.group.lambda_d ^ 1) << 1 | system.epsilon
+    if num_mu and not gf2_add_rows(echelon, [validity], 1):
+        return _valid_rho(system.gf, echelon, 1)
     return frozenset()
 
 
@@ -287,40 +289,38 @@ class SearchRecord(_Value):
         }
 
 
-def _solve_coset(gf: GF, H: tuple[int, ...], a: int) -> tuple[list[SearchRecord], dict]:
+def _solve_coset(gf: GF, H: tuple[int, ...], a: int) -> tuple[list[SearchRecord], list[int]]:
     """The records of lambda_d = a + H[i], in H's order, and their echelon form.
 
-    Row i is 1/(a + H[i]) with right-hand side 1 << i, so gf2_add_row returns
-    the dependency w of each row that adds no pivot (see the module docstring).
+    Row i is 1/(a + H[i]) above (e_i, 1 + e_i, 1): what is left is the OR of
+    (w, w + parity(w) 1, parity(w)) over the dependencies w (module docstring).
     """
-    echelon: dict[int, tuple[int, int]] = {}
-    full = (1 << len(H)) - 1
-    # over the dependencies w: the bits some w has, the bits where some w
-    # differs from its parity, and whether some w has odd weight
-    seen = flipped = any_odd = 0
-    for i, u in enumerate(gf.div_many(1, [a ^ l for l in H])):
-        w = gf2_add_row(echelon, u, 1 << i)
-        odd = w.bit_count() & 1
-        seen, flipped, any_odd = seen | w, flipped | w ^ full * odd, any_odd | odd
-    eps = 1 ^ gf.trace(1)
-    free = 1 << (gf.h - len(echelon))
-    rank = len(echelon) - (not any_odd)
+    d, q, eps = len(H), gf.q, 1 ^ gf.h & 1
+    full, width = (1 << d) - 1, 2 * d + 1
+    base, spread = (full | 1 << d) << d, 1 << d | 1  # (0, 1, 1); e_i + e_i << d is spread << i
+    rows, echelon = [], [0] * (gf.h + width + 1)
+    for i, u in enumerate(gf.div_many(1, H, a)):
+        rows.append(u << width | base ^ spread << i)
+    left = gf2_add_rows(echelon, rows, width)
+    seen, flipped, any_odd = left & full, left >> d & full, left >> 2 * d
+    pivots = len(echelon) - echelon.count(0)
+    free, rank = 1 << (gf.h - pivots), pivots - (not any_odd)
+    # odd h: the mu reaching 0 or 1, the valid ones 0, and mu = 0 gives no rho
+    pre, valid = free * (2 - any_odd) - 1, free - 1
     records = []
     for i, lam in enumerate(H):
-        if eps:  # the mu reaching e_a or 1 + e_a in C; the valid ones reach e_a
+        if eps:  # the mu reaching e_a or 1 + e_a in C; the valid ones e_a
             in_e = not seen >> i & 1
-            prefilter, valid = free * (in_e + (not flipped >> i & 1)), free * in_e
-        else:  # the mu reaching 0 or 1; the valid ones reach 0; mu = 0 gives no rho
-            prefilter, valid = free * (2 - any_odd) - 1, free - 1
-        records.append(SearchRecord(gf.q, H, a ^ lam, eps, rank, prefilter, valid))
+            pre, valid = free * (in_e + (not flipped >> i & 1)), free * in_e
+        records.append(SearchRecord(q, H, a ^ lam, eps, rank, pre, valid))
     return records, echelon
 
 
-def _first_rho(gf: GF, echelon: dict[int, tuple[int, int]], first: SearchRecord) -> frozenset[int]:
+def _first_rho(gf: GF, echelon: list[int], first: SearchRecord) -> frozenset[int]:
     """The valid rho of the coset's row-0 record, a = lambda_d: a (a + 1) / gamma for the
     gamma != 0 with trace(gamma / x) = epsilon [x = a] on the coset (rhs epsilon w_0)."""
-    target = {pb: (row, first.epsilon & w) for pb, (row, w) in echelon.items()}
-    return _valid_rho(gf, target, gf.mul(first.lambda_d, first.lambda_d ^ 1))
+    scale = gf.mul(first.lambda_d, first.lambda_d ^ 1)
+    return _valid_rho(gf, echelon, 2 * len(first.H) + 1, scale, first.epsilon)
 
 
 def search_group(spec: GroupSpec) -> SearchRecord:
@@ -407,10 +407,10 @@ def enumerate_group_specs(gf: GF, order: int) -> list[GroupSpec]:
     _check_survey(gf, order)
     specs: list[GroupSpec] = []
     for H in additive_subgroups_containing_one(gf, order):
-        lds = sorted(set(gf.elements()).difference(H))
+        lds = list(itertools.filterfalse(set(H).__contains__, gf.elements()))
         if lds:
             specs.append(GroupSpec(gf, H, lds[0]))  # checks H, once
-            specs += [specs[-1]._with_lambda_d(ld) for ld in lds[1:]]
+            specs += map(specs[-1]._with_lambda_d, lds[1:])
     return specs
 
 
@@ -429,7 +429,7 @@ def search_field(gf: GF, order: int) -> list[SearchRecord]:
     records = []
     for H in additive_subgroups_containing_one(gf, order):
         pending: dict[int, SearchRecord] = {}
-        for ld in sorted(set(gf.elements()).difference(H)):
+        for ld in itertools.filterfalse(set(H).__contains__, gf.elements()):
             if ld not in pending:
                 coset, echelon = _solve_coset(gf, H, ld)
                 pending.update((r.lambda_d, r) for r in coset)

@@ -14,7 +14,7 @@ from arcflock import flocks as fl
 from arcflock import mathon_arcs as ma
 from arcflock import search as se
 from arcflock.cli import build_parser, main
-from arcflock.finite_field import gf2_add_row, make_field
+from arcflock.finite_field import gf2_add_rows, make_field
 
 
 def run_cli(capsys, *argv):
@@ -243,20 +243,20 @@ def test_construct_mathon_extend_solves_its_system_once(capsys, monkeypatch):
     # the doubling costs exactly the row reductions of one search_group call
     calls = []
 
-    def counted(reduced, row, b):
-        calls.append(row)
-        return gf2_add_row(reduced, row, b)
+    def counted(echelon, eqs, width):
+        calls.append(len(eqs))
+        return gf2_add_rows(echelon, eqs, width)
 
-    monkeypatch.setattr(se, "gf2_add_row", counted)
+    monkeypatch.setattr(se, "gf2_add_rows", counted)
     se.search_group(se.GroupSpec(make_field(5), (0, 1, 2, 3), 4))
-    one_search = len(calls)
-    assert one_search == 4  # the four rows of its coset
+    one_search = list(calls)
+    assert one_search == [4]  # one call, of the four rows of its coset
     calls.clear()
     code, payload = run_json(
         capsys, "construct", "mathon-extend", "--h", "5", "--H", "1,2", "--lambda-d", "4"
     )
     assert code == 0 and payload["rho"] == 16
-    assert len(calls) == one_search
+    assert calls == one_search
 
 
 def test_construct_mathon_extend_refuses_even_h(capsys):

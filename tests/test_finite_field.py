@@ -1,5 +1,7 @@
 """Field arithmetic against naive polynomial oracles and frozen constants."""
 
+import functools
+import operator
 import random
 
 import oracles
@@ -11,7 +13,7 @@ from arcflock import search as se
 from arcflock.finite_field import (
     GF,
     MAX_H,
-    gf2_add_row,
+    gf2_add_rows,
     gf2_back_substitute,
     least_irreducible,
     make_field,
@@ -107,12 +109,20 @@ def test_inverse_and_division(h):
 
 @pytest.mark.parametrize("h", range(1, 7))
 def test_div_many_matches_div_on_every_pair(h):
+    # plus + a / (b + shift): shift = plus = 0 on every pair, then a sampled
+    # shift and plus for every a, with the divisor b = shift refused
     gf = make_field(h)
+    rng = random.Random(1100 + h)
     divisors = list(gf.nonzero_elements())
     for a in gf.elements():
         assert gf.div_many(a, divisors) == [gf.div(a, b) for b in divisors]
         with pytest.raises(ZeroDivisionError):
             gf.div_many(a, [1, 0])
+        shift, plus = rng.randrange(gf.q), rng.randrange(gf.q)
+        bs = tuple(b for b in gf.elements() if b != shift)
+        assert gf.div_many(a, bs, shift, plus) == [plus ^ gf.div(a, b ^ shift) for b in bs]
+        with pytest.raises(ZeroDivisionError):
+            gf.div_many(a, (shift ^ 1, shift), shift, plus)
     assert gf.div_many(1, []) == []
 
 
@@ -173,38 +183,50 @@ def test_dual_basis_refuses_a_degenerate_trace_form(monkeypatch):
         gf._build_dual_basis()
 
 
+def _solutions(n, rows, rhs):
+    """Every x in GF(2)^n with parity(row & x) = b for each row and b, by scan."""
+    return [x for x in range(1 << n)
+            if all((r & x).bit_count() & 1 == b for r, b in zip(rows, rhs))]
+
+
+def _check_echelon(echelon, stored, width, n):
+    """Stored equations keep their places; each sits at its bit length above width bits."""
+    assert len(echelon) == n + width + 1
+    assert all(echelon[i] == e for i, e in enumerate(stored) if e)
+    for i, e in enumerate(echelon):
+        assert not e or (e.bit_length() == i and e >> width)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gf2_add_row_against_brute_force(n):
-    # after every added row: the consistency flag, the rank (by the size of the
-    # row span) and the solution count against a scan of every x in GF(2)^n;
-    # the stored rows form an echelon, and back-substituted they are the
-    # reduced row echelon form of the same consistent system
+    # one equation per call, a one-bit b: after every added row, the
+    # consistency flag, the rank (by the size of the row span) and the solution
+    # count against a scan of every x in GF(2)^n; the stored equations form an
+    # echelon, and back-substituted they are the reduced row echelon form of
+    # the same consistent system
     rng = random.Random(1600 + n)
     for _ in range(200):
-        echelon = {}
+        echelon = [0] * (n + 2)
         consistent = True
         rows, rhs = [], []
         for _ in range(rng.randrange(1, 2 * n + 2)):
             row, b = rng.randrange(1 << n), rng.randrange(2)
-            stored = dict(echelon)
-            consistent &= not gf2_add_row(echelon, row, b)
-            assert stored.items() <= echelon.items()  # stored rows never change
+            stored = list(echelon)
+            consistent &= not gf2_add_rows(echelon, [row << 1 | b], 1)
+            _check_echelon(echelon, stored, 1, n)
             rows.append(row)
             rhs.append(b)
             span = {0}
             for r in rows:
                 span |= {r ^ s for s in span}
-            solutions = [
-                x for x in range(1 << n)
-                if all((r & x).bit_count() & 1 == c for r, c in zip(rows, rhs))
-            ]
-            assert 1 << len(echelon) == len(span)
+            solutions = _solutions(n, rows, rhs)
+            rank = len(echelon) - echelon.count(0)
+            assert 1 << rank == len(span)
             assert consistent == bool(solutions)
-            assert len(solutions) == ((1 << (n - len(echelon))) if consistent else 0)
-            for pb, (r, _) in echelon.items():  # echelon: each row led by its pivot
-                assert r.bit_length() - 1 == pb
-            reduced = gf2_back_substitute(echelon)
-            assert [pb for pb, _, _ in reduced] == sorted(echelon)
+            assert len(solutions) == ((1 << (n - rank)) if consistent else 0)
+            reduced = gf2_back_substitute(echelon, 1)
+            assert [pb for pb, _, _ in reduced] == sorted(
+                i - 2 for i, e in enumerate(echelon) if e)
             for pb, r, _ in reduced:  # reduced row echelon form
                 assert r.bit_length() - 1 == pb
                 assert all(not r >> qb & 1 for qb, _, _ in reduced if qb != pb)
@@ -213,6 +235,33 @@ def test_gf2_add_row_against_brute_force(n):
                     (r & x).bit_count() & 1 == c for x in solutions for _, r, c in reduced
                 )
                 assert sum(b << pb for pb, _, b in reduced) in solutions
+
+
+@pytest.mark.parametrize("n, width", [(n, w) for n in range(1, 7) for w in sorted({1, 4, 8, n})])
+def test_gf2_add_rows_solves_a_system_per_bit_of_b(n, width):
+    # a whole system in one call, b of width bits (one bit as the trace
+    # conditions, d = 4 or 8 bits as a coset, n bits as the dual basis): bit j
+    # of the returned OR is set exactly when system j has no solution, the
+    # back-substituted bit j solves system j when it has one, and adding the
+    # rows one call each gives the same echelon and the same OR
+    rng = random.Random(1800 + 16 * n + width)
+    for _ in range(60):
+        m = rng.randrange(1, 2 * n + 2)
+        rows = [rng.randrange(1 << n) for _ in range(m)]
+        bs = [rng.randrange(1 << width) for _ in range(m)]
+        eqs = [r << width | b for r, b in zip(rows, bs)]
+        echelon, one_by_one = [0] * (n + width + 1), [0] * (n + width + 1)
+        left = gf2_add_rows(echelon, eqs, width)
+        _check_echelon(echelon, [], width, n)
+        assert left == functools.reduce(
+            operator.or_, (gf2_add_rows(one_by_one, [e], width) for e in eqs))
+        assert one_by_one == echelon
+        reduced = gf2_back_substitute(echelon, width)
+        for j in range(width):
+            solutions = _solutions(n, rows, [b >> j & 1 for b in bs])
+            assert (left >> j & 1) == (not solutions)
+            if solutions:
+                assert sum((b >> j & 1) << pb for pb, _, b in reduced) in solutions
 
 
 def _sum_rows(rows, w):
@@ -226,17 +275,20 @@ def _sum_rows(rows, w):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gf2_add_row_returns_the_dependency_of_a_row_it_cannot_add(n):
-    # row i with right-hand side 1 << i: a row adding a pivot returns 0, any other
-    # returns the set w of rows, itself included, that sum to zero; these w span
-    # every dependency among the rows
+    # row i with right-hand side 1 << i, one call each: a row adding a pivot
+    # leaves 0, any other the set w of rows, itself included, that sum to zero;
+    # these w span every dependency among the rows, and one call for all the
+    # rows returns their OR
     rng = random.Random(1700 + n)
     for _ in range(100):
         rows = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 2 * n + 2))]
-        echelon, deps = {}, []
-        for i, row in enumerate(rows):
-            rank = len(echelon)
-            w = gf2_add_row(echelon, row, 1 << i)
-            assert (len(echelon) == rank + 1) == (w == 0)
+        width = len(rows)
+        eqs = [row << width | 1 << i for i, row in enumerate(rows)]
+        echelon, deps = [0] * (n + width + 1), []
+        for i, e in enumerate(eqs):
+            rank = len(echelon) - echelon.count(0)
+            w = gf2_add_rows(echelon, [e], width)
+            assert (len(echelon) - echelon.count(0) == rank + 1) == (w == 0)
             if w:
                 assert w >> i == 1 and _sum_rows(rows, w) == 0
                 deps.append(w)
@@ -245,6 +297,8 @@ def test_gf2_add_row_returns_the_dependency_of_a_row_it_cannot_add(n):
         for w in deps:
             span |= {w ^ s for s in span}
         assert span - {0} == set(kernel)
+        assert gf2_add_rows([0] * (n + width + 1), eqs, width) == functools.reduce(
+            operator.or_, deps, 0)
 
 
 @pytest.mark.parametrize("h", range(1, 7))

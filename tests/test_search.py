@@ -128,17 +128,14 @@ def test_condition_rows_are_linear_functionals():
 
 def _linear_mu_solutions(system) -> frozenset[int]:
     """The mu solving the conditions, listed by the solver from their echelon form."""
-    from arcflock.finite_field import gf2_add_row
+    from arcflock.finite_field import gf2_add_rows
     from arcflock.search import _valid_rho
 
     gf = system.gf
-    echelon = {}
-    consistent = True
-    for c in system.conditions:
-        consistent &= not gf2_add_row(echelon, c, system.epsilon)
-    if not consistent:
+    echelon = [0] * (gf.h + 2)
+    if gf2_add_rows(echelon, [c << 1 | system.epsilon for c in system.conditions], 1):
         return frozenset()
-    nonzero = frozenset(gf.inv(rho) for rho in _valid_rho(gf, echelon))
+    nonzero = frozenset(gf.inv(rho) for rho in _valid_rho(gf, echelon, 1))
     return nonzero | ({0} if system.epsilon == 0 else frozenset())
 
 
@@ -629,19 +626,20 @@ def test_even_h_counts_vary_inside_a_coset():
 
 
 def test_search_field_reduces_one_row_per_pair(monkeypatch):
-    # one elimination per coset of d rows, and its example arc from the same one
+    # one elimination call per coset, of its d rows, and the example arc from the same one
     import arcflock.search as se
-    from arcflock.finite_field import gf2_add_row
+    from arcflock.finite_field import gf2_add_rows
 
     calls = []
 
-    def counted(echelon, row, b):
-        calls.append(row)
-        return gf2_add_row(echelon, row, b)
+    def counted(echelon, eqs, width):
+        calls.append(len(eqs))
+        return gf2_add_rows(echelon, eqs, width)
 
-    monkeypatch.setattr(se, "gf2_add_row", counted)
+    monkeypatch.setattr(se, "gf2_add_rows", counted)
     records = search_field(make_field(7), 4)
-    assert len(records) == 7812 == len(calls)
+    assert len(records) == 7812 == sum(calls)
+    assert calls == [4] * (7812 // 4)
     assert sum(1 for r in records if r.example_arc) == 1
 
 
