@@ -134,8 +134,8 @@ def gf2_add_rows(echelon: list[int], eqs: Iterable[int], width: int) -> int:
     A b of several bits is one system per bit.  The echelon, k + width + 1
     entries for k unknowns, holds at index n 0 or the stored equation of bit
     length n, which never changes.  Returns the OR of what is left of b where a
-    row reduces to zero: nonzero exactly when an equation contradicts those
-    before; with b = 1 << i on row i, the rows that sum to zero, row i included.
+    row reduces to zero, nonzero exactly when an equation contradicts those
+    before; with b = 1 << i on row i, row i leaves the rows that sum to zero.
     """
     top, left = 1 << width, 0
     for e in eqs:
